@@ -14,12 +14,19 @@ the affine hull is computed exactly, the facet system is enumerated inside a
 rational chart of the hull, and halfspaces are pulled back to ambient
 coordinates.  That one routine covers segments, polygons, and the small
 simplicial shapes (d <= 4) the constructions need.
+
+Line-versus-set crossing (`flat_crosses` with k = 1), the inner loop of every
+line cover, is decided in Python-int arithmetic on those coprime rows: each
+polyhedron and each line caches its integer form once, and parameter bounds
+are compared by cross-multiplication, so no rational is built per test.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InputError, TheoremViolationError
@@ -36,12 +43,14 @@ from .rationals import (
     ONE,
     ZERO,
     Vec,
+    common_denominator,
     dot,
     is_zero_vec,
     normalize_row,
     nullspace,
     rank,
     rat,
+    scaled_ints,
     solve_linear,
     vadd,
     vec,
@@ -150,6 +159,19 @@ class Polyhedron:
             h.contains(coords) for h in self.equalities
         )
 
+    @cached_property
+    def _int_rows(self) -> tuple:
+        """All rows as (normal, offset) Python ints meaning normal . x <= offset;
+        each equality contributes two opposite rows.  Exact because every row
+        is stored as coprime integers."""
+        rows = [(h.normal, h.offset) for h in self.inequalities]
+        for h in self.equalities:
+            rows.append((h.normal, h.offset))
+            rows.append((tuple(-v for v in h.normal), -h.offset))
+        return tuple(
+            (tuple(int(v.numerator) for v in n), int(c.numerator)) for n, c in rows
+        )
+
     def feasibility_lp(self, objective=None, maximize=True) -> LinearProgram:
         leq = tuple((h.normal, h.offset) for h in self.inequalities)
         eq = tuple((h.normal, h.offset) for h in self.equalities)
@@ -207,7 +229,11 @@ class AffineFlat:
             raise DimensionError("flat data width mismatch")
         if not (0 <= len(dirs) < self.dim):
             raise InputError("flat dimension k must satisfy 0 <= k < dim")
-        if dirs and rank(dirs) != len(dirs):
+        if len(dirs) == 1:
+            independent = not is_zero_vec(dirs[0])
+        else:
+            independent = rank(dirs) == len(dirs)
+        if not independent:
             raise InputError("flat directions must be linearly independent")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "directions", dirs)
@@ -215,6 +241,15 @@ class AffineFlat:
     @property
     def k(self) -> int:
         return len(self.directions)
+
+    @cached_property
+    def _line_ints(self) -> tuple:
+        """(D, B, V) for a line: base = B / D with D > 0, and V a positive
+        integer multiple of the direction; all Python ints."""
+        (direction,) = self.directions
+        den = common_denominator(self.base)
+        scale = common_denominator(direction)
+        return den, tuple(scaled_ints(self.base, den)), tuple(scaled_ints(direction, scale))
 
     @classmethod
     def line(cls, base: Sequence, direction: Sequence) -> "AffineFlat":
@@ -347,15 +382,35 @@ def _flat_rows(flat: AffineFlat, poly: Polyhedron):
 def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
     """Exact decision of flat-meets-set in the flat's k parameters.
 
-    k = 0 degenerates to point membership; k = 1 is solved by exact interval
-    propagation (the one-variable LP spelled out); k >= 2 goes to the simplex.
+    k = 0 degenerates to point membership; k >= 2 goes to the simplex.
+    k = 1 is exact interval propagation (the one-variable LP spelled out) in
+    integer arithmetic on the coprime rows: with base = B / D and integer
+    direction V, row (n, c) reads a * t <= r for a = n . V, r = c * D - n . B,
+    and the bounds r / a are compared by cross-multiplication.
     """
     if flat.dim != poly.dim:
         raise DimensionError("flat/polyhedron dimension mismatch")
     if flat.k == 0:
         return poly.contains(flat.base)
     if flat.k == 1:
-        return line_parameter_interval(flat, poly) is not None
+        den, base, direction = flat._line_ints
+        # t <= hn / hd and t >= ln / ld with hd, ld >= 0; a zero denominator
+        # stands for an infinite bound (hn = 1 or ln = -1)
+        hn, hd, ln, ld = 1, 0, -1, 0
+        for n, c in poly._int_rows:
+            a, r = 0, c * den
+            for x, v, b in zip(n, direction, base):
+                a += x * v
+                r -= x * b
+            if a > 0:
+                if r * hd < hn * a:
+                    hn, hd = r, a
+            elif a < 0:
+                if r * ld < ln * a:
+                    ln, ld = -r, -a
+            elif r < 0:
+                return False
+        return ln * hd <= hn * ld
     leq, eq = _flat_rows(flat, poly)
     lp = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))
     return isinstance(lp_solve(lp), Feasible)
@@ -403,16 +458,21 @@ def hyperplane_to_flat(h: Hyperplane) -> AffineFlat:
 def line_through(p: Sequence, q: Sequence) -> AffineFlat:
     """Canonical line through two distinct points (stable dedupe key)."""
     p, q = vec(p), vec(q)
-    direction = vsub(q, p)
-    if is_zero_vec(direction):
+    den = common_denominator(p + q)
+    pn = scaled_ints(p, den)
+    diff = [y - x for x, y in zip(pn, scaled_ints(q, den))]
+    g = gcd(*diff)
+    if g == 0:
         raise InputError("line through coincident points")
-    direction, _ = normalize_row(direction, ZERO)
-    lead = next(v for v in direction if v)
-    if lead < 0:
-        direction = tuple(-v for v in direction)
-    t = dot(p, direction) / dot(direction, direction)
-    base = vsub(p, tuple(t * v for v in direction))
-    return AffineFlat(len(p), base, (direction,))
+    if next(x for x in diff if x) < 0:
+        g = -g
+    v = [x // g for x in diff]
+    # foot of the perpendicular from the origin: p - (p.v / v.v) v
+    vv = sum(x * x for x in v)
+    pv = sum(x * y for x, y in zip(pn, v))
+    base_den = den * vv
+    base = tuple(rat(x * vv - pv * y, base_den) for x, y in zip(pn, v))
+    return AffineFlat(len(p), base, (tuple(rat(x) for x in v),))
 
 
 # ---------------------------------------------------------------------------

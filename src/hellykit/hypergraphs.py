@@ -25,19 +25,17 @@ from .budgets import DEFAULT_BUDGET, SearchBudget
 from .errors import InputError, ScaleError, TheoremViolationError
 from .geometry import (
     AffineFlat,
-    Halfspace,
     Hyperplane,
     Point,
     Polyhedron,
     flat_crosses,
     hyperplane_crosses,
-    line_parameter_interval,
     line_through,
     nullspace,
     polyhedra_intersect,
     vertices_of,
 )
-from .lp import Feasible, LinearProgram, Optimal, lp_solve
+from .lp import LinearProgram, Optimal, lp_solve
 from .rationals import ONE, ZERO, ceil_rat, dot, floor_rat, rat, vsub
 
 
@@ -152,17 +150,6 @@ def _greedy_cover(edges: list[frozenset]) -> set[int]:
         chosen.add(v)
         uncovered = [e for e in uncovered if v not in e]
     return chosen
-
-
-def _matching_bound(edge_masks: list[int]) -> int:
-    """Greedy disjoint edges: a certified lower bound for the cover size."""
-    used = 0
-    count = 0
-    for m in edge_masks:
-        if not (m & used):
-            used |= m
-            count += 1
-    return count
 
 
 def tau(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> TransversalResult:
@@ -484,8 +471,6 @@ def candidate_lines(fam: Sequence[Polyhedron]) -> list[AffineFlat]:
     pool = _candidate_point_pool(fam)
     lines: dict = {}
     for p, q in itertools.combinations(pool, 2):
-        if p == q:
-            continue
         line = line_through(p, q)
         lines.setdefault((line.base, line.directions), line)
     out = list(lines.values())
@@ -567,88 +552,4 @@ def build_cover_hypergraph(
         if not e:
             raise InputError(f"set {si} is crossed by no candidate flat")
         edges.append(e)
-    return Hypergraph(len(candidates), tuple(edges), payload=tuple(candidates))
-
-
-def build_flat_hypergraph(
-    fam: Sequence[Polyhedron], carriers: Sequence[AffineFlat], k: int
-) -> Hypergraph:
-    """Candidate (k-1)-flats inside the union of k-dimensional carriers.
-
-    k = 1: candidate points on carrier lines (parameter-interval endpoints);
-    k = 2: candidate lines inside carrier planes (vertex-pair scheme applied
-    to the exact 2-dimensional cross sections).  Defined for k <= 2.
-    """
-    if k not in (1, 2):
-        raise InputError("candidate generation is defined for k = 1, 2 only")
-    if not fam:
-        raise InputError("empty family")
-    if any(c.k != k for c in carriers):
-        raise InputError("carrier flat dimension mismatch")
-    candidates: list = []
-    keys: set = set()
-
-    def add_point(p: tuple):
-        if ("pt", p) not in keys:
-            keys.add(("pt", p))
-            candidates.append(Point(p))
-
-    def add_line(line: AffineFlat):
-        key = ("ln", line.base, line.directions)
-        if key not in keys:
-            keys.add(key)
-            candidates.append(line)
-
-    for carrier in carriers:
-        if k == 1:
-            for s in fam:
-                interval = line_parameter_interval(carrier, s)
-                if interval is None:
-                    continue
-                lo, hi = interval
-                params = [t for t in (lo, hi) if t is not None] or [ZERO]
-                for t in params:
-                    add_point(carrier.point_at((t,)))
-        else:
-            sections = []
-            for s in fam:
-                leq, eq = [], []
-                for hs in s.inequalities:
-                    coeffs = tuple(dot(hs.normal, dv) for dv in carrier.directions)
-                    leq.append((coeffs, hs.offset - dot(hs.normal, carrier.base)))
-                for hs in s.equalities:
-                    coeffs = tuple(dot(hs.normal, dv) for dv in carrier.directions)
-                    eq.append((coeffs, hs.offset - dot(hs.normal, carrier.base)))
-                ineqs = [Halfspace(c, r) for c, r in leq if not all(v == 0 for v in c)]
-                eqs = [Hyperplane(c, r) for c, r in eq if not all(v == 0 for v in c)]
-                bad_leq = any(all(v == 0 for v in c) and r < 0 for c, r in leq)
-                bad_eq = any(all(v == 0 for v in c) and r != 0 for c, r in eq)
-                if bad_leq or bad_eq:
-                    continue  # the carrier plane misses this set entirely
-                sections.append(Polyhedron(2, tuple(ineqs), tuple(eqs)))
-            if not sections:
-                continue
-            for line2 in candidate_lines(sections):
-                base3 = carrier.point_at(line2.base)
-                dir2 = line2.directions[0]
-                dir3 = tuple(
-                    sum((dir2[j] * carrier.directions[j][i] for j in range(2)), ZERO)
-                    for i in range(carrier.dim)
-                )
-                add_line(line_through(base3, tuple(a + b for a, b in zip(base3, dir3))))
-    if not candidates:
-        raise InputError("no candidate flats were generated")
-    edges = []
-    for si, s in enumerate(fam):
-        members = set()
-        for ci, cand in enumerate(candidates):
-            if isinstance(cand, Point):
-                if s.contains(cand.coords):
-                    members.add(ci)
-            else:
-                if flat_crosses(cand, s):
-                    members.add(ci)
-        if not members:
-            raise InputError(f"set {si} meets no candidate flat inside the carriers")
-        edges.append(frozenset(members))
     return Hypergraph(len(candidates), tuple(edges), payload=tuple(candidates))

@@ -13,6 +13,7 @@ fraction-free-ish Gaussian elimination; sizes never exceed a few dozen rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -46,6 +47,8 @@ def rat(value, den=None):
         if den == 0:
             raise InputError("zero denominator")
         return _make(value, den)
+    if type(value) is type(ZERO):  # already reduced, and immutable
+        return value
     if isinstance(value, str):
         text = value.strip()
         try:
@@ -110,20 +113,28 @@ def is_zero_vec(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
+def common_denominator(values: Iterable) -> int:
+    """Least positive int D such that D * q is an integer for every q."""
+    den = 1
+    for q in values:
+        d = int(q.denominator)
+        den = den // gcd(den, d) * d
+    return den
+
+
+def scaled_ints(values: Iterable, den: int) -> list[int]:
+    """The integers den * q, for den a common multiple of the denominators."""
+    return [int(q.numerator) * (den // int(q.denominator)) for q in values]
+
+
 def normalize_row(coeffs: Sequence, rhs):
     """Scale (coeffs, rhs) by a positive rational so entries are coprime integers.
 
     Keeps tableau and constraint entries small; the constraint's solution set is
     unchanged because the factor is positive.
     """
-    from math import gcd
-
-    den_lcm = 1
-    for q in list(coeffs) + [rhs]:
-        d = int(q.denominator)
-        den_lcm = den_lcm // gcd(den_lcm, d) * d
-    ints = [int(q.numerator) * (den_lcm // int(q.denominator)) for q in coeffs]
-    r = int(rhs.numerator) * (den_lcm // int(rhs.denominator))
+    row = (*coeffs, rhs)
+    *ints, r = scaled_ints(row, common_denominator(row))
     g = 0
     for v in ints + [r]:
         g = gcd(g, abs(v))

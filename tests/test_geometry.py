@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
@@ -10,6 +14,7 @@ from hellykit.geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
+    _flat_rows,
     flat_crosses,
     hyperplane_crosses,
     line_parameter_interval,
@@ -19,7 +24,8 @@ from hellykit.geometry import (
     verify_farkas_entries,
     vertices_of,
 )
-from hellykit.rationals import rat, vec
+from hellykit.lp import Feasible, LinearProgram, lp_solve
+from hellykit.rationals import ZERO, dot, normalize_row, rat, vec, vsub
 
 
 def box(lo, hi):
@@ -141,3 +147,135 @@ def test_translated_box_contains_shifted_point():
     b = box((0, 0), (1, 1)).translated(vec((5, 5)))
     assert b.contains(vec((rat(11, 2), rat(11, 2))))
     assert not b.contains(vec((0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# integer line-crossing kernel against its two rational oracles
+
+PROPERTY = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+HUGE = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
+COORD = st.one_of(SMALL, HUGE)
+EPS = st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9), Fraction(1, 7)])
+
+
+def points(d, elems=SMALL):
+    return st.tuples(*([elems] * d))
+
+
+@st.composite
+def polyhedra(draw, d):
+    """Hulls of 1..d+2 points (points and segments carry equality rows),
+    random halfspace systems (often unbounded or empty), or the whole space."""
+    kind = draw(st.sampled_from(["hull", "halfspaces", "whole"]))
+    if kind == "hull":
+        return polytope_from_vertices(d, draw(st.lists(points(d), min_size=1, max_size=d + 2)))
+    if kind == "whole":
+        return Polyhedron.whole_space(d)
+    normals = st.tuples(*([st.integers(-3, 3)] * d)).filter(any)
+    ineqs = draw(st.lists(st.builds(Halfspace, normals, SMALL), max_size=4))
+    eqs = draw(st.lists(st.builds(Hyperplane, normals, SMALL), max_size=1))
+    return Polyhedron(d, tuple(ineqs), tuple(eqs))
+
+
+def _orthogonal(n, w):
+    if len(n) == 2:
+        return (-n[1], n[0])
+    return (n[1] * w[2] - n[2] * w[1], n[2] * w[0] - n[0] * w[2], n[0] * w[1] - n[1] * w[0])
+
+
+@st.composite
+def lines_against(draw, poly):
+    """Free lines, lines through a vertex (tangency), and lines parallel to a
+    facet, on it or just off it; rational directions, some huge denominators."""
+    d = poly.dim
+    base = draw(points(d, COORD))
+    direction = draw(points(d, COORD).filter(any))
+    kind = draw(st.sampled_from(["free", "vertex", "parallel"]))
+    verts = vertices_of(poly)
+    if kind == "vertex" and verts:
+        base = draw(st.sampled_from(verts))
+    elif kind == "parallel" and poly.inequalities:
+        h = draw(st.sampled_from(poly.inequalities))
+        w = draw(points(d).filter(lambda w: any(_orthogonal(h.normal, w))))
+        direction = tuple(draw(SMALL.filter(bool)) * v for v in _orthogonal(h.normal, w))
+        on_facet = [v for v in verts if dot(h.normal, v) == h.offset]
+        if on_facet:
+            base = draw(st.sampled_from(on_facet))
+        else:
+            t = (h.offset - dot(h.normal, base)) / dot(h.normal, h.normal)
+            base = tuple(x + t * n for x, n in zip(base, h.normal))
+        eps = draw(EPS)
+        base = tuple(x + eps * n for x, n in zip(base, h.normal))
+    return AffineFlat.line(base, direction)
+
+
+def _assert_crossing_agrees(line, poly):
+    got = flat_crosses(line, poly)
+    assert got == (line_parameter_interval(line, poly) is not None)
+    leq, eq = _flat_rows(line, poly)
+    assert got == isinstance(lp_solve(LinearProgram(1, leq=tuple(leq), eq=tuple(eq))), Feasible)
+    return got
+
+
+@PROPERTY
+@given(st.data())
+def test_line_crossing_matches_interval_and_lp(data):
+    poly = data.draw(polyhedra(data.draw(st.sampled_from([2, 3]))))
+    _assert_crossing_agrees(data.draw(lines_against(poly)), poly)
+
+
+TRIANGLE = polytope_from_vertices(2, [vec(p) for p in ((0, 0), (4, 0), (0, 4))])
+SEGMENT = polytope_from_vertices(2, (vec((0, 0)), vec((2, 2))))
+POINT = polytope_from_vertices(3, (vec(("1/3", "2/7", 5)),))
+TINY = Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize(
+    "poly, base, direction, expected",
+    [
+        (TRIANGLE, (4, 0), (1, 1), True),  # tangent at a vertex only
+        (TRIANGLE, (4 + TINY, 0), (1, 1), False),
+        (TRIANGLE, (7, 0), ("1/3", 0), True),  # along a facet
+        (TRIANGLE, (7, -TINY), ("1/3", 0), False),  # parallel, just outside
+        (TRIANGLE, (7, TINY), ("1/3", 0), True),  # parallel, just inside
+        (SEGMENT, (1, 1), (1, "-1/3"), True),
+        (SEGMENT, (5, 5), ("1/2", "1/2"), True),  # the segment's own line
+        (SEGMENT, (5, 5 + TINY), ("1/2", "1/2"), False),
+        (POINT, ("1/3", "2/7", 5), ("1/2", "1/3", "1/5"), True),
+        (POINT, ("1/3", "2/7", 5 + TINY), ("1/2", "1/3", "1/5"), False),
+        (Polyhedron(2, (Halfspace(vec((1, 0)), rat(0)),)), (TINY, 0), (0, 1), False),
+        (Polyhedron(2, (Halfspace(vec((1, 0)), rat(0)),)), (TINY, 0), (1, 1), True),
+        (Polyhedron.whole_space(3), (TINY, 0, 0), ("1/9", 0, 0), True),
+    ],
+)
+def test_line_crossing_boundary_cases(poly, base, direction, expected):
+    assert _assert_crossing_agrees(AffineFlat.line(vec(base), vec(direction)), poly) is expected
+
+
+def _reference_line(p, q):
+    """The rational formula: primitive integer v along q - p with a positive
+    leading entry, t = p . v / v . v, base = p - t v."""
+    v, _ = normalize_row(vsub(q, p), ZERO)
+    if next(x for x in v if x) < 0:
+        v = tuple(-x for x in v)
+    t = dot(p, v) / dot(v, v)
+    return vsub(p, tuple(t * x for x in v)), (v,)
+
+
+@PROPERTY
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(points(d, COORD), points(d, COORD))))
+def test_line_through_matches_rational_formula(pair):
+    p, q = pair
+    if p == q:
+        return
+    expected = _reference_line(vec(p), vec(q))
+    for a, b in ((p, q), (q, p)):  # one of the two orders has a negative leading difference
+        line = line_through(a, b)
+        assert (line.base, line.directions) == expected
