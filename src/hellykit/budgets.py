@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class SearchBudget:
-    # exact hitting-set search, applied to the reduced hypergraph core
+    # exact hitting-set search: the edge cap applies to the input hypergraph,
+    # the vertex cap to its reduced core
     max_tau_vertices: int = 24
     max_tau_edges: int = 64
     # subfamily enumeration in the point-hypergraph builder

@@ -2,10 +2,10 @@
 
 Every subcommand reads JSON (family or hypergraph documents), runs the
 corresponding exact decision procedure, and prints a single JSON report
-to standard output.  Reports echo the full request, so `recheck` can
-re-validate any report standalone: it re-verifies the embedded
-certificates directly and re-runs the original computation, demanding
-exact agreement.
+to standard output.  Each command's certificate checker runs on the results
+before they are printed.  Reports echo the full request, so `recheck` can
+re-validate any report standalone: it runs the same checker on the stored
+results and re-runs the original computation, demanding exact agreement.
 
 Exit codes: 0 = claim verified or quantity computed; 2 = property refuted
 (the report carries the refuting certificate); 3 = a search budget or
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .budgets import DEFAULT_BUDGET, SearchBudget, budget_from_env
+from .budgets import SearchBudget, budget_from_env
 from .colorful import (
     ColoredFamily,
     HyperplaneCover,
@@ -45,14 +45,7 @@ from .constructions import (
     max_simplex_facets_crossed,
     verify_relint_property,
 )
-from .errors import (
-    GenerationError,
-    HellykitError,
-    InputError,
-    PreconditionError,
-    ScaleError,
-    TheoremViolationError,
-)
+from .errors import GenerationError, InputError, ScaleError, TheoremViolationError
 from .geometry import (
     AffineFlat,
     Point,
@@ -136,6 +129,27 @@ def _jsonable_witness(witness):
     return str(witness)
 
 
+def _refutation(rep, log: list, **lead) -> Outcome:
+    """Exit-2 outcome citing a CH sweep's violating rainbow and its Farkas
+    certificate; `lead` fields go between `holds` and the certificate."""
+    results = {
+        "holds": False,
+        **lead,
+        "violating_rainbow": list(rep.violating_rainbow),
+        "farkas": farkas_to_json(rep.certificate.farkas),
+    }
+    return Outcome(results, EXIT_REFUTED, log)
+
+
+def _pierced(out: PiercedClass, note: str) -> Outcome:
+    results = {
+        "outcome": "pierced",
+        "class_index": out.class_index,
+        "points": [point_to_json(p) for p in out.points],
+    }
+    return Outcome(results, EXIT_OK, [note])
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -144,14 +158,8 @@ def _cmd_check_ch(request: dict, budget: SearchBudget) -> Outcome:
     rep = check_ch(fam, budget)
     log = [f"swept {rep.checked} rainbow selections over {fam.num_classes} classes"]
     if not rep.holds:
-        results = {
-            "holds": False,
-            "checked": rep.checked,
-            "violating_rainbow": list(rep.violating_rainbow),
-            "farkas": farkas_to_json(rep.certificate.farkas),
-        }
         log.append("emptiness certificate verified by exact aggregation")
-        return Outcome(results, EXIT_REFUTED, log)
+        return _refutation(rep, log, checked=rep.checked)
     results = {"holds": True, "checked": rep.checked}
     if fam.rainbow_count <= _WITNESS_CAP:
         witnesses = []
@@ -179,12 +187,7 @@ def _cmd_intersecting_class(request: dict, budget: SearchBudget) -> Outcome:
         )
     rep = check_ch(fam, budget)
     if not rep.holds:
-        results = {
-            "holds": False,
-            "violating_rainbow": list(rep.violating_rainbow),
-            "farkas": farkas_to_json(rep.certificate.farkas),
-        }
-        return Outcome(results, EXIT_REFUTED, ["colorful Helly hypothesis refuted"])
+        return _refutation(rep, ["colorful Helly hypothesis refuted"])
     k, point = intersecting_class(fam, rep, budget)
     log = [
         f"class {k} ({labels[k]}) has a verified common point",
@@ -200,16 +203,11 @@ def _cmd_intersecting_class(request: dict, budget: SearchBudget) -> Outcome:
 
 def _cmd_pierce(request: dict, budget: SearchBudget) -> Outcome:
     fam, _ = family_from_doc(request["input"])
-    sets = list(fam.all_sets())
-    h = build_point_hypergraph(sets, budget)
+    h = build_point_hypergraph(fam.all_sets(), budget)
     result = tau(h, budget)
-    points = transversal_points(h, result)
-    for i, s in enumerate(sets):
-        if not any(s.contains(p.coords) for p in points):
-            raise TheoremViolationError(f"piercing witness misses set {i}")
     results = {
         "piercing_number": result.size,
-        "points": [point_to_json(p) for p in points],
+        "points": [point_to_json(p) for p in transversal_points(h, result)],
         "exact": result.exact,
     }
     log = [
@@ -224,15 +222,10 @@ def _cmd_line_cover(request: dict, budget: SearchBudget) -> Outcome:
     fam, _ = family_from_doc(request["input"])
     sets = list(fam.all_sets())
     lines = candidate_lines(sets)
-    h = build_cover_hypergraph(sets, lines)
-    result = tau(h, budget)
-    chosen = [lines[i] for i in result.witness]
-    for i, s in enumerate(sets):
-        if not any(flat_crosses(line, s) for line in chosen):
-            raise TheoremViolationError(f"line cover witness misses set {i}")
+    result = tau(build_cover_hypergraph(sets, lines), budget)
     results = {
         "size": result.size,
-        "lines": [line_to_json(line) for line in chosen],
+        "lines": [line_to_json(lines[i]) for i in result.witness],
         "candidates": len(lines),
         "exact_over_candidates": True,
     }
@@ -247,13 +240,7 @@ def _cmd_two_color(request: dict, budget: SearchBudget) -> Outcome:
     _, a_sets, b_sets = _two_classes(request["input"])
     out = two_color_lemma(a_sets, b_sets, budget)
     if isinstance(out, PiercedClass):
-        results = {
-            "outcome": "pierced",
-            "class_index": out.class_index,
-            "points": [point_to_json(p) for p in out.points],
-        }
-        log = [f"one point lies in all {len(a_sets)} first-class sets"]
-        return Outcome(results, EXIT_OK, log)
+        return _pierced(out, f"one point lies in all {len(a_sets)} first-class sets")
     assert isinstance(out, HyperplaneCover)
     results = {
         "outcome": "hyperplanes",
@@ -276,21 +263,10 @@ def _cmd_d2_dichotomy(request: dict, budget: SearchBudget) -> Outcome:
         raise InputError("the dichotomy runs in the plane (dim = 2)")
     rep = check_ch(fam, budget)
     if not rep.holds:
-        results = {
-            "holds": False,
-            "violating_rainbow": list(rep.violating_rainbow),
-            "farkas": farkas_to_json(rep.certificate.farkas),
-        }
-        return Outcome(results, EXIT_REFUTED, ["cross-pair hypothesis refuted"])
+        return _refutation(rep, ["cross-pair hypothesis refuted"])
     out = theorem_main_d2(fam, budget)
     if isinstance(out, PiercedClass):
-        results = {
-            "outcome": "pierced",
-            "class_index": out.class_index,
-            "points": [point_to_json(p) for p in out.points],
-        }
-        log = [f"class {out.class_index} has a common point (1 <= 1 bound)"]
-        return Outcome(results, EXIT_OK, log)
+        return _pierced(out, f"class {out.class_index} has a common point (1 <= 1 bound)")
     assert isinstance(out, LineCover)
     results = {
         "outcome": "lines",
@@ -373,20 +349,31 @@ def _cmd_duality(request: dict, budget: SearchBudget) -> Outcome:
 
 _PLANAR_LABELS = ("triangles", "segments")
 
+# size parameters of each generator kind, with their defaults
+_GENERATOR_DEFAULTS = {"figure1": {"d": 2, "n": 1}, "planar": {"f": 1}, "simplex": {"d": 3, "f": 1}}
+
+
+def _generator_params(request: dict, kind: str) -> dict:
+    if kind not in _GENERATOR_DEFAULTS:
+        raise InputError(f"unknown generator kind {kind!r}")
+    return {
+        key: int(request.get(key, default))
+        for key, default in _GENERATOR_DEFAULTS[kind].items()
+    }
+
 
 def _generator_family(request: dict):
     """Build (family, labels, audit, construction) for a generate request."""
     kind = request["kind"]
+    params = _generator_params(request, kind)
     seed = int(request.get("seed", 0))
     if kind == "figure1":
-        d = int(request.get("d", 2))
-        n = int(request.get("n", 1))
+        d, n = params["d"], params["n"]
         fam = generate_figure1(d, n)
         labels = [f"axis {i + 1} hyperplanes" for i in range(d)] + ["whole space"]
         return fam, labels, {"kind": kind, "d": d, "n": n}, None
     if kind == "planar":
-        f = int(request.get("f", 1))
-        c = generate_planar(f, seed)
+        c = generate_planar(params["f"], seed)
         audit = {
             "kind": kind,
             "f": c.f,
@@ -398,28 +385,23 @@ def _generator_family(request: dict):
             "step": rat_str(c.step),
         }
         return c.family, list(_PLANAR_LABELS), audit, c
-    if kind == "simplex":
-        d = int(request.get("d", 3))
-        f = int(request.get("f", 1))
-        c = generate_simplex_family(d, f, seed)
-        labels = [f"cones over face {i + 1}" for i in range(d - 1)] + [
-            "facet copies"
-        ]
-        audit = {
-            "kind": kind,
-            "d": d,
-            "f": f,
-            "m": c.m,
-            "seed": seed,
-            "epsilon": rat_str(c.epsilon),
-            "eta": rat_str(c.eta),
-            "triangle_params": [
-                [[rat_str(mu), rat_str(theta)] for mu, theta in face]
-                for face in c.triangle_params
-            ],
-        }
-        return c.family, labels, audit, c
-    raise InputError(f"unknown generator kind {kind!r}")
+    d, f = params["d"], params["f"]  # simplex
+    c = generate_simplex_family(d, f, seed)
+    labels = [f"cones over face {i + 1}" for i in range(d - 1)] + ["facet copies"]
+    audit = {
+        "kind": kind,
+        "d": d,
+        "f": f,
+        "m": c.m,
+        "seed": seed,
+        "epsilon": rat_str(c.epsilon),
+        "eta": rat_str(c.eta),
+        "triangle_params": [
+            [[rat_str(mu), rat_str(theta)] for mu, theta in face]
+            for face in c.triangle_params
+        ],
+    }
+    return c.family, labels, audit, c
 
 
 def _cmd_generate(request: dict, budget: SearchBudget) -> Outcome:
@@ -489,7 +471,7 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
         )
         claims.append(_claim("no three triangles share a point", triples_ok, True, triples_ok))
         log.append(f"line cover witness size {cover.size} over exact candidate pool")
-    elif kind == "simplex":
+    else:  # simplex
         d, f = audit["d"], audit["f"]
         rep = check_ch(fam, budget)
         claims.append(_claim("colorful Helly property", rep.holds, True, rep.holds))
@@ -535,8 +517,6 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
                     method="facet-crossing bound (exact cover search runs for d <= 3)",
                 )
             )
-    else:
-        raise InputError(f"unknown generator kind {kind!r}")
     all_ok = all(c["ok"] for c in claims)
     results = {"kind": kind, "audit": audit, "claims": claims, "all_ok": all_ok}
     log.append(f"{sum(c['ok'] for c in claims)}/{len(claims)} claims verified")
@@ -544,8 +524,8 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_relint_check(request: dict, budget: SearchBudget) -> Outcome:
-    d = int(request.get("d", 3))
-    f = int(request.get("f", 1))
+    params = _generator_params(request, "simplex")
+    d, f = params["d"], params["f"]
     seed = int(request.get("seed", 0))
     construction = generate_simplex_family(d, f, seed)
     rep = verify_relint_property(construction)
@@ -580,9 +560,6 @@ def _cmd_generic_line(request: dict, budget: SearchBudget) -> Outcome:
     fam, labels = family_from_doc(request["input"])
     seed = int(request.get("seed", 0))
     k, line = generic_line_class(fam, seed=seed, budget=budget)
-    for i, s in enumerate(fam.classes[k]):
-        if not flat_crosses(line, s):
-            raise TheoremViolationError(f"returned line misses set {i} of class {k}")
     results = {
         "class_index": k,
         "label": labels[k],
@@ -595,116 +572,146 @@ def _cmd_generic_line(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-# -- recheck ------------------------------------------------------------------
+# -- certificate checks ---------------------------------------------------------
+# One checker per command reads the JSON results of a report against its
+# parsed input, raises TheoremViolationError on a failed certificate, and
+# returns the note `recheck` logs (None: nothing to check).
 
 
-def _verify_report_certificates(report: dict, budget: SearchBudget) -> list[str]:
-    """Direct exact re-validation of certificates embedded in a report."""
-    request = report["request"]
-    command = request["command"]
-    results = report["results"]
-    log: list[str] = []
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise TheoremViolationError(message)
 
-    def fam_sets():
-        fam, _ = family_from_doc(request["input"])
-        return fam
 
-    if command in ("check-ch", "intersecting-class", "d2-dichotomy") and results.get(
-        "holds"
-    ) is False:
-        fam = fam_sets()
-        rainbow = results["violating_rainbow"]
-        sets = [fam.classes[k][i] for k, i in rainbow]
-        entries = farkas_from_json(results["farkas"])
-        if not verify_farkas_entries(sets, entries):
-            raise TheoremViolationError("stored emptiness certificate failed")
-        log.append("emptiness certificate re-aggregated exactly")
-        return log
-    if command == "check-ch" and results.get("witnesses_included"):
-        fam = fam_sets()
-        for w in results["witnesses"]:
-            point = vec_from_json(w["point"])
-            for k, i in enumerate(w["rainbow"]):
-                if not fam.classes[k][i].contains(point):
-                    raise TheoremViolationError("stored rainbow witness rejected")
-        log.append(f"{len(results['witnesses'])} rainbow witnesses re-verified")
-    elif command == "intersecting-class":
-        fam = fam_sets()
-        point = vec_from_json(results["point"])
-        k = results["class_index"]
-        if not all(s.contains(point) for s in fam.classes[k]):
-            raise TheoremViolationError("stored class witness rejected")
-        log.append("class common point re-verified")
-    elif command == "pierce":
-        fam = fam_sets()
-        points = [vec_from_json(p) for p in results["points"]]
-        for s in fam.all_sets():
-            if not any(s.contains(p) for p in points):
-                raise TheoremViolationError("stored piercing set rejected")
-        log.append("piercing transversal re-verified")
-    elif command == "line-cover":
-        fam = fam_sets()
+def _require_met(sets, items, meets, message: str) -> None:
+    """Every set is met by some item: `meets(item, set)`."""
+    _require(all(any(meets(x, s) for x in items) for s in sets), message)
+
+
+def _inside(point, s) -> bool:
+    return s.contains(point)
+
+
+def _check_refutation(fam: ColoredFamily, results: dict) -> str:
+    sets = [fam.classes[k][i] for k, i in results["violating_rainbow"]]
+    entries = farkas_from_json(results["farkas"])
+    _require(verify_farkas_entries(sets, entries), "emptiness certificate failed")
+    return "emptiness certificate re-aggregated exactly"
+
+
+def _check_check_ch(fam: ColoredFamily, results: dict) -> Optional[str]:
+    if results.get("holds") is False:
+        return _check_refutation(fam, results)
+    if not results.get("witnesses_included"):
+        return None
+    for w in results["witnesses"]:
+        picked = [fam.classes[k][i] for k, i in enumerate(w["rainbow"])]
+        point = vec_from_json(w["point"])
+        _require_met(picked, [point], _inside, "rainbow witness rejected")
+    return f"{len(results['witnesses'])} rainbow witnesses re-verified"
+
+
+def _check_intersecting_class(fam: ColoredFamily, results: dict) -> str:
+    if results.get("holds") is False:
+        return _check_refutation(fam, results)
+    members = fam.classes[results["class_index"]]
+    point = vec_from_json(results["point"])
+    _require_met(members, [point], _inside, "class witness rejected")
+    return "class common point re-verified"
+
+
+def _check_pierce(fam: ColoredFamily, results: dict) -> str:
+    points = [vec_from_json(p) for p in results["points"]]
+    _require_met(fam.all_sets(), points, _inside, "piercing set rejected")
+    return "piercing transversal re-verified"
+
+
+def _check_line_cover(fam: ColoredFamily, results: dict) -> str:
+    lines = [line_from_json(obj) for obj in results["lines"]]
+    _require_met(fam.all_sets(), lines, flat_crosses, "line cover rejected")
+    return "line cover re-verified"
+
+
+def _require_pierced(fam: ColoredFamily, results: dict) -> None:
+    members = fam.classes[results["class_index"]]
+    point = vec_from_json(results["points"][0])
+    _require_met(members, [point], _inside, "piercing point rejected")
+
+
+def _check_two_color(fam: ColoredFamily, results: dict) -> str:
+    if results["outcome"] == "pierced":
+        _require_pierced(fam, results)
+    else:
+        crossed = fam.classes[results["class_crossed"]]
+        planes = [hyperplane_from_json(h) for h in results["hyperplanes"]]
+        _require_met(crossed, planes, hyperplane_crosses, "hyperplane cover rejected")
+    return "two-color certificate re-verified"
+
+
+def _check_d2_dichotomy(fam: ColoredFamily, results: dict) -> str:
+    if results.get("holds") is False:
+        return _check_refutation(fam, results)
+    if results["outcome"] == "pierced":
+        _require_pierced(fam, results)
+    else:
         lines = [line_from_json(obj) for obj in results["lines"]]
-        for s in fam.all_sets():
-            if not any(flat_crosses(line, s) for line in lines):
-                raise TheoremViolationError("stored line cover rejected")
-        log.append("line cover re-verified")
-    elif command == "two-color":
-        fam = fam_sets()
-        if results["outcome"] == "pierced":
-            point = vec_from_json(results["points"][0])
-            if not all(s.contains(point) for s in fam.classes[0]):
-                raise TheoremViolationError("stored piercing point rejected")
-        else:
-            planes = [hyperplane_from_json(h) for h in results["hyperplanes"]]
-            for s in fam.classes[1]:
-                if not any(hyperplane_crosses(h, s) for h in planes):
-                    raise TheoremViolationError("stored hyperplane cover rejected")
-        log.append("two-color certificate re-verified")
-    elif command == "d2-dichotomy":
-        fam = fam_sets()
-        if results["outcome"] == "pierced":
-            point = vec_from_json(results["points"][0])
-            k = results["class_index"]
-            if not all(s.contains(point) for s in fam.classes[k]):
-                raise TheoremViolationError("stored piercing point rejected")
-        else:
-            lines = [line_from_json(obj) for obj in results["lines"]]
-            for s in fam.all_sets():
-                if not any(flat_crosses(line, s) for line in lines):
-                    raise TheoremViolationError("stored dichotomy lines rejected")
-        log.append("dichotomy certificate re-verified")
-    elif command == "generic-line":
-        fam = fam_sets()
-        line = line_from_json(results["line"])
-        k = results["class_index"]
-        if not all(flat_crosses(line, s) for s in fam.classes[k]):
-            raise TheoremViolationError("stored line rejected")
-        log.append("crossing line re-verified")
-    elif command == "duality":
-        h = hypergraph_from_doc(request["input"])
-        tau_star_val = rat(results["tau_star"])
-        weights = [rat(w) for w in results["tau_star_weights"]]
-        for e in h.edges:
-            if sum(weights[v] for v in e) < ONE:
-                raise TheoremViolationError("stored tau* weights not a transversal")
-        if sum(weights) != tau_star_val:
-            raise TheoremViolationError("stored tau* value mismatch")
-        log.append("fractional transversal certificate re-verified")
-    return log
+        _require_met(fam.all_sets(), lines, flat_crosses, "dichotomy lines rejected")
+    return "dichotomy certificate re-verified"
 
 
-def _strip_volatile(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "wall_time_ms"}
+def _check_generic_line(fam: ColoredFamily, results: dict) -> str:
+    members = fam.classes[results["class_index"]]
+    line = line_from_json(results["line"])
+    _require_met(members, [line], flat_crosses, "line rejected")
+    return "crossing line re-verified"
+
+
+def _check_duality(h, results: dict) -> str:
+    weights = [rat(w) for w in results["tau_star_weights"]]
+    _require(
+        all(sum(weights[v] for v in e) >= ONE for e in h.edges),
+        "tau* weights not a transversal",
+    )
+    _require(sum(weights) == rat(results["tau_star"]), "tau* value mismatch")
+    return "fractional transversal certificate re-verified"
+
+
+_CHECKS = {
+    "check-ch": _check_check_ch,
+    "intersecting-class": _check_intersecting_class,
+    "pierce": _check_pierce,
+    "line-cover": _check_line_cover,
+    "two-color": _check_two_color,
+    "d2-dichotomy": _check_d2_dichotomy,
+    "generic-line": _check_generic_line,
+    "duality": _check_duality,
+}
+
+
+def _check_results(request: dict, results: dict) -> Optional[str]:
+    """Run the request's checker on its results; error results carry no
+    certificate and are not checked."""
+    command = request.get("command")
+    check = _CHECKS.get(command)
+    if check is None or "error" in results:
+        return None
+    doc = request["input"]
+    subject = hypergraph_from_doc(doc) if command == "duality" else family_from_doc(doc)[0]
+    return check(subject, results)
+
+
+# -- recheck ------------------------------------------------------------------
 
 
 def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
     report = request["input"]
-    if not isinstance(report, dict) or "request" not in report:
+    if not isinstance(report, dict) or not isinstance(report.get("request"), dict):
         raise InputError("recheck expects a previously emitted report")
     stored_request = report["request"]
-    if stored_request.get("command") == "recheck":
+    command = stored_request.get("command")
+    if command == "recheck":
         raise InputError("rechecking a recheck report is not supported")
+    stored_results = report.get("results", {})
     if "input" in stored_request:
         stored_digest = report.get("input_digest")
         fresh = digest(stored_request["input"])
@@ -716,19 +723,25 @@ def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
                 "recomputed": fresh,
             }
             return Outcome(results, EXIT_REFUTED, ["digest mismatch"])
-    log = _verify_report_certificates(report, budget)
-    # drop side-effect-only fields so rechecking never writes files
-    stored_request = {k: v for k, v in stored_request.items() if k != "svg"}
+    try:
+        note = _check_results(stored_request, stored_results)
+    except TheoremViolationError as exc:
+        raise TheoremViolationError(f"stored {exc}") from None
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed stored certificate: {exc!r}") from None
+    log = [] if note is None else [note]
+    if "svg" in stored_request:
+        # re-run the SVG path without leaving a file behind
+        stored_request = {**stored_request, "svg": os.devnull}
     rerun = _dispatch(stored_request, budget)
-    stored_results = _strip_volatile(report.get("results", {}))
-    fresh_results = json.loads(json.dumps(_strip_volatile(rerun.results)))
+    fresh_results = json.loads(json.dumps(rerun.results))
     agrees = (
         fresh_results == stored_results
         and rerun.exit_code == report.get("exit_code")
     )
     results = {
         "agrees": agrees,
-        "command": stored_request.get("command"),
+        "command": command,
         "exit_code_stored": report.get("exit_code"),
         "exit_code_recomputed": rerun.exit_code,
     }
@@ -793,37 +806,43 @@ _HANDLERS = {
 }
 
 
+# exit code of each error class; the first match wins, so PreconditionError
+# reports as the InputError it subclasses
+_ERROR_EXITS = {
+    InputError: EXIT_INPUT,
+    ScaleError: EXIT_SCALE,
+    GenerationError: EXIT_SCALE,
+    TheoremViolationError: EXIT_REFUTED,
+}
+
+
+def _error_outcome(exc: Exception) -> Outcome:
+    """Results of a failed request: the message, the budget a ScaleError
+    names, the witness a PreconditionError or GenerationError carries, and
+    `refuted` for a TheoremViolationError."""
+    results = {"error": str(exc)}
+    if isinstance(exc, ScaleError):
+        results.update(budget=exc.budget_name, limit=exc.limit, actual=exc.actual)
+    witness = _jsonable_witness(getattr(exc, "witness", None))
+    if witness is not None:
+        results["witness"] = witness
+    if isinstance(exc, TheoremViolationError):
+        results["refuted"] = True
+    code = next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
+    return Outcome(results, code, [])
+
+
 def _dispatch(request: dict, budget: SearchBudget) -> Outcome:
     command = request.get("command")
     handler = _HANDLERS.get(command)
     if handler is None:
         raise InputError(f"unknown command {command!r}")
     try:
-        return handler(request, budget)
-    except InputError as exc:
-        return Outcome({"error": str(exc)}, EXIT_INPUT, [])
-    except PreconditionError as exc:
-        results = {"error": str(exc)}
-        witness = _jsonable_witness(getattr(exc, "witness", None))
-        if witness is not None:
-            results["witness"] = witness
-        return Outcome(results, EXIT_INPUT, [])
-    except ScaleError as exc:
-        results = {
-            "error": str(exc),
-            "budget": exc.budget_name,
-            "limit": exc.limit,
-            "actual": exc.actual,
-        }
-        return Outcome(results, EXIT_SCALE, [])
-    except GenerationError as exc:
-        results = {"error": str(exc)}
-        witness = _jsonable_witness(getattr(exc, "witness", None))
-        if witness is not None:
-            results["witness"] = witness
-        return Outcome(results, EXIT_SCALE, [])
-    except TheoremViolationError as exc:
-        return Outcome({"error": str(exc), "refuted": True}, EXIT_REFUTED, [])
+        outcome = handler(request, budget)
+        _check_results(request, outcome.results)
+        return outcome
+    except tuple(_ERROR_EXITS) as exc:
+        return _error_outcome(exc)
 
 
 def _render_pretty(report: dict) -> str:
@@ -901,36 +920,28 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="sweep colorful selections against facet relative interiors",
     )
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--f", type=int, default=1)
+    p.add_argument("--d", type=int)
+    p.add_argument("--f", type=int)
     with_input("generic-line", "one class crossed by a line via generic projection")
     with_input("recheck", "re-validate a previously emitted report")
     return parser
 
 
-_GENERATOR_DEFAULTS = {"figure1": {"d": 2, "n": 1}, "planar": {"f": 1}, "simplex": {"d": 3, "f": 1}}
-
-
 def _request_from_args(args: argparse.Namespace) -> dict:
     request: dict = {"command": args.command, "seed": args.seed}
+    given = {k: v for k, v in vars(args).items() if v is not None}
     if args.command in ("generate", "verify-lower-bound"):
         request["kind"] = args.kind
-        defaults = _GENERATOR_DEFAULTS[args.kind]
-        for key in ("d", "n", "f"):
-            value = getattr(args, key, None)
-            if value is not None:
-                request[key] = value
-            elif key in defaults:
-                request[key] = defaults[key]
+        request.update(_generator_params(given, args.kind))
         if args.command == "generate" and args.svg:
             request["svg"] = args.svg
         request["input"] = {
             k: v for k, v in request.items() if k in ("kind", "d", "n", "f", "seed")
         }
     elif args.command == "relint-check":
-        request["d"] = args.d
-        request["f"] = args.f
-        request["input"] = {"kind": "simplex", "d": args.d, "f": args.f, "seed": args.seed}
+        sizes = _generator_params(given, "simplex")
+        request.update(sizes)
+        request["input"] = {"kind": "simplex", **sizes, "seed": args.seed}
     else:
         request["input"] = _read_json(args.input)
         if args.command == "fractional-two-color":

@@ -69,7 +69,7 @@ from .hypergraphs import (
     piercing_number,
     plane_cover_number,
 )
-from .lp import Feasible, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+from .lp import Infeasible, LinearProgram, Optimal, aggregate_rows, lp_solve
 from .projection import affine_project
 from .rationals import ZERO, dot, is_zero_vec, rat, vec
 
@@ -283,20 +283,14 @@ def _repair_halfspace(s: Polyhedron, others: Sequence[Halfspace]) -> Halfspace:
     eq = [(h.normal, h.offset) for h in s.equalities]
     out = lp_solve(LinearProgram(d, leq=tuple(leq), eq=tuple(eq)))
     if isinstance(out, Infeasible):
-        normal = [ZERO] * d
-        offset = ZERO
-        for mult, (coeffs, rhs) in zip(out.leq_multipliers[:n_own], leq[:n_own]):
-            if mult:
-                for i, a in enumerate(coeffs):
-                    normal[i] += mult * a
-                offset += mult * rhs
-        for mult, (coeffs, rhs) in zip(out.eq_multipliers, eq):
-            if mult:
-                for i, a in enumerate(coeffs):
-                    normal[i] += mult * a
-                offset += mult * rhs
+        normal, offset = aggregate_rows(
+            d,
+            itertools.chain(
+                zip(out.leq_multipliers[:n_own], leq), zip(out.eq_multipliers, eq)
+            ),
+        )
         if not is_zero_vec(normal):
-            return Halfspace(tuple(normal), offset)
+            return Halfspace(normal, offset)
     return _own_row_halfspace(s)
 
 
@@ -327,10 +321,11 @@ def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
             "the sets share a point", witness=cert.point
         )
     entries = list(cert.farkas)
-    constant = sum(
-        (e.multiplier * _entry_row(sets, e).offset for e in entries), ZERO
-    )
-    if constant > 0:
+
+    def aggregate(weighted):
+        return aggregate_rows(d, ((e.multiplier, e.row(sets)) for e in weighted))
+
+    if aggregate(entries)[1] > 0:
         # pure-equality contradictions may aggregate to 0 = c with c > 0;
         # equality multipliers are sign-free, so negate the certificate
         if any(e.kind != "eq" for e in entries):
@@ -339,25 +334,18 @@ def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
             FarkasEntry(e.set_index, e.kind, e.row_index, -e.multiplier)
             for e in entries
         ]
-    groups = {}
-    for e in entries:
-        row = _entry_row(sets, e)
-        normal, offset = groups.setdefault(e.set_index, ([ZERO] * d, [ZERO]))
-        for i, a in enumerate(row.normal):
-            normal[i] += e.multiplier * a
-        offset[0] += e.multiplier * row.offset
     halfspaces: list = [None] * len(sets)
     repaired = []
     for i in range(len(sets)):
-        normal, offset = groups.get(i, ([ZERO] * d, [ZERO]))
+        normal, offset = aggregate(e for e in entries if e.set_index == i)
         if is_zero_vec(normal):
-            if offset[0] < 0:
+            if offset < 0:
                 raise TheoremViolationError(
                     f"nonempty set {i} received a self-contradictory aggregate"
                 )
             repaired.append(i)
         else:
-            halfspaces[i] = Halfspace(tuple(normal), offset[0])
+            halfspaces[i] = Halfspace(normal, offset)
     for i in repaired:
         others = [h for h in halfspaces if h is not None]
         halfspaces[i] = _repair_halfspace(sets[i], others)
@@ -367,11 +355,6 @@ def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
     if not _halfspaces_empty(d, halfspaces):
         raise TheoremViolationError("separating halfspaces still intersect")
     return SeparatingHalfspaces(tuple(halfspaces), tuple(entries), tuple(repaired))
-
-
-def _entry_row(sets: Sequence[Polyhedron], e: FarkasEntry):
-    s = sets[e.set_index]
-    return s.inequalities[e.row_index] if e.kind == "ineq" else s.equalities[e.row_index]
 
 
 def helly_witness(sets: Sequence[Polyhedron]) -> list[int]:

@@ -30,15 +30,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InputError, TheoremViolationError
-from .lp import (
-    Feasible,
-    Infeasible,
-    LinearProgram,
-    Optimal,
-    Unbounded,
-    farkas_aggregate,
-    lp_solve,
-)
+from .lp import Feasible, Infeasible, LinearProgram, aggregate_rows, lp_solve
 from .rationals import (
     ONE,
     ZERO,
@@ -276,6 +268,13 @@ class FarkasEntry:
     row_index: int
     multiplier: object
 
+    def row(self, sets: Sequence[Polyhedron]) -> tuple:
+        """(normal, offset) of the weighted row: normal . x <= offset for
+        "ineq", normal . x = offset for "eq"."""
+        s = sets[self.set_index]
+        h = (s.inequalities if self.kind == "ineq" else s.equalities)[self.row_index]
+        return h.normal, h.offset
+
 
 @dataclass(frozen=True)
 class IntersectionCertificate:
@@ -339,28 +338,17 @@ def verify_farkas_entries(sets: Sequence[Polyhedron], entries: Sequence[FarkasEn
     """Exact check that tagged multipliers aggregate to an absurd constraint."""
     if not entries:
         return False
-    d = sets[0].dim
-    functional = [ZERO] * d
-    constant = ZERO
-    eq_support = False
-    for e in entries:
-        if e.kind == "ineq":
-            if e.multiplier < 0:
-                return False
-            row = sets[e.set_index].inequalities[e.row_index]
-        else:
-            eq_support = True
-            row = sets[e.set_index].equalities[e.row_index]
-        for i, a in enumerate(row.normal):
-            if a:
-                functional[i] += e.multiplier * a
-        constant += e.multiplier * row.offset
+    if any(e.kind == "ineq" and e.multiplier < 0 for e in entries):
+        return False
+    functional, constant = aggregate_rows(
+        sets[0].dim, ((e.multiplier, e.row(sets)) for e in entries)
+    )
     if not is_zero_vec(functional):
         return False
     if constant < 0:
         return True
     # pure-equality contradictions may aggregate to 0 = c with c != 0
-    return eq_support and constant != 0 and all(e.kind == "eq" for e in entries)
+    return constant != 0 and all(e.kind == "eq" for e in entries)
 
 
 # ---------------------------------------------------------------------------

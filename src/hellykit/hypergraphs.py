@@ -155,8 +155,9 @@ def _greedy_cover(edges: list[frozenset]) -> set[int]:
 def tau(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> TransversalResult:
     """Exact minimum transversal via branch and bound.
 
-    The budget is enforced on the reduced core (see _reduce_for_tau); the
-    LP value ceil(tau*) of the core serves as the root pruning bound.
+    The edge budget is enforced on the input hypergraph, the vertex budget on
+    the reduced core (see _reduce_for_tau); the LP value ceil(tau*) of the
+    core serves as the root pruning bound.
     """
     if len(h.edges) > budget.max_tau_edges:
         raise ScaleError("max_tau_edges", budget.max_tau_edges, len(h.edges))
@@ -530,25 +531,22 @@ def plane_cover_number(
     fam: Sequence[Polyhedron], budget: SearchBudget = DEFAULT_BUDGET
 ) -> TransversalResult:
     """Minimum candidate planes crossing every set (d = 3 dichotomy probe)."""
-    planes = candidate_planes(fam)
-    edges = []
-    for s in fam:
-        e = frozenset(i for i, h in enumerate(planes) if hyperplane_crosses(h, s))
-        if not e:
-            raise InputError("a set is crossed by no candidate plane")
-        edges.append(e)
-    flats = tuple(planes)
-    h = Hypergraph(len(planes), tuple(edges), payload=flats)
+    h = build_cover_hypergraph(fam, candidate_planes(fam), hyperplane_crosses)
     return tau(h, budget)
 
 
 def build_cover_hypergraph(
-    fam: Sequence[Polyhedron], candidates: Sequence[AffineFlat]
+    fam: Sequence[Polyhedron], candidates: Sequence, crosses=None
 ) -> Hypergraph:
-    """Edge e_B = candidate flats crossing B; vertices carry the flats."""
+    """Edge e_B = candidates crossing B; vertices carry the candidates.
+
+    `crosses(candidate, set)` decides crossing; None means `flat_crosses`,
+    looked up at call time so a rebound (for example traced) predicate is used.
+    """
+    crosses = crosses or flat_crosses
     edges = []
     for si, s in enumerate(fam):
-        e = frozenset(i for i, f in enumerate(candidates) if flat_crosses(f, s))
+        e = frozenset(i for i, f in enumerate(candidates) if crosses(f, s))
         if not e:
             raise InputError(f"set {si} is crossed by no candidate flat")
         edges.append(e)

@@ -20,6 +20,7 @@ the right tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from .errors import InputError, TheoremViolationError
@@ -71,23 +72,26 @@ class Unbounded:
 LpOutcome = Union[Optimal, Feasible, Infeasible, Unbounded]
 
 
-def farkas_aggregate(lp: LinearProgram, cert: Infeasible):
-    """Aggregate the certificate's multipliers: returns (functional, constant)."""
-    functional = [ZERO] * lp.num_vars
+def aggregate_rows(width: int, weighted_rows) -> tuple:
+    """Sum mult * (coeffs, rhs) over (mult, (coeffs, rhs)) pairs: returns
+    (functional, constant), the one aggregation every Farkas check uses."""
+    functional = [ZERO] * width
     constant = ZERO
-    for mult, (coeffs, rhs) in zip(cert.leq_multipliers, lp.leq):
-        if mult:
-            for k, a in enumerate(coeffs):
-                if a:
-                    functional[k] += mult * a
-            constant += mult * rhs
-    for mult, (coeffs, rhs) in zip(cert.eq_multipliers, lp.eq):
+    for mult, (coeffs, rhs) in weighted_rows:
         if mult:
             for k, a in enumerate(coeffs):
                 if a:
                     functional[k] += mult * a
             constant += mult * rhs
     return tuple(functional), constant
+
+
+def farkas_aggregate(lp: LinearProgram, cert: Infeasible):
+    """Aggregate the certificate's multipliers: returns (functional, constant)."""
+    return aggregate_rows(
+        lp.num_vars,
+        chain(zip(cert.leq_multipliers, lp.leq), zip(cert.eq_multipliers, lp.eq)),
+    )
 
 
 def verify_farkas(lp: LinearProgram, cert: Infeasible) -> bool:

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .geometry import Halfspace, Hyperplane, Polyhedron
-from .lp import Feasible, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
-from .rationals import ZERO, Vec, dot, is_zero_vec, rat, vec
+from .lp import Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+from .rationals import ZERO, dot, is_zero_vec, rat, vec
 
 
 def _solve_rows(nvars, leq, eq, objective=None, maximize=True):

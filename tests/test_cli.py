@@ -246,3 +246,198 @@ def test_fractional_two_color_threshold(capsys, tmp_path):
         capsys, "fractional-two-color", "--input", str(path), "--alpha", str(alpha)
     )
     assert code == 0
+
+
+# -- recheck across subcommands, error reports and tampered certificates ------
+
+
+def _write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _split_pair(tmp_path) -> str:
+    """Two boxes with no common point (x <= 0, x >= 1) against a bar that
+    meets both, so `two-color` answers with the hyperplane x = 0."""
+    from hellykit.colorful import ColoredFamily
+    from hellykit.geometry import Polyhedron
+    from hellykit.serialize import family_to_doc
+
+    a = (Polyhedron.box((-5, -5), (0, 5)), Polyhedron.box((1, -5), (5, 5)))
+    b = (Polyhedron.box((-5, -1), (5, 1)),)
+    doc = family_to_doc(ColoredFamily(2, (a, b)), ["A", "B"])
+    return _write_json(tmp_path, "split.json", doc)
+
+
+def _fractional_args(tmp_path) -> list:
+    from hellykit.colorful import ColoredFamily
+    from hellykit.instances import random_fractional_instance
+    from hellykit.serialize import family_to_doc
+
+    a_sets, b_sets, alpha = random_fractional_instance(1)
+    doc = family_to_doc(ColoredFamily(2, (tuple(a_sets), tuple(b_sets))), ["A", "B"])
+    return ["--input", _write_json(tmp_path, "frac.json", doc), "--alpha", str(alpha)]
+
+
+def _ch_pair(tmp_path) -> str:
+    from hellykit.instances import random_ch_pair
+    from hellykit.serialize import family_to_doc
+
+    return _write_json(tmp_path, "pair.json", family_to_doc(random_ch_pair(0)))
+
+
+SUBCOMMAND_ARGS = {
+    "check-ch": lambda tmp: ["--input", str(FIXTURES / "family_ch_d2.json")],
+    "intersecting-class": lambda tmp: ["--input", str(FIXTURES / "family_ch_d2.json")],
+    "pierce": lambda tmp: ["--input", str(FIXTURES / "corpus" / "single_triangle.json")],
+    "line-cover": lambda tmp: [
+        "--input",
+        str(FIXTURES / "corpus" / "three_collinear_boxes.json"),
+    ],
+    "two-color": lambda tmp: ["--input", _split_pair(tmp)],
+    "d2-dichotomy": lambda tmp: ["--input", _ch_pair(tmp)],
+    "fractional-two-color": _fractional_args,
+    "duality": lambda tmp: [
+        "--input",
+        str(FIXTURES / "hypergraph_triangle.json"),
+        "--b",
+        "2",
+    ],
+    "generate": lambda tmp: ["planar", "--f", "1"],
+    "verify-lower-bound": lambda tmp: ["figure1"],
+    "relint-check": lambda tmp: ["--d", "2"],
+    "generic-line": lambda tmp: ["--input", _ch_pair(tmp)],
+}
+
+
+def test_every_subcommand_has_a_recheck_case():
+    from hellykit.cli import _HANDLERS
+
+    assert set(SUBCOMMAND_ARGS) == set(_HANDLERS) - {"recheck"}
+
+
+def _recheck(capsys, tmp_path, report):
+    stored = _write_json(tmp_path, "report.json", report)
+    return invoke(capsys, "recheck", "--input", stored)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_every_subcommand_report_rechecks(capsys, tmp_path, command):
+    code, report, _ = invoke(capsys, command, *SUBCOMMAND_ARGS[command](tmp_path))
+    assert code == report["exit_code"] == 0
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
+
+
+def _shift(value: str) -> str:
+    return str(rat(value) + 1000)
+
+
+def _tamper_point(res):
+    res["point"][0] = _shift(res["point"][0])
+
+
+def _tamper_line(res):
+    res["lines"][0]["base"] = [_shift(x) for x in res["lines"][0]["base"]]
+
+
+def _tamper_hyperplane(res):
+    res["hyperplanes"][0]["offset"] = _shift(res["hyperplanes"][0]["offset"])
+
+
+def _tamper_multiplier(res):
+    res["farkas"][0]["multiplier"] = _shift(res["farkas"][0]["multiplier"])
+
+
+def _tamper_weight(res):
+    res["tau_star_weights"][0] = "0"
+
+
+@pytest.mark.parametrize(
+    "argv, tamper",
+    [
+        (("intersecting-class", "--input", str(FIXTURES / "family_ch_d2.json")), _tamper_point),
+        (
+            ("line-cover", "--input", str(FIXTURES / "corpus" / "three_collinear_boxes.json")),
+            _tamper_line,
+        ),
+        (("two-color", None), _tamper_hyperplane),
+        (("check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")), _tamper_multiplier),
+        (("duality", "--input", str(FIXTURES / "hypergraph_triangle.json")), _tamper_weight),
+    ],
+    ids=["point", "line", "hyperplane", "farkas-multiplier", "tau-star-weight"],
+)
+def test_tampered_certificate_is_refuted(capsys, tmp_path, argv, tamper):
+    if argv[1] is None:
+        argv = (argv[0], "--input", _split_pair(tmp_path))
+    _, report, _ = invoke(capsys, *argv)
+    tamper(report["results"])
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["refuted"] is True
+    assert verdict["results"]["error"].startswith("stored ")
+
+
+def _drop_farkas(res):
+    del res["farkas"]
+
+
+def _scalar_lines(res):
+    res["lines"] = 7
+
+
+@pytest.mark.parametrize(
+    "argv, damage",
+    [
+        (("check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")), _drop_farkas),
+        (
+            ("line-cover", "--input", str(FIXTURES / "corpus" / "three_collinear_boxes.json")),
+            _scalar_lines,
+        ),
+    ],
+)
+def test_malformed_certificate_gives_a_json_verdict(capsys, tmp_path, argv, damage):
+    _, report, _ = invoke(capsys, *argv)
+    damage(report["results"])
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 4
+    assert "malformed stored certificate" in verdict["results"]["error"]
+
+
+@pytest.mark.parametrize("command", ["intersecting-class", "two-color", "generic-line"])
+def test_error_reports_recheck_cleanly(capsys, tmp_path, command):
+    code, report, _ = invoke(
+        capsys, command, "--input", str(FIXTURES / "family_disjoint_boxes.json")
+    )
+    assert code == 4
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
+
+
+def test_precondition_witness_reaches_the_report(capsys):
+    code, report, _ = invoke(
+        capsys, "two-color", "--input", str(FIXTURES / "family_disjoint_boxes.json")
+    )
+    assert code == 4
+    assert report["results"]["witness"] == [0, 0]
+
+
+def test_svg_reports_recheck_without_writing(capsys, tmp_path):
+    target = tmp_path / "nope.svg"
+    code, report, _ = invoke(capsys, "generate", "figure1", "--svg", str(target))
+    assert code == 4
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
+
+    target = tmp_path / "planar.svg"
+    code, report, _ = invoke(capsys, "generate", "planar", "--svg", str(target))
+    assert code == 0
+    target.unlink()
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
+    assert not target.exists()

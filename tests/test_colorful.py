@@ -176,3 +176,21 @@ def test_pierced_class_certificate_is_checkable_downstream():
     out = two_color_lemma(a, b)
     assert isinstance(out, PiercedClass)
     assert piercing_number(a).size == 1
+
+
+def test_separating_halfspaces_repairs_a_set_without_weight():
+    from hellykit.colorful import separating_halfspaces
+    from hellykit.geometry import Halfspace
+
+    sets = [
+        Polyhedron(2, (Halfspace(vec([1, 0]), rat(0)),)),
+        Polyhedron(2, (Halfspace(vec([-1, 0]), rat(-1)),)),
+        box([-5, -5], [5, 5]),
+    ]
+    sep = separating_halfspaces(sets)
+    assert sep.repaired == (2,)
+    assert sep.halfspaces == (
+        Halfspace(vec([1, 0]), rat(0)),
+        Halfspace(vec([-1, 0]), rat(-1)),
+        Halfspace(vec([1, 0]), rat(5)),
+    )
