@@ -49,6 +49,7 @@ from .errors import GenerationError, InputError, ScaleError, TheoremViolationErr
 from .geometry import (
     AffineFlat,
     Point,
+    first_meeting,
     flat_crosses,
     hyperplane_crosses,
     polyhedra_intersect,
@@ -456,19 +457,13 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
         claims.append(
             _claim("piercing number of segments", r2.size, 3 * m, r2.size == 3 * m)
         )
-        seg_disjoint = all(
-            not polyhedra_intersect([seg[i], seg[j]]).feasible
-            for i, j in itertools.combinations(range(len(seg)), 2)
-        )
+        seg_disjoint = first_meeting(seg, 2) is None
         claims.append(
             _claim("segments pairwise disjoint", seg_disjoint, True, seg_disjoint)
         )
         cover = line_cover_number(tri + seg, budget)
         claims.append(_claim("line cover of the union", cover.size, ">= 2", cover.size >= 2))
-        triples_ok = all(
-            not polyhedra_intersect([tri[i], tri[j], tri[k]]).feasible
-            for i, j, k in itertools.combinations(range(m), 3)
-        )
+        triples_ok = first_meeting(tri, 3) is None
         claims.append(_claim("no three triangles share a point", triples_ok, True, triples_ok))
         log.append(f"line cover witness size {cover.size} over exact candidate pool")
     else:  # simplex
@@ -480,11 +475,8 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
             claims.append(
                 _claim(f"piercing number of cone class {i + 1}", r.size, f">= {f}", r.size >= f)
             )
-        disjoint = all(
-            not polyhedra_intersect([group[i], group[j]]).feasible
-            for group in construction.facet_groups
-            for i, j in itertools.combinations(range(len(group)), 2)
-        )
+        groups = construction.facet_groups
+        disjoint = all(first_meeting(group, 2) is None for group in groups)
         claims.append(_claim("facet copy groups pairwise disjoint", disjoint, True, disjoint))
         needed = (d + 2) // 2
         crossing = max_simplex_facets_crossed(d)
@@ -669,6 +661,11 @@ def _check_generic_line(fam: ColoredFamily, results: dict) -> str:
 def _check_duality(h, results: dict) -> str:
     weights = [rat(w) for w in results["tau_star_weights"]]
     _require(
+        len(weights) == h.vertex_count,
+        "tau* weight count differs from the vertex count",
+    )
+    _require(all(w >= 0 for w in weights), "tau* weights must be nonnegative")
+    _require(
         all(sum(weights[v] for v in e) >= ONE for e in h.edges),
         "tau* weights not a transversal",
     )
@@ -703,7 +700,23 @@ def _check_results(request: dict, results: dict) -> Optional[str]:
 # -- recheck ------------------------------------------------------------------
 
 
+def _stored_budget(report: dict) -> SearchBudget:
+    """The budgets a report was computed under; fields it omits keep their
+    defaults."""
+    stored = report.get("budgets", {})
+    names = {f.name for f in dataclasses.fields(SearchBudget)}
+    if (
+        not isinstance(stored, dict)
+        or not set(stored) <= names
+        or any(type(v) is not int for v in stored.values())
+    ):
+        raise InputError(f"malformed stored budgets: {stored!r}")
+    return SearchBudget(**stored)
+
+
 def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
+    """Check the stored certificate, then re-run the stored request under
+    the stored budgets and demand the same results and exit code."""
     report = request["input"]
     if not isinstance(report, dict) or not isinstance(report.get("request"), dict):
         raise InputError("recheck expects a previously emitted report")
@@ -711,18 +724,20 @@ def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
     command = stored_request.get("command")
     if command == "recheck":
         raise InputError("rechecking a recheck report is not supported")
+    if "input" not in stored_request:
+        raise InputError("malformed stored request: missing 'input'")
+    stored_budget = _stored_budget(report)
     stored_results = report.get("results", {})
-    if "input" in stored_request:
-        stored_digest = report.get("input_digest")
-        fresh = digest(stored_request["input"])
-        if stored_digest != fresh:
-            results = {
-                "agrees": False,
-                "reason": "input digest mismatch",
-                "stored": stored_digest,
-                "recomputed": fresh,
-            }
-            return Outcome(results, EXIT_REFUTED, ["digest mismatch"])
+    stored_digest = report.get("input_digest")
+    fresh = digest(stored_request["input"])
+    if stored_digest != fresh:
+        results = {
+            "agrees": False,
+            "reason": "input digest mismatch",
+            "stored": stored_digest,
+            "recomputed": fresh,
+        }
+        return Outcome(results, EXIT_REFUTED, ["digest mismatch"])
     try:
         note = _check_results(stored_request, stored_results)
     except TheoremViolationError as exc:
@@ -733,7 +748,10 @@ def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
     if "svg" in stored_request:
         # re-run the SVG path without leaving a file behind
         stored_request = {**stored_request, "svg": os.devnull}
-    rerun = _dispatch(stored_request, budget)
+    try:
+        rerun = _dispatch(stored_request, stored_budget)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed stored request: {exc!r}") from None
     fresh_results = json.loads(json.dumps(rerun.results))
     agrees = (
         fresh_results == stored_results

@@ -34,6 +34,8 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
+    _flat_rows,
+    first_meeting,
     line_through,
     polyhedra_intersect,
     polytope_from_vertices,
@@ -42,6 +44,18 @@ from .lp import LinearProgram, Optimal, lp_solve
 from .rationals import ONE, ZERO, dot, rat, vadd, vscale, vsub
 
 _MAX_STEP_EXPONENT = 48
+
+
+def _dyadic_search(first_t: int, attempt, step_name: str, error: str):
+    """(step, built) for the first step 1/2**t, t >= first_t, that `attempt`
+    accepts.  `attempt(step)` returns (built, None) or (None, failure); when
+    every step fails, the last failure is reported with its step."""
+    for t in range(first_t, _MAX_STEP_EXPONENT + 1):
+        step = rat(1, 2**t)
+        built, failure = attempt(step)
+        if failure is None:
+            return step, built
+    raise GenerationError(f"{error}: {failure} at {step_name} 1/2**{t}")
 
 
 # -- axis-parallel hyperplane family -----------------------------------------
@@ -76,11 +90,23 @@ def generate_figure1(d: int, n: int) -> ColoredFamily:
 # -- shared triangle scheme ---------------------------------------------------
 
 
-def _scheme_triangle(mu, theta) -> Polyhedron:
-    """Scheme triangle in the reference frame conv((0,0), (1,0), (1/2,1))."""
-    half = rat(1, 2)
-    verts = [(mu * half, mu), (ONE - mu * half, mu), (theta, ZERO)]
-    return polytope_from_vertices(2, verts)
+# reference frame in which the scheme parameters are drawn
+_REFERENCE = ((ZERO, ZERO), (ONE, ZERO), (rat(1, 2), ONE))
+
+
+def _scheme_set(mu, theta, corners: Sequence[tuple], apex: Sequence = ()) -> Polyhedron:
+    """conv(apex + the scheme triangle (mu, theta) placed in corners (a, b, c)).
+
+    The triangle's horizontal side joins the points at height mu toward c
+    on sides ac and bc; its third vertex sits on side ab at parameter theta.
+    """
+    a, b, c = corners
+    triangle = [
+        vadd(vscale(ONE - mu, a), vscale(mu, c)),
+        vadd(vscale(ONE - mu, b), vscale(mu, c)),
+        vadd(vscale(ONE - theta, a), vscale(theta, b)),
+    ]
+    return polytope_from_vertices(len(a), [*apex, *triangle])
 
 
 def _min_ordinate(a: Polyhedron, b: Polyhedron):
@@ -114,7 +140,7 @@ def _triangle_scheme(m: int, rng: random.Random) -> list[tuple]:
         if i < 2:
             mu = rat(rng.randint(16, 48), 64)
         else:
-            built = [_scheme_triangle(p, t) for p, t in params]
+            built = [_scheme_set(p, t, _REFERENCE) for p, t in params]
             lowest = min(
                 _min_ordinate(built[j], built[k])
                 for j, k in itertools.combinations(range(i), 2)
@@ -126,30 +152,6 @@ def _triangle_scheme(m: int, rng: random.Random) -> list[tuple]:
         thetas.append(theta)
         params.append((mu, theta))
     return params
-
-
-def _barycentric_vertices(mu, theta) -> list[tuple]:
-    """Scheme triangle vertices as weights over a target triangle (a, b, c).
-
-    The first two vertices span the horizontal side (one on side ac, one on
-    side bc, both at height mu toward apex c); the third sits on side ab at
-    parameter theta.
-    """
-    return [
-        (ONE - mu, ZERO, mu),
-        (ZERO, ONE - mu, mu),
-        (ONE - theta, theta, ZERO),
-    ]
-
-
-def _map_to_triangle(weights: Sequence[tuple], corners: Sequence[tuple]) -> list:
-    mapped = []
-    for w in weights:
-        point = tuple(ZERO for _ in corners[0])
-        for wi, corner in zip(w, corners):
-            point = vadd(point, vscale(wi, corner))
-        mapped.append(point)
-    return mapped
 
 
 def _meets(a: Polyhedron, b: Polyhedron) -> bool:
@@ -223,9 +225,9 @@ def _check_planar_segments(
         for ti, tri in enumerate(triangles):
             if not _meets(seg, tri):
                 return f"segment {si} misses triangle {ti}"
-    for si, sj in itertools.combinations(range(len(segments)), 2):
-        if _meets(segments[si], segments[sj]):
-            return f"segments {si} and {sj} overlap"
+    pair = first_meeting(segments, 2)
+    if pair is not None:
+        return "segments {} and {} overlap".format(*pair)
     return None
 
 
@@ -249,18 +251,14 @@ def generate_planar(f: int, seed: int = 0) -> PlanarConstruction:
     corners = _FRAME
     outer = polytope_from_vertices(2, corners)
     scale = rat(12)
-    triangles = []
-    for mu, theta in params:
-        verts = _map_to_triangle(_barycentric_vertices(mu, theta), corners)
-        triangles.append(polytope_from_vertices(2, verts))
-    triangles = tuple(triangles)
+    triangles = tuple(_scheme_set(mu, theta, corners) for mu, theta in params)
 
     for i, j in itertools.combinations(range(m), 2):
         if not _meets(triangles[i], triangles[j]):
             raise GenerationError(f"triangles {i} and {j} fail to meet")
-    for i, j, k in itertools.combinations(range(m), 3):
-        if polyhedra_intersect([triangles[i], triangles[j], triangles[k]]).feasible:
-            raise GenerationError(f"triangles {i}, {j}, {k} share a point")
+    triple = first_meeting(triangles, 3)
+    if triple is not None:
+        raise GenerationError("triangles {}, {}, {} share a point".format(*triple))
 
     # contact parameter of each triangle along every frame side
     contact_params = [
@@ -284,31 +282,32 @@ def generate_planar(f: int, seed: int = 0) -> PlanarConstruction:
         )
     inward = [vscale(rat(-1), row.normal) for row in side_rows]
 
-    last_failure = "no translation step attempted"
-    for t in range(3, _MAX_STEP_EXPONENT + 1):
-        step = rat(1, 2**t)
+    def translate_sides(step):
         segments = tuple(
             shrunk_sides[side].translated(vscale(step * j, inward[side]))
             for side in range(3)
             for j in range(m)
         )
         failure = _check_planar_segments(triangles, segments)
-        if failure is None:
-            return PlanarConstruction(
-                f=f,
-                m=m,
-                seed=seed,
-                outer=outer,
-                triangles=triangles,
-                segments=segments,
-                heights=tuple(mu * scale for mu, _ in params),
-                anchors=tuple(theta * scale for _, theta in params),
-                side_spans=tuple(spans),
-                step=step,
-            )
-        last_failure = f"{failure} at step 1/2**{t}"
-    raise GenerationError(
-        f"no segment translation step satisfied all constraints: {last_failure}"
+        return (segments, None) if failure is None else (None, failure)
+
+    step, segments = _dyadic_search(
+        3,
+        translate_sides,
+        "step",
+        "no segment translation step satisfied all constraints",
+    )
+    return PlanarConstruction(
+        f=f,
+        m=m,
+        seed=seed,
+        outer=outer,
+        triangles=triangles,
+        segments=segments,
+        heights=tuple(mu * scale for mu, _ in params),
+        anchors=tuple(theta * scale for _, theta in params),
+        side_spans=tuple(spans),
+        step=step,
     )
 
 
@@ -363,6 +362,21 @@ def _simplex_vertices(d: int) -> list[tuple]:
     return verts
 
 
+def _simplex_facets(verts: Sequence[tuple]) -> tuple:
+    """Facet i is the convex hull of every vertex but vertex i."""
+    d = len(verts) - 1
+    return tuple(
+        polytope_from_vertices(d, [v for j, v in enumerate(verts) if j != skip])
+        for skip in range(d + 1)
+    )
+
+
+def _centroid(points: Sequence[tuple]) -> tuple:
+    dim = len(points[0])
+    total = tuple(sum(p[j] for p in points) for j in range(dim))
+    return vscale(rat(1, len(points)), total)
+
+
 def _pair_cuts(simplex: Polyhedron, epsilon) -> list[Halfspace]:
     """One cut per facet pair; together they clear every (d-2)-face."""
     cuts = []
@@ -376,13 +390,6 @@ def _inward_normal(facet: Polyhedron, centroid: tuple) -> tuple:
     if dot(carrier.normal, centroid) < carrier.offset:
         return vscale(rat(-1), carrier.normal)
     return tuple(carrier.normal)
-
-
-def _no_triples(sets: Sequence[Polyhedron]) -> Optional[tuple]:
-    for i, j, k in itertools.combinations(range(len(sets)), 3):
-        if polyhedra_intersect([sets[i], sets[j], sets[k]]).feasible:
-            return (i, j, k)
-    return None
 
 
 def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstruction:
@@ -406,9 +413,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     rng = random.Random(f"simplex:{d}:{f}:{seed}")
     verts = _simplex_vertices(d)
     simplex = polytope_from_vertices(d, verts)
-    centroid = vscale(
-        rat(1, d + 1), tuple(sum(v[j] for v in verts) for j in range(d))
-    )
+    centroid = _centroid(verts)
 
     raw_classes = []
     all_params = []
@@ -417,17 +422,12 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
         apex = [verts[j] for j in range(d + 1) if j not in (face, face + 1, face + 2)]
         params = _triangle_scheme(m, rng)
         all_params.append(tuple(params))
-        cones = []
-        for mu, theta in params:
-            tri = _map_to_triangle(_barycentric_vertices(mu, theta), face_corners)
-            cones.append(polytope_from_vertices(d, apex + tri))
-        raw_classes.append(tuple(cones))
+        raw_classes.append(
+            tuple(_scheme_set(mu, theta, face_corners, apex) for mu, theta in params)
+        )
     raw_classes = tuple(raw_classes)
 
-    facets = tuple(
-        polytope_from_vertices(d, [v for j, v in enumerate(verts) if j != skip])
-        for skip in range(d + 1)
-    )
+    facets = _simplex_facets(verts)
 
     pre = check_ch(ColoredFamily(d, (*raw_classes, facets)))
     if not pre.holds:
@@ -436,83 +436,48 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
             f"{pre.violating_rainbow}"
         )
 
-    epsilon = None
-    shrunk_classes: tuple = ()
-    shrunk_facets: tuple = ()
-    last_failure = "no shrink offset attempted"
-    for t in range(1, _MAX_STEP_EXPONENT + 1):
-        candidate = rat(1, 2**t)
-        cuts = _pair_cuts(simplex, candidate)
-        shrunk_classes = tuple(
+    def shrink(epsilon):
+        cuts = _pair_cuts(simplex, epsilon)
+        classes = tuple(
             tuple(cone.with_rows(ineqs=cuts) for cone in cls) for cls in raw_classes
         )
-        shrunk_facets = tuple(facet.with_rows(ineqs=cuts) for facet in facets)
-        report = check_ch(ColoredFamily(d, (*shrunk_classes, shrunk_facets)))
+        shrunk = tuple(facet.with_rows(ineqs=cuts) for facet in facets)
+        report = check_ch(ColoredFamily(d, (*classes, shrunk)))
         if not report.holds:
-            last_failure = (
-                f"rainbow selection {report.violating_rainbow} became empty "
-                f"at shrink offset 1/2**{t}"
-            )
-            continue
-        triple = next(
-            (
-                (ci, bad)
-                for ci, cls in enumerate(shrunk_classes)
-                if (bad := _no_triples(cls)) is not None
-            ),
-            None,
-        )
-        if triple is not None:
-            last_failure = (
-                f"sets {triple[1]} of cone class {triple[0]} still share a point "
-                f"at shrink offset 1/2**{t}"
-            )
-            continue
-        epsilon = candidate
-        break
-    if epsilon is None:
-        raise GenerationError(f"shrink search failed: {last_failure}")
+            return None, f"rainbow selection {report.violating_rainbow} became empty"
+        for ci, cls in enumerate(classes):
+            triple = first_meeting(cls, 3)
+            if triple is not None:
+                return None, f"sets {triple} of cone class {ci} still share a point"
+        return (classes, shrunk), None
+
+    epsilon, (shrunk_classes, shrunk_facets) = _dyadic_search(
+        1, shrink, "shrink offset", "shrink search failed"
+    )
 
     inward = [_inward_normal(facet, centroid) for facet in shrunk_facets]
-    eta = None
-    facet_groups: tuple = ()
-    last_failure = "no copy step attempted"
-    for t in range(3, _MAX_STEP_EXPONENT + 1):
-        candidate = rat(1, 2**t)
-        facet_groups = tuple(
+
+    def copy_facets(eta):
+        groups = tuple(
             tuple(
-                shrunk_facets[fi].translated(vscale(candidate * j, inward[fi]))
+                shrunk_facets[fi].translated(vscale(eta * j, inward[fi]))
                 for j in range(m)
             )
             for fi in range(d + 1)
         )
-        copies = tuple(itertools.chain.from_iterable(facet_groups))
+        copies = tuple(itertools.chain.from_iterable(groups))
         report = check_ch(ColoredFamily(d, (*shrunk_classes, copies)))
         if not report.holds:
-            last_failure = (
-                f"rainbow selection {report.violating_rainbow} became empty "
-                f"at copy step 1/2**{t}"
-            )
-            continue
-        overlap = next(
-            (
-                (fi, i, j)
-                for fi, group in enumerate(facet_groups)
-                for i, j in itertools.combinations(range(m), 2)
-                if _meets(group[i], group[j])
-            ),
-            None,
-        )
-        if overlap is not None:
-            last_failure = (
-                f"copies {overlap[1]} and {overlap[2]} of facet {overlap[0]} "
-                f"overlap at copy step 1/2**{t}"
-            )
-            continue
-        eta = candidate
-        break
-    if eta is None:
-        raise GenerationError(f"facet copy search failed: {last_failure}")
+            return None, f"rainbow selection {report.violating_rainbow} became empty"
+        for fi, group in enumerate(groups):
+            pair = first_meeting(group, 2)
+            if pair is not None:
+                return None, "copies {} and {} of facet {} overlap".format(*pair, fi)
+        return groups, None
+
+    eta, facet_groups = _dyadic_search(
+        3, copy_facets, "copy step", "facet copy search failed"
+    )
 
     return SimplexConstruction(
         d=d,
@@ -575,24 +540,27 @@ def relint_margin(sets: Sequence[Polyhedron], facet: Polyhedron):
     if not facet.equalities:
         raise InputError("facet carries no hyperplane equality")
     d = facet.dim
-    leq = []
-    eq = []
-    for s in sets:
-        if s.dim != d:
-            raise InputError("selection/facet dimension mismatch")
-        for h in s.inequalities:
-            leq.append(((*h.normal, ZERO), h.offset))
-        for h in s.equalities:
-            eq.append(((*h.normal, ZERO), h.offset))
-    for h in facet.inequalities:
-        leq.append(((*h.normal, ONE), h.offset))
-    for h in facet.equalities:
-        eq.append(((*h.normal, ZERO), h.offset))
-    leq.append(((*(ZERO for _ in range(d)), ONE), ONE))
-    objective = (*(ZERO for _ in range(d)), ONE)
-    out = lp_solve(LinearProgram(d + 1, tuple(leq), tuple(eq), objective))
+    if any(s.dim != d for s in sets):
+        raise InputError("selection/facet dimension mismatch")
+    leq = [(h.normal, h.offset) for s in sets for h in s.inequalities]
+    eq = [(h.normal, h.offset) for s in (*sets, facet) for h in s.equalities]
+    slack = [(h.normal, h.offset) for h in facet.inequalities]
+    return _max_margin(d, leq, slack, eq)
+
+
+def _max_margin(width: int, leq: Sequence, slack: Sequence, eq: Sequence):
+    """Maximize delta <= 1 subject to the rows `leq`, `eq` and `slack`, the
+    last with delta added to their left-hand sides.  Rows are
+    (coefficients, rhs) over `width` variables; returns (delta, point), or
+    (None, None) when the rows are infeasible."""
+    zeros = (ZERO,) * width
+    rows = [((*c, ZERO), r) for c, r in leq]
+    rows.extend(((*c, ONE), r) for c, r in slack)
+    rows.append(((*zeros, ONE), ONE))
+    eqs = tuple(((*c, ZERO), r) for c, r in eq)
+    out = lp_solve(LinearProgram(width + 1, tuple(rows), eqs, (*zeros, ONE)))
     if isinstance(out, Optimal):
-        return out.value, tuple(out.point[:d])
+        return out.value, tuple(out.point[:width])
     return None, None
 
 
@@ -639,17 +607,8 @@ _CROSSING_ARGUMENT = (
 
 def _line_relint_margin(line: AffineFlat, facet: Polyhedron):
     """Max facet-row slack over points of a line on the carrier hyperplane."""
-    leq = []
-    eq = []
-    for h in facet.inequalities:
-        leq.append(((dot(h.normal, line.directions[0]), ONE),
-                    h.offset - dot(h.normal, line.base)))
-    for h in facet.equalities:
-        eq.append(((dot(h.normal, line.directions[0]), ZERO),
-                   h.offset - dot(h.normal, line.base)))
-    leq.append(((ZERO, ONE), ONE))
-    out = lp_solve(LinearProgram(2, tuple(leq), tuple(eq), (ZERO, ONE)))
-    return out.value if isinstance(out, Optimal) else None
+    slack, eq = _flat_rows(line, facet)
+    return _max_margin(1, (), slack, eq)[0]
 
 
 def max_simplex_facets_crossed(d: int) -> FacetCrossingReport:
@@ -664,17 +623,12 @@ def max_simplex_facets_crossed(d: int) -> FacetCrossingReport:
     if not 2 <= d <= 4:
         raise InputError("facet crossing bound is computed for 2 <= d <= 4")
     verts = _simplex_vertices(d)
-    facets = [
-        polytope_from_vertices(d, [v for j, v in enumerate(verts) if j != skip])
-        for skip in range(d + 1)
-    ]
+    facets = _simplex_facets(verts)
     half = rat(1, 2)
     facet_points: list[list[tuple]] = []
     for facet in facets:
-        fverts = list(facet.vertices_hint)
-        center = vscale(
-            rat(1, len(fverts)), tuple(sum(v[j] for v in fverts) for j in range(d))
-        )
+        fverts = facet.vertices_hint
+        center = _centroid(fverts)
         pts = [center]
         pts.extend(vscale(half, vadd(center, v)) for v in fverts)
         facet_points.append(pts)

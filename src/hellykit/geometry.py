@@ -247,15 +247,6 @@ class AffineFlat:
     def line(cls, base: Sequence, direction: Sequence) -> "AffineFlat":
         return cls(len(tuple(base)), tuple(base), (tuple(direction),))
 
-    def point_at(self, params: Sequence) -> Vec:
-        x = list(self.base)
-        for t, d in zip(params, self.directions):
-            if t:
-                for i, di in enumerate(d):
-                    if di:
-                        x[i] += t * di
-        return tuple(x)
-
 
 # ---------------------------------------------------------------------------
 # certified joint intersection
@@ -332,6 +323,15 @@ def polyhedra_intersect(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
     if not verify_farkas_entries(sets, cert.farkas):
         raise TheoremViolationError("grouped Farkas certificate failed verification")
     return cert
+
+
+def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
+    """Lexicographically first r-tuple of indices whose sets share a point,
+    or None; stops at the first one found."""
+    for combo in itertools.combinations(range(len(sets)), r):
+        if polyhedra_intersect([sets[i] for i in combo]).feasible:
+            return combo
+    return None
 
 
 def verify_farkas_entries(sets: Sequence[Polyhedron], entries: Sequence[FarkasEntry]) -> bool:

@@ -441,3 +441,70 @@ def test_svg_reports_recheck_without_writing(capsys, tmp_path):
     assert code == 0
     assert verdict["results"]["agrees"] is True
     assert not target.exists()
+
+
+def test_recheck_reruns_under_the_stored_budgets(capsys, tmp_path, monkeypatch):
+    clusters = str(FIXTURES / "corpus" / "two_clusters.json")
+    monkeypatch.setenv("HELLYKIT_MAX_SUBFAMILY_SETS", "2")
+    code, report, _ = invoke(capsys, "pierce", "--input", clusters)
+    assert code == 3
+    monkeypatch.delenv("HELLYKIT_MAX_SUBFAMILY_SETS")
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
+    assert verdict["results"]["exit_code_recomputed"] == 3
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [{"max_pivots": 10}, {"max_subfamily_sets": "2"}, {"max_subfamily_sets": 2.0}, []],
+    ids=["unknown-field", "string", "float", "not-a-dict"],
+)
+def test_malformed_stored_budgets_exit_four(capsys, tmp_path, budgets):
+    _, report, _ = invoke(
+        capsys, "pierce", "--input", str(FIXTURES / "corpus" / "single_triangle.json")
+    )
+    report["budgets"] = budgets
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 4
+    assert verdict["results"]["error"].startswith("malformed stored budgets")
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (["-1", "2", "2"], "stored tau* weights must be nonnegative"),
+        (["1", "1", "1", "0"], "stored tau* weight count differs from the vertex count"),
+    ],
+    ids=["negative", "extra-vertex"],
+)
+def test_fake_fractional_transversal_is_refuted(capsys, tmp_path, weights, message):
+    _, report, _ = invoke(
+        capsys, "duality", "--input", str(FIXTURES / "hypergraph_triangle.json")
+    )
+    report["results"]["tau_star_weights"] = weights
+    report["results"]["tau_star"] = "3"
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["error"] == message
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("generate", "figure1"), "kind"),
+        (("fractional-two-color", None), "input"),
+        (("pierce", "--input", str(FIXTURES / "corpus" / "single_triangle.json")), "input"),
+    ],
+    ids=["generate-kind", "fractional-input", "pierce-input"],
+)
+def test_malformed_stored_request_gives_a_json_verdict(capsys, tmp_path, argv, field):
+    if argv[1] is None:
+        argv = (argv[0], *_fractional_args(tmp_path))
+    code, report, _ = invoke(capsys, *argv)
+    assert code == 0
+    del report["request"][field]
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 4
+    assert "malformed stored request" in verdict["results"]["error"]
+    assert field in verdict["results"]["error"]

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from hellykit import constructions
 from hellykit.colorful import check_ch
 from hellykit.constructions import (
     generate_figure1,
@@ -15,7 +16,7 @@ from hellykit.constructions import (
     relint_margin,
     verify_relint_property,
 )
-from hellykit.errors import InputError
+from hellykit.errors import GenerationError, InputError
 from hellykit.geometry import (
     AffineFlat,
     flat_crosses,
@@ -23,7 +24,8 @@ from hellykit.geometry import (
     polytope_from_vertices,
 )
 from hellykit.hypergraphs import line_cover_number, piercing_number
-from hellykit.rationals import ONE, rat
+from hellykit.rationals import ONE, rat, rat_str
+from hellykit.serialize import digest, family_to_doc, line_to_json
 
 
 def test_figure1_shape_and_ch():
@@ -185,3 +187,67 @@ def test_facet_crossing_maximum_is_two():
 def test_facet_crossing_dimension_gate():
     with pytest.raises(InputError):
         max_simplex_facets_crossed(5)
+
+
+# -- pinned outputs: the dyadic steps and family digests of fixed seeds --------
+
+
+@pytest.mark.parametrize(
+    "build, steps, family_digest",
+    [
+        (
+            lambda: generate_planar(2, 7),
+            {"step": "1/64"},
+            "b6c55d58af2cee4e3315c6856706d625c21c0c0d0bc404f3d52e0867561f10f0",
+        ),
+        (
+            lambda: generate_simplex_family(2, 1, 0),
+            {"epsilon": "1/8", "eta": "1/8"},
+            "0a240899502c279b5914e252c6a4a9f4047a464f5f49b2024c8cf16d6ccdfca5",
+        ),
+        (
+            lambda: generate_simplex_family(3, 1, 0),
+            {"epsilon": "1/4", "eta": "1/8"},
+            "8e271b942c9b971b43899f7cca7b474b9c60ff3738858f840e2bfca5068f3de6",
+        ),
+    ],
+    ids=["planar-2-7", "simplex-2-1-0", "simplex-3-1-0"],
+)
+def test_construction_outputs_are_pinned(build, steps, family_digest):
+    c = build()
+    assert {name: rat_str(getattr(c, name)) for name in steps} == steps
+    assert digest(family_to_doc(c.family)) == family_digest
+
+
+def test_facet_crossing_report_is_pinned():
+    rep = max_simplex_facets_crossed(3)
+    assert (rep.value, rep.lines_checked) == (2, 102)
+    assert line_to_json(rep.witness_line) == {
+        "base": ["2", "2", "4"],
+        "direction": ["1", "-1", "0"],
+    }
+
+
+@pytest.mark.parametrize(
+    "max_exponent, build, message",
+    [
+        (
+            4,
+            lambda: generate_planar(2, 7),
+            "no segment translation step satisfied all constraints: "
+            "segment 2 misses triangle 3 at step 1/2**4",
+        ),
+        (
+            1,
+            lambda: generate_simplex_family(3, 1, 0),
+            "shrink search failed: rainbow selection ((0, 0), (1, 1), (2, 3)) "
+            "became empty at shrink offset 1/2**1",
+        ),
+    ],
+    ids=["planar-segment-step", "simplex-shrink-offset"],
+)
+def test_step_search_failure_messages_are_pinned(monkeypatch, max_exponent, build, message):
+    monkeypatch.setattr(constructions, "_MAX_STEP_EXPONENT", max_exponent)
+    with pytest.raises(GenerationError) as err:
+        build()
+    assert str(err.value) == message
