@@ -13,8 +13,11 @@ certificate that is re-verified before it is returned:
 
 Problems are stated over free variables by default; `nonneg=True` constrains
 all variables to be >= 0 (used by the fractional transversal/matching LPs).
-Sizes stay at desk scale (tens of rows), so a dense tableau of rationals is
-the right tool.
+Sizes stay at desk scale (tens of rows), so a dense tableau is the right
+tool.  It pivots fraction-free: each constraint enters as coprime Python
+ints, the rows share one integer denominator (the basis determinant), and
+rationals appear only when a point, ray or certificate is read out.  The
+pivot sequence is that of the rational tableau, so the answers are too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ from itertools import chain
 from typing import Optional, Union
 
 from .errors import InputError, TheoremViolationError
-from .rationals import ONE, ZERO, Vec, dot, is_zero_vec, normalize_row, rat
+from .rationals import (
+    ZERO,
+    Vec,
+    common_denominator,
+    dot,
+    integer_row,
+    is_zero_vec,
+    rat,
+    scaled_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -137,18 +149,17 @@ def verify_ray(lp: LinearProgram, ray: Vec) -> bool:
     return True
 
 
-def _row_scale(coeffs, rhs, scaled_coeffs, scaled_rhs):
-    """Positive factor k with (scaled_coeffs, scaled_rhs) = k * (coeffs, rhs)."""
-    for a, b in zip(scaled_coeffs, coeffs):
-        if rat(b) != 0:
-            return a / rat(b)
-    if rat(rhs) != 0:
-        return scaled_rhs / rat(rhs)
-    return ONE
-
-
 class _Tableau:
-    """Dense simplex tableau; rows end with the rhs entry."""
+    """Dense fraction-free simplex tableau; rows end with the rhs entry.
+
+    Every row holds Python ints over the common denominator `den` > 0, the
+    absolute basis determinant, so the rational tableau row i is
+    rows[i] / den and every division in `_pivot` is exact (Edmonds 1967,
+    Bareiss 1968).  The reduced-cost row `obj` lives over the same `den`,
+    times a positive constant when the costs are not integers; only its signs
+    are read.  Columns from `art` on are the artificials, one per row; they
+    never enter the basis.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -165,115 +176,94 @@ class _Tableau:
                 cols += 1
             else:
                 self.col_of_minus.append(None)
-        self.num_structural = cols
         rows = []
         self.row_kind = []  # ("leq", idx) / ("eq", idx)
         self.scale = []  # positive factor from the original row to the stored one
-        for idx, (coeffs, rhs) in enumerate(lp.leq):
-            c, r = normalize_row(tuple(rat(x) for x in coeffs), rat(rhs))
-            rows.append((c, r))
-            self.row_kind.append(("leq", idx))
-            self.scale.append(_row_scale(coeffs, rhs, c, r))
-        for idx, (coeffs, rhs) in enumerate(lp.eq):
-            c, r = normalize_row(tuple(rat(x) for x in coeffs), rat(rhs))
-            rows.append((c, r))
-            self.row_kind.append(("eq", idx))
-            self.scale.append(_row_scale(coeffs, rhs, c, r))
-        m = len(rows)
-        self.slack_col = {}
-        for i, (kind, _) in enumerate(self.row_kind):
-            if kind == "leq":
-                self.slack_col[i] = cols
-                cols += 1
-        self.art_col = [cols + i for i in range(m)]
-        total = cols + m
+        for kind, source in (("leq", lp.leq), ("eq", lp.eq)):
+            for idx, (coeffs, rhs) in enumerate(source):
+                c, r, k = integer_row(tuple(rat(x) for x in coeffs), rat(rhs))
+                rows.append((c, r, kind == "leq"))
+                self.row_kind.append((kind, idx))
+                self.scale.append(k)
+        self.art = cols + sum(has_slack for _, _, has_slack in rows)
+        total = self.art + len(rows)
         self.total_cols = total
         self.flip = []
         self.rows = []
-        for i, (coeffs, rhs) in enumerate(rows):
-            sigma = -ONE if rhs < 0 else ONE
+        slack = cols  # slack columns follow the structural ones, in row order
+        for i, (coeffs, rhs, has_slack) in enumerate(rows):
+            sigma = -1 if rhs < 0 else 1
             self.flip.append(sigma)
-            row = [ZERO] * (total + 1)
+            row = [0] * (total + 1)
             for k, a in enumerate(coeffs):
                 if a:
                     row[self.col_of_plus[k]] = sigma * a
                     if self.col_of_minus[k] is not None:
                         row[self.col_of_minus[k]] = -sigma * a
-            if i in self.slack_col:
-                row[self.slack_col[i]] = sigma
-            row[self.art_col[i]] = ONE
+            if has_slack:
+                row[slack] = sigma
+                slack += 1
+            row[self.art + i] = 1
             row[total] = sigma * rhs
             self.rows.append(row)
-        self.basis = list(self.art_col)
-        self.banned = set()  # columns never allowed to enter
-        self.obj = None  # reduced-cost row, entry [total] = -(objective value)
+        self.den = 1
+        self.basis = list(range(self.art, total))
+        self.obj = None  # reduced-cost row, entry [total] = -den * (objective value)
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        pv = row[c]
-        if pv != 1:
-            inv = ONE / pv
-            self.rows[r] = row = [x * inv if x else x for x in row]
-        for other in self.rows:
-            if other is row:
-                continue
-            f = other[c]
-            if f:
-                for j, v in enumerate(row):
-                    if v:
-                        other[j] -= f * v
-        f = self.obj[c]
-        if f:
-            for j, v in enumerate(row):
-                if v:
-                    self.obj[j] -= f * v
+        p = row[c]
+        den = self.den
+        self.rows = [
+            other if i == r else _eliminate(other, row, c, p, den)
+            for i, other in enumerate(self.rows)
+        ]
+        self.obj = _eliminate(self.obj, row, c, p, den)
+        if p < 0:
+            self.rows = [[-x for x in other] for other in self.rows]
+            self.obj = [-x for x in self.obj]
+            p = -p
+        self.den = p
         self.basis[r] = c
 
     def _set_costs(self, costs: list) -> None:
-        """Install reduced costs for the minimization cost vector `costs`."""
-        total = self.total_cols
-        obj = list(costs) + [ZERO]
+        """Install reduced costs for the integer minimization cost vector `costs`."""
+        obj = [c * self.den for c in costs] + [0]
         for i, row in enumerate(self.rows):
             cb = costs[self.basis[i]]
             if cb:
-                for j in range(total + 1):
-                    if row[j]:
-                        obj[j] -= cb * row[j]
+                obj = [o - cb * x for o, x in zip(obj, row)]
         self.obj = obj
 
     def _bland_step(self) -> str:
         """One simplex step; returns 'optimal', 'pivoted', or 'unbounded'."""
         total = self.total_cols
         enter = None
-        for j in range(total):
-            if j in self.banned:
-                continue
+        for j in range(self.art):
             if self.obj[j] < 0:
                 enter = j
                 break
         if enter is None:
             return "optimal"
+        # minimum ratio rows[i][total] / rows[i][enter] over positive entries,
+        # compared by cross-multiplication; ties go to the smaller basis index
         leave = None
-        best = None
         for i, row in enumerate(self.rows):
             a = row[enter]
             if a > 0:
-                ratio = row[total] / a
-                if best is None or ratio < best or (
-                    ratio == best and self.basis[i] < self.basis[leave]
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                best = self.rows[leave]
+                lhs, rhs = row[total] * best[enter], best[total] * a
+                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                     leave = i
         if leave is None:
             self._unbounded_col = enter
             return "unbounded"
-        entering_was_artificial = enter in self.art_col
-        left_col = self.basis[leave]
         self._pivot(leave, enter)
-        if left_col in self.art_col and not entering_was_artificial:
-            self.banned.add(left_col)
         return "pivoted"
 
     def _run(self) -> str:
@@ -284,58 +274,55 @@ class _Tableau:
 
     # -- solution readout ---------------------------------------------------
 
-    def structural_point(self) -> Vec:
-        total = self.total_cols
-        vals = {}
-        for i, b in enumerate(self.basis):
-            vals[b] = self.rows[i][total]
-        point = []
+    def _structural(self, values: dict) -> Vec:
+        """Map expanded-column numerators over `den` back to the variables."""
+        out = []
         for k in range(self.lp.num_vars):
-            x = vals.get(self.col_of_plus[k], ZERO)
+            x = values.get(self.col_of_plus[k], 0)
             mc = self.col_of_minus[k]
             if mc is not None:
-                x = x - vals.get(mc, ZERO)
-            point.append(x)
-        return tuple(point)
+                x -= values.get(mc, 0)
+            out.append(rat(x, self.den))
+        return tuple(out)
+
+    def structural_point(self) -> Vec:
+        total = self.total_cols
+        return self._structural({b: self.rows[i][total] for i, b in enumerate(self.basis)})
 
     def structural_ray(self, enter: int) -> Vec:
-        delta = {enter: ONE}
+        delta = {enter: self.den}
         for i, b in enumerate(self.basis):
             v = self.rows[i][enter]
             if v:
                 delta[b] = -v
-        ray = []
-        for k in range(self.lp.num_vars):
-            x = delta.get(self.col_of_plus[k], ZERO)
-            mc = self.col_of_minus[k]
-            if mc is not None:
-                x = x - delta.get(mc, ZERO)
-            ray.append(x)
-        return tuple(ray)
+        return self._structural(delta)
+
+
+def _eliminate(other: list, row: list, c: int, p: int, den: int) -> list:
+    """Bareiss update of `other` for a pivot on row[c] = p over denominator den."""
+    f = other[c]
+    if f:
+        return [(x * p - f * y) // den for x, y in zip(other, row)]
+    if p == den:
+        return other
+    return [x * p // den for x in other]
 
 
 def _phase_one(t: _Tableau):
     """Returns None if feasible, else the Infeasible certificate."""
-    costs = [ZERO] * (t.total_cols)
-    for c in t.art_col:
-        costs[c] = ONE
-    for c in t.art_col:
-        t.banned.add(c)  # artificials may not (re)enter
-    t._set_costs(costs)
+    t._set_costs([0] * t.art + [1] * len(t.rows))
     state = t._run()
     if state == "unbounded":  # sum of artificials is bounded below by zero
         raise TheoremViolationError("phase-1 objective reported unbounded")
-    opt_value = -t.obj[t.total_cols]
-    if opt_value > 0:
-        m = len(t.rows)
+    if t.obj[t.total_cols] < 0:  # -den * (sum of artificials) < 0
         n_leq = len(t.lp.leq)
         mult_leq = [ZERO] * n_leq
         mult_eq = [ZERO] * len(t.lp.eq)
-        for i in range(m):
-            # reduced cost of artificial i is 1 - y_i; map the dual value back
-            # through the row's sign flip and normalization scale
-            y_i = ONE - t.obj[t.art_col[i]]
-            mu = -t.flip[i] * y_i * t.scale[i]
+        for i in range(len(t.rows)):
+            # reduced cost of artificial i is 1 - y_i, so den * y_i is
+            # den - obj[art + i]; map the dual value back through the row's
+            # sign flip and normalization scale (the factor den cancels below)
+            mu = -t.flip[i] * (t.den - t.obj[t.art + i]) * t.scale[i]
             kind, idx = t.row_kind[i]
             if kind == "leq":
                 mult_leq[idx] = mu
@@ -353,23 +340,17 @@ def _normalize_multipliers(mults: list) -> list:
     nonzero = [m for m in mults if m]
     if not nonzero:
         return mults
-    coeffs, _ = normalize_row(tuple(nonzero), ZERO)
-    scale = coeffs[0] / nonzero[0]
-    if scale < 0:
-        raise TheoremViolationError("multiplier normalization flipped sign")
+    _, _, scale = integer_row(nonzero, ZERO)
     return [m * scale for m in mults]
 
 
 def _evict_artificials(t: _Tableau) -> None:
     """Pivot basic artificials (all at value zero) out where possible."""
-    art = set(t.art_col)
     for i in range(len(t.rows)):
-        if t.basis[i] not in art:
+        if t.basis[i] < t.art:
             continue
         pivot_col = None
-        for j in range(t.total_cols):
-            if j in art:
-                continue
+        for j in range(t.art):
             if t.rows[i][j] != 0:
                 pivot_col = j
                 break
@@ -391,14 +372,16 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if not verify_point(lp, point):
             raise TheoremViolationError("feasible point failed verification")
         return Feasible(point)
-    sense = -ONE if lp.maximize else ONE
-    costs = [ZERO] * t.total_cols
-    for k, c in enumerate(lp.objective):
+    # only the signs of the reduced costs are read, so clearing the
+    # objective's denominators (a positive factor) changes no pivot
+    objective = tuple(rat(c) for c in lp.objective)
+    sense = -1 if lp.maximize else 1
+    costs = [0] * t.total_cols
+    for k, c in enumerate(scaled_ints(objective, common_denominator(objective))):
         if c:
-            cc = sense * rat(c)
-            costs[t.col_of_plus[k]] += cc
+            costs[t.col_of_plus[k]] += sense * c
             if t.col_of_minus[k] is not None:
-                costs[t.col_of_minus[k]] -= cc
+                costs[t.col_of_minus[k]] -= sense * c
     t._set_costs(costs)
     state = t._run()
     point = t.structural_point()

@@ -7,7 +7,10 @@ semantics for everything used here.  `rat` is the only constructor the rest of
 the code base calls.
 
 Vectors are plain tuples of rationals.  The linear algebra is textbook
-fraction-free-ish Gaussian elimination; sizes never exceed a few dozen rows.
+Gauss-Jordan elimination over rationals (each pivot row is divided by its
+pivot); sizes never exceed a few dozen rows.  `integer_row` turns a rational
+constraint row into coprime Python ints plus its positive scale, the form the
+fraction-free LP tableau works on.
 """
 
 from __future__ import annotations
@@ -127,20 +130,26 @@ def scaled_ints(values: Iterable, den: int) -> list[int]:
     return [int(q.numerator) * (den // int(q.denominator)) for q in values]
 
 
+def integer_row(coeffs: Sequence, rhs) -> tuple:
+    """(ints, r, scale): (coeffs, rhs) times a positive rational `scale`, as
+    Python ints with no common factor (all zero for a zero row, scale 1)."""
+    row = (*coeffs, rhs)
+    den = common_denominator(row)
+    *ints, r = scaled_ints(row, den)
+    g = gcd(*ints, r)
+    if g > 1:
+        ints = [v // g for v in ints]
+        r //= g
+    return tuple(ints), r, _make(den, g or 1)
+
+
 def normalize_row(coeffs: Sequence, rhs):
     """Scale (coeffs, rhs) by a positive rational so entries are coprime integers.
 
     Keeps tableau and constraint entries small; the constraint's solution set is
     unchanged because the factor is positive.
     """
-    row = (*coeffs, rhs)
-    *ints, r = scaled_ints(row, common_denominator(row))
-    g = 0
-    for v in ints + [r]:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        r = r // g
+    ints, r, _ = integer_row(coeffs, rhs)
     return tuple(_make(v, 1) for v in ints), _make(r, 1)
 
 

@@ -75,6 +75,16 @@ def test_generate_then_verify_lower_bound(capsys):
     assert report["results"]["all_ok"] is True
 
 
+def test_verify_lower_bound_planar_f3_fits_the_default_budgets(capsys):
+    # 18 segments exceed max_subfamily_sets; pairwise disjoint, they need no tau
+    code, report, _ = invoke(capsys, "verify-lower-bound", "planar", "--f", "3", "--seed", "0")
+    assert code == 0
+    claims = {c["claim"]: c for c in report["results"]["claims"]}
+    assert claims["piercing number of segments"]["observed"] == 18
+    assert claims["segments pairwise disjoint"]["observed"] is True
+    assert report["results"]["all_ok"] is True
+
+
 def test_duality_triangle_with_multiplicity_two(capsys):
     code, report, _ = invoke(
         capsys,

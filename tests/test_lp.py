@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hellykit import lp as lp_module
 from hellykit.errors import InputError
 from hellykit.lp import (
     Feasible,
@@ -18,7 +24,7 @@ from hellykit.lp import (
     verify_point,
     verify_ray,
 )
-from hellykit.rationals import rat, vec
+from hellykit.rationals import dot, rat, rat_str, solve_linear, vec
 
 
 def row(coeffs, rhs):
@@ -125,3 +131,198 @@ def test_random_lps_always_verify():
             assert verify_farkas(lp, out)
         else:
             raise AssertionError("objective given, Feasible should not appear")
+
+
+# ---------------------------------------------------------------------------
+# exact outputs pinned over a seeded corpus (pivot order, points, rays, and
+# normalized Farkas multipliers must not drift)
+
+
+PINNED_DIGEST = "ad45abe9ec24693afccadbcb92863d00001a8169bb8fa8eaf45b41d4bf2fb2c8"
+
+
+def _random_coeff(rng):
+    if rng.random() < 0.3:
+        return rat(0)
+    return rat(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _pinned_corpus():
+    rng = random.Random("lp-pinned-outputs")
+    corpus = []
+    for _ in range(400):
+        n = rng.randint(1, 4)
+
+        def rand_row():
+            return tuple(_random_coeff(rng) for _ in range(n)), _random_coeff(rng)
+
+        leq = [rand_row() for _ in range(rng.randint(0, 6))]
+        eq = [rand_row() for _ in range(rng.choice((0, 0, 1, 2)))]
+        if leq and rng.random() < 0.3:
+            leq.append(rng.choice(leq))  # duplicated row
+        if rng.random() < 0.15:
+            leq.append((tuple(rat(0) for _ in range(n)), rat(rng.randint(-1, 2))))
+        if eq and rng.random() < 0.3:
+            coeffs, rhs = rng.choice(eq)
+            eq.append((tuple(2 * a for a in coeffs), 2 * rhs))  # redundant equality
+        objective = None
+        if rng.random() < 0.8:
+            objective = tuple(_random_coeff(rng) for _ in range(n))
+        corpus.append(
+            LinearProgram(
+                n,
+                leq=tuple(leq),
+                eq=tuple(eq),
+                objective=objective,
+                maximize=rng.random() < 0.5,
+                nonneg=rng.random() < 0.3,
+            )
+        )
+    return corpus
+
+
+def _canonical(out) -> str:
+    """Backend-independent text of an outcome: kind plus every exact value."""
+    fields = [getattr(out, name) for name in out.__dataclass_fields__]
+    parts = [
+        ",".join(rat_str(v) for v in f) if isinstance(f, tuple) else rat_str(f)
+        for f in fields
+    ]
+    return type(out).__name__ + "(" + ";".join(parts) + ")"
+
+
+def test_pinned_outputs_on_a_seeded_corpus():
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for lp in _pinned_corpus():
+        out = lp_solve(lp)
+        kinds[type(out).__name__] += 1
+        digest.update(_canonical(out).encode() + b"\n")
+    assert set(kinds) == {"Optimal", "Feasible", "Infeasible", "Unbounded"}
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_beale_cycling_example_terminates_at_the_optimum():
+    # Beale (1955): cycles under the textbook largest-coefficient rule
+    lp = LinearProgram(
+        4,
+        leq=(
+            row(("1/4", -60, "-1/25", 9), 0),
+            row(("1/2", -90, "-1/50", 3), 0),
+            row((0, 0, 1, 0), 1),
+        ),
+        objective=vec(("-3/4", 150, "-1/50", 6)),
+        maximize=False,
+        nonneg=True,
+    )
+    out = lp_solve(lp)
+    assert out == Optimal(vec(("1/25", 0, 1, 0)), rat(-1, 20))
+
+
+# ---------------------------------------------------------------------------
+# optimality against an independent oracle: brute-force vertex enumeration
+
+BOX = 5
+COEF = st.builds(rat, st.integers(-12, 12), st.integers(1, 3))
+
+
+@st.composite
+def boxed_lps(draw):
+    """LPs in <= 3 variables inside the box -BOX <= x <= BOX."""
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(st.tuples(*([COEF] * n)), COEF)
+    leq = draw(st.lists(rows, max_size=4))
+    if leq and draw(st.booleans()):
+        leq.append(draw(st.sampled_from(leq)))  # duplicated row
+    eq = draw(st.lists(rows, max_size=2))
+    for k in range(n):
+        unit = tuple(rat(int(j == k)) for j in range(n))
+        leq += [(unit, rat(BOX)), (tuple(-v for v in unit), rat(BOX))]
+    return LinearProgram(
+        n,
+        leq=tuple(leq),
+        eq=tuple(eq),
+        objective=draw(st.tuples(*([COEF] * n))),
+        maximize=draw(st.booleans()),
+        nonneg=draw(st.booleans()),
+    )
+
+
+def _vertex_candidates(lp):
+    """Feasible solutions of every n-row subsystem taken as equalities.
+
+    Every vertex of the (bounded) feasible set is among them, so they are
+    empty exactly when the LP is infeasible, and the best objective value over
+    them is the optimum."""
+    n = lp.num_vars
+    rows = list(lp.leq) + list(lp.eq)
+    if lp.nonneg:
+        rows += [(tuple(rat(-int(j == k)) for j in range(n)), rat(0)) for k in range(n)]
+    for combo in itertools.combinations(rows, n):
+        x = solve_linear([c for c, _ in combo], [r for _, r in combo])
+        if x is not None and verify_point(lp, x):
+            yield x
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(boxed_lps())
+def test_optimum_matches_vertex_enumeration(lp):
+    values = [dot(lp.objective, x) for x in _vertex_candidates(lp)]
+    out = lp_solve(lp)
+    if not values:
+        assert isinstance(out, Infeasible)
+        return
+    assert isinstance(out, Optimal)
+    assert verify_point(lp, out.point)
+    assert out.value == dot(lp.objective, out.point)
+    assert out.value == (max(values) if lp.maximize else min(values))
+
+
+# ---------------------------------------------------------------------------
+# the tableau stays on Python ints: a rational slipping back into the rows
+# would keep every answer right but cost the integer kernel its speed
+
+
+def test_tableau_entries_stay_python_ints(monkeypatch):
+    pivot, evict = lp_module._Tableau._pivot, lp_module._evict_artificials
+    phase, seen = ["phase 1"], set()
+
+    def checked_pivot(t, r, c):
+        seen.add((phase[0], t.rows[r][c] < 0))
+        pivot(t, r, c)
+        assert type(t.den) is int and t.den > 0
+        for entries in (*t.rows, t.obj):
+            assert all(type(x) is int for x in entries)
+
+    def tracked_evict(t):
+        phase[0] = "eviction"
+        evict(t)
+        phase[0] = "phase 2"
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp_module, "_evict_artificials", tracked_evict)
+    lps = [
+        # an artificial stays basic at zero and leaves on a negative pivot
+        LinearProgram(
+            2,
+            leq=(row((0, 2), 1), row((0, -2), -1)),
+            eq=(row((1, 0), 0),),
+            objective=vec(("1/3", "2/5")),
+        ),
+        LinearProgram(2, leq=(row(("1/2", 1), "7/3"), row((-1, "1/4"), 0))),
+        LinearProgram(1, leq=(row(("1/2",), 0), row((-1,), "-1/3"))),
+        LinearProgram(2, leq=(row((-1, 0), "1/2"),), objective=vec(("3/2", 0))),
+    ]
+    kinds = []
+    for lp in lps:
+        phase[0] = "phase 1"
+        kinds.append(type(lp_solve(lp)).__name__)
+    assert kinds == ["Optimal", "Feasible", "Infeasible", "Unbounded"]
+    assert {"phase 1", "phase 2", "eviction"} <= {p for p, _ in seen}
+    assert ("eviction", True) in seen

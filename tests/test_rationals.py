@@ -7,6 +7,7 @@ import pytest
 from hellykit.errors import InputError
 from hellykit.rationals import (
     dot,
+    integer_row,
     nullspace,
     normalize_row,
     rank,
@@ -46,6 +47,13 @@ def test_normalize_row_keeps_the_sign():
     coeffs, rhs = normalize_row(vec((rat(0), rat(-2))), rat(-4))
     assert coeffs == (rat(0), rat(-1))
     assert rhs == rat(-2)
+
+
+def test_integer_row_returns_python_ints_and_the_scale():
+    ints, rhs, scale = integer_row(vec((rat(2, 3), rat(-4, 3))), rat(2))
+    assert (ints, rhs, scale) == ((1, -2), 3, rat(3, 2))
+    assert type(rhs) is int and all(type(v) is int for v in ints)
+    assert integer_row(vec((0, 0)), rat(0)) == ((0, 0), 0, rat(1))
 
 
 def test_rank_and_nullspace():
