@@ -37,7 +37,6 @@ from .geometry import (
     _flat_rows,
     first_meeting,
     line_through,
-    polyhedra_intersect,
     polytope_from_vertices,
 )
 from .lp import LinearProgram, Optimal, lp_solve
@@ -154,10 +153,6 @@ def _triangle_scheme(m: int, rng: random.Random) -> list[tuple]:
     return params
 
 
-def _meets(a: Polyhedron, b: Polyhedron) -> bool:
-    return polyhedra_intersect([a, b]).feasible
-
-
 # -- planar construction ------------------------------------------------------
 
 
@@ -223,7 +218,7 @@ def _check_planar_segments(
     """First violated segment property, or None when all hold."""
     for si, seg in enumerate(segments):
         for ti, tri in enumerate(triangles):
-            if not _meets(seg, tri):
+            if first_meeting([seg, tri], 2) is None:
                 return f"segment {si} misses triangle {ti}"
     pair = first_meeting(segments, 2)
     if pair is not None:
@@ -254,7 +249,7 @@ def generate_planar(f: int, seed: int = 0) -> PlanarConstruction:
     triangles = tuple(_scheme_set(mu, theta, corners) for mu, theta in params)
 
     for i, j in itertools.combinations(range(m), 2):
-        if not _meets(triangles[i], triangles[j]):
+        if first_meeting([triangles[i], triangles[j]], 2) is None:
             raise GenerationError(f"triangles {i} and {j} fail to meet")
     triple = first_meeting(triangles, 3)
     if triple is not None:

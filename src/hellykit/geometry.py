@@ -5,9 +5,9 @@ The universal carrier is the H-representation
     P = {x in R^d : N x <= c, E x = f}
 
 with rational data; lower-dimensional sets (segments, polygon facets,
-hyperplanes) carry explicit equality rows.  Constraint rows are normalized to
-coprime integer coefficients on construction, which keeps downstream LP
-tableaus small.
+hyperplanes) carry explicit equality rows.  Each row is stored as coprime
+Python ints, its only integer form, which the LP tableau and the line kernel
+read as stored; rationals stay at the API edge (offsets, points, flats).
 
 Vertex-list inputs are converted on ingestion by `polytope_from_vertices`:
 the affine hull is computed exactly, the facet system is enumerated inside a
@@ -16,9 +16,9 @@ coordinates.  That one routine covers segments, polygons, and the small
 simplicial shapes (d <= 4) the constructions need.
 
 Line-versus-set crossing (`flat_crosses` with k = 1), the inner loop of every
-line cover, is decided in Python-int arithmetic on those coprime rows: each
-polyhedron and each line caches its integer form once, and parameter bounds
-are compared by cross-multiplication, so no rational is built per test.
+line cover, is decided in Python-int arithmetic on the stored rows: each line
+caches its integer form once, and parameter bounds are compared by
+cross-multiplication, so no rational is built per test.
 """
 
 from __future__ import annotations
@@ -59,18 +59,23 @@ class Point:
         return len(self.coords)
 
 
+def _stored_row(normal: Sequence, offset, name: str) -> tuple:
+    """(normal, offset) as coprime Python ints; the normal must be nonzero."""
+    n = vec(normal)
+    if is_zero_vec(n):
+        raise InputError(f"{name} normal must be nonzero")
+    return normalize_row(n, rat(offset))
+
+
 @dataclass(frozen=True)
 class Halfspace:
-    """{x : normal . x <= offset}; normal != 0, stored with coprime integers."""
+    """{x : normal . x <= offset}; normal != 0, stored as coprime Python ints."""
 
     normal: Vec
     offset: object
 
     def __post_init__(self):
-        n = tuple(rat(v) for v in self.normal)
-        if is_zero_vec(n):
-            raise InputError("halfspace normal must be nonzero")
-        n, c = normalize_row(n, rat(self.offset))
+        n, c = _stored_row(self.normal, self.offset, "halfspace")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", c)
 
@@ -80,18 +85,14 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """{x : normal . x = offset}; sign-canonical so equal sets compare equal."""
+    """{x : normal . x = offset}; stored like a Halfspace, sign-canonical."""
 
     normal: Vec
     offset: object
 
     def __post_init__(self):
-        n = tuple(rat(v) for v in self.normal)
-        if is_zero_vec(n):
-            raise InputError("hyperplane normal must be nonzero")
-        n, c = normalize_row(n, rat(self.offset))
-        lead = next(v for v in n if v)
-        if lead < 0:
+        n, c = _stored_row(self.normal, self.offset, "hyperplane")
+        if next(v for v in n if v) < 0:
             n = tuple(-v for v in n)
             c = -c
         object.__setattr__(self, "normal", n)
@@ -149,19 +150,6 @@ class Polyhedron:
             raise DimensionError("point/polyhedron dimension mismatch")
         return all(h.contains(coords) for h in self.inequalities) and all(
             h.contains(coords) for h in self.equalities
-        )
-
-    @cached_property
-    def _int_rows(self) -> tuple:
-        """All rows as (normal, offset) Python ints meaning normal . x <= offset;
-        each equality contributes two opposite rows.  Exact because every row
-        is stored as coprime integers."""
-        rows = [(h.normal, h.offset) for h in self.inequalities]
-        for h in self.equalities:
-            rows.append((h.normal, h.offset))
-            rows.append((tuple(-v for v in h.normal), -h.offset))
-        return tuple(
-            (tuple(int(v.numerator) for v in n), int(c.numerator)) for n, c in rows
         )
 
     def feasibility_lp(self, objective=None, maximize=True) -> LinearProgram:
@@ -372,9 +360,9 @@ def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
 
     k = 0 degenerates to point membership; k >= 2 goes to the simplex.
     k = 1 is exact interval propagation (the one-variable LP spelled out) in
-    integer arithmetic on the coprime rows: with base = B / D and integer
-    direction V, row (n, c) reads a * t <= r for a = n . V, r = c * D - n . B,
-    and the bounds r / a are compared by cross-multiplication.
+    integer arithmetic on the stored rows: with base = B / D and integer
+    direction V, row (n, c) reads a * t <= r (or =) for a = n . V,
+    r = c * D - n . B, and the bounds r / a are compared by cross-multiplication.
     """
     if flat.dim != poly.dim:
         raise DimensionError("flat/polyhedron dimension mismatch")
@@ -385,19 +373,24 @@ def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
         # t <= hn / hd and t >= ln / ld with hd, ld >= 0; a zero denominator
         # stands for an infinite bound (hn = 1 or ln = -1)
         hn, hd, ln, ld = 1, 0, -1, 0
-        for n, c in poly._int_rows:
-            a, r = 0, c * den
-            for x, v, b in zip(n, direction, base):
-                a += x * v
-                r -= x * b
-            if a > 0:
-                if r * hd < hn * a:
-                    hn, hd = r, a
-            elif a < 0:
-                if r * ld < ln * a:
-                    ln, ld = -r, -a
-            elif r < 0:
-                return False
+        for is_eq, rows in ((False, poly.inequalities), (True, poly.equalities)):
+            for h in rows:
+                a, r = 0, h.offset * den
+                for x, v, b in zip(h.normal, direction, base):
+                    a += x * v
+                    r -= x * b
+                if is_eq and a < 0:  # a * t = r with a > 0 bounds t on both sides
+                    a, r = -a, -r
+                if a > 0:
+                    if r * hd < hn * a:
+                        hn, hd = r, a
+                    if is_eq and r * ld > ln * a:
+                        ln, ld = r, a
+                elif a < 0:
+                    if r * ld < ln * a:
+                        ln, ld = -r, -a
+                elif r < 0 or is_eq and r:
+                    return False
         return ln * hd <= hn * ld
     leq, eq = _flat_rows(flat, poly)
     lp = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))

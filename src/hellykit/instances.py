@@ -20,6 +20,7 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
+    first_meeting,
     polyhedra_intersect,
     polytope_from_vertices,
 )
@@ -39,10 +40,6 @@ def random_hypergraph(seed: int, max_vertices: int = 12, max_edges: int = 20) ->
         size = rng.randint(1, n)
         edges.append(frozenset(rng.sample(range(n), size)))
     return Hypergraph(n, tuple(edges))
-
-
-def _meets(a: Polyhedron, b: Polyhedron) -> bool:
-    return polyhedra_intersect([a, b]).feasible
 
 
 def _random_polygon(rng: random.Random, span: int = 8) -> Polyhedron:
@@ -105,7 +102,7 @@ def random_two_colored(seed: int, dim: int) -> tuple[list, list]:
                     [rat(c + size) for c in center],
                 )
             )
-        if all(_meets(a, b) for a in a_sets for b in b_sets):
+        if all(first_meeting([a, b], 2) is not None for a in a_sets for b in b_sets):
             return a_sets, b_sets
     raise GenerationError("two-colored instance preconditions not reached")
 
@@ -293,7 +290,8 @@ def random_fractional_instance(seed: int) -> tuple[list, list, object]:
             for _ in range(rng.randint(2, 4))
         ]
         meeting = sum(
-            1 for a, b in itertools.product(a_sets, b_sets) if _meets(a, b)
+            first_meeting([a, b], 2) is not None
+            for a, b in itertools.product(a_sets, b_sets)
         )
         alpha = rat(meeting, len(a_sets) * len(b_sets))
         if alpha >= half:

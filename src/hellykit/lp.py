@@ -14,10 +14,11 @@ certificate that is re-verified before it is returned:
 Problems are stated over free variables by default; `nonneg=True` constrains
 all variables to be >= 0 (used by the fractional transversal/matching LPs).
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
-tool.  It pivots fraction-free: each constraint enters as coprime Python
-ints, the rows share one integer denominator (the basis determinant), and
-rationals appear only when a point, ray or certificate is read out.  The
-pivot sequence is that of the rational tableau, so the answers are too.
+tool.  It pivots fraction-free: each row enters as given and is scaled to
+coprime Python ints (a stored polyhedron row already is), the rows share one
+integer denominator (the basis determinant), and rationals appear only when a
+point, ray or certificate is read out.  The pivot sequence is that of the
+rational tableau, so the answers are too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .rationals import (
     is_zero_vec,
     rat,
     scaled_ints,
+    vec,
 )
 
 
@@ -181,7 +183,11 @@ class _Tableau:
         self.scale = []  # positive factor from the original row to the stored one
         for kind, source in (("leq", lp.leq), ("eq", lp.eq)):
             for idx, (coeffs, rhs) in enumerate(source):
-                c, r, k = integer_row(tuple(rat(x) for x in coeffs), rat(rhs))
+                try:
+                    c, r, k = integer_row(coeffs, rhs)
+                except AttributeError:  # an entry that is not an int or rational
+                    vec((*coeffs, rhs))  # raises rat's InputError, e.g. for floats
+                    raise
                 rows.append((c, r, kind == "leq"))
                 self.row_kind.append((kind, idx))
                 self.scale.append(k)

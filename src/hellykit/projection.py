@@ -62,14 +62,15 @@ def eliminate_variable(nvars: int, leq: list, eq: list, j: int):
     new_leq, new_eq = [], []
     if pivot_idx is not None:
         pc, pr = eq[pivot_idx]
+        pj = rat(pc[j])  # a rational divisor keeps int rows exact
         for i, (coeffs, rhs) in enumerate(eq):
             if i == pivot_idx:
                 continue
-            f = coeffs[j] / pc[j]
+            f = coeffs[j] / pj
             nc = tuple(a - f * b for a, b in zip(coeffs, pc))
             new_eq.append((drop(nc), rhs - f * pr))
         for coeffs, rhs in leq:
-            f = coeffs[j] / pc[j]
+            f = coeffs[j] / pj
             nc = tuple(a - f * b for a, b in zip(coeffs, pc))
             new_leq.append((drop(nc), rhs - f * pr))
     else:

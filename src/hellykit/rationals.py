@@ -9,8 +9,8 @@ the code base calls.
 Vectors are plain tuples of rationals.  The linear algebra is textbook
 Gauss-Jordan elimination over rationals (each pivot row is divided by its
 pivot); sizes never exceed a few dozen rows.  `integer_row` turns a rational
-constraint row into coprime Python ints plus its positive scale, the form the
-fraction-free LP tableau works on.
+row into coprime Python ints plus its positive scale for the fraction-free LP
+tableau; `normalize_row` gives the ints alone, the form polyhedra store.
 """
 
 from __future__ import annotations
@@ -143,14 +143,12 @@ def integer_row(coeffs: Sequence, rhs) -> tuple:
     return tuple(ints), r, _make(den, g or 1)
 
 
-def normalize_row(coeffs: Sequence, rhs):
-    """Scale (coeffs, rhs) by a positive rational so entries are coprime integers.
+def normalize_row(coeffs: Sequence, rhs) -> tuple:
+    """(coeffs, rhs) scaled by a positive rational to coprime Python ints.
 
-    Keeps tableau and constraint entries small; the constraint's solution set is
-    unchanged because the factor is positive.
+    The constraint's solution set is unchanged because the factor is positive.
     """
-    ints, r, _ = integer_row(coeffs, rhs)
-    return tuple(_make(v, 1) for v in ints), _make(r, 1)
+    return integer_row(coeffs, rhs)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
+        pv = rat(rows[r][c])  # a rational divisor keeps int rows exact
         rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:

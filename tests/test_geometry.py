@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hellykit.colorful import ColoredFamily
+from hellykit.constructions import generate_planar, generate_simplex_family
 from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
     AffineFlat,
@@ -24,8 +26,17 @@ from hellykit.geometry import (
     verify_farkas_entries,
     vertices_of,
 )
+from hellykit.instances import (
+    random_ch_family,
+    random_ch_pair,
+    random_fractional_instance,
+    random_polygon_family,
+    random_two_colored,
+)
 from hellykit.lp import Feasible, LinearProgram, lp_solve
+from hellykit.projection import project_polyhedron
 from hellykit.rationals import ZERO, dot, normalize_row, rat, vec, vsub
+from hellykit.serialize import family_from_doc, family_to_doc
 
 
 def box(lo, hi):
@@ -147,6 +158,86 @@ def test_translated_box_contains_shifted_point():
     b = box((0, 0), (1, 1)).translated(vec((5, 5)))
     assert b.contains(vec((rat(11, 2), rat(11, 2))))
     assert not b.contains(vec((0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# stored rows are Python ints: the LP tableau and the line kernel read them
+# as they are, so a rational slipping back in would cost both their speed
+
+
+def _stored_rows(obj):
+    if isinstance(obj, (Halfspace, Hyperplane)):
+        yield obj
+    elif isinstance(obj, Polyhedron):
+        yield from obj.inequalities + obj.equalities
+    elif isinstance(obj, ColoredFamily):
+        yield from _stored_rows(obj.all_sets())
+    else:
+        for item in obj:
+            yield from _stored_rows(item)
+
+
+def _mixed_family():
+    return ColoredFamily(
+        2,
+        (
+            (box(("1/2", 0), (3, "7/3")), polytope_from_vertices(2, [(0, 0), ("1/3", 1)])),
+            (Polyhedron(2, (Halfspace((rat(2, 3), "-0.5"), 4),)),),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [Halfspace((2, -4), 6), Hyperplane((-3, 9), 12)],
+        lambda: [
+            Halfspace((rat(2, 3), rat(-4, 3)), rat(2)),
+            Hyperplane((rat(-1, 2), rat(1, 4)), rat(5, 6)),
+        ],
+        lambda: [Halfspace(("1/2", "-0.25"), "3/7"), Hyperplane(("-2", "3/5"), "1.5")],
+        lambda: box(("-1/2", 0), (3, "2/3")),
+        lambda: polytope_from_vertices(3, [(0, 0, 0), ("1/2", 1, 0), (0, "1/3", 2)]),
+        lambda: box((0, 0), (1, 1)).translated(("1/3", "-2/7")),
+        lambda: [
+            project_polyhedron(polytope_from_vertices(3, verts), direction)
+            for verts, direction in (
+                ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 2, "1/3")),
+                ([(0, 0, 0), (1, 2, 3)], (0, 0, 1)),
+            )
+        ],
+        lambda: family_from_doc(family_to_doc(_mixed_family()))[0],
+        lambda: random_polygon_family(3),
+        lambda: random_two_colored(3, 2),
+        lambda: random_ch_pair(3),
+        lambda: random_ch_family(3, 2),
+        lambda: random_fractional_instance(3)[:2],
+        lambda: generate_planar(2, 7).family,
+        lambda: generate_simplex_family(2, 1, 0).family,
+    ],
+    ids=[
+        "int-rows",
+        "rational-rows",
+        "string-rows",
+        "box",
+        "polytope-from-vertices",
+        "translated",
+        "project-polyhedron",
+        "serialize-round-trip",
+        "random-polygon-family",
+        "random-two-colored",
+        "random-ch-pair",
+        "random-ch-family",
+        "random-fractional-instance",
+        "generate-planar",
+        "generate-simplex-family",
+    ],
+)
+def test_stored_rows_are_python_ints(build):
+    rows = list(_stored_rows(build()))
+    assert rows
+    for h in rows:
+        assert all(type(x) is int for x in h.normal) and type(h.offset) is int
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hellykit import lp as lp_module
+from hellykit.constructions import generate_planar, generate_simplex_family
 from hellykit.errors import InputError
 from hellykit.lp import (
     Feasible,
@@ -111,6 +112,19 @@ def test_row_width_mismatch_is_an_input_error():
         LinearProgram(2, leq=(row((1,), 0),))
 
 
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(1, leq=(((0.5,), 1),)),
+        LinearProgram(2, leq=(((1, 0), 1),), eq=(((1, 1), 0.25),)),
+    ],
+    ids=["coefficient", "equality-rhs"],
+)
+def test_float_rows_are_an_input_error(lp):
+    with pytest.raises(InputError, match="floats are not accepted"):
+        lp_solve(lp)
+
+
 def test_random_lps_always_verify():
     rng = random.Random("lp-regression")
     for trial in range(60):
@@ -200,6 +214,51 @@ def test_pinned_outputs_on_a_seeded_corpus():
         digest.update(_canonical(out).encode() + b"\n")
     assert set(kinds) == {"Optimal", "Feasible", "Infeasible", "Unbounded"}
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _lp_text(lp: LinearProgram) -> str:
+    """Backend-independent text of a program: every entry through rat_str, so
+    int and rational entries of equal value read the same."""
+
+    def rows(source):
+        return ";".join(",".join(map(rat_str, c)) + "<" + rat_str(r) for c, r in source)
+
+    objective = "-" if lp.objective is None else ",".join(map(rat_str, lp.objective))
+    return f"{lp.num_vars}|{rows(lp.leq)}|{rows(lp.eq)}|{objective}|{lp.maximize}|{lp.nonneg}"
+
+
+@pytest.mark.parametrize(
+    "build, solves, pinned",
+    [
+        (
+            lambda: generate_planar(2, 7),
+            164,
+            "6953a5016c008469956852d676718fb01afaca3b3b3b6bbd325f330a0732ff1a",
+        ),
+        (
+            lambda: generate_simplex_family(2, 1, 0),
+            39,
+            "d08b1c8d070dc58b749b63f4b1fdd27a67252adf2cc5812de6d9ffa821155443",
+        ),
+    ],
+    ids=["planar-2-7", "simplex-2-1-0"],
+)
+def test_construction_lp_sequences_are_pinned(monkeypatch, build, solves, pinned):
+    """The programs a construction solves, in order, with their outcomes."""
+    solved = []
+
+    class Recording(lp_module._Tableau):
+        def __init__(self, lp):
+            solved.append(lp)
+            super().__init__(lp)
+
+    monkeypatch.setattr(lp_module, "_Tableau", Recording)
+    build()
+    monkeypatch.undo()
+    digest = hashlib.sha256()
+    for lp in solved:
+        digest.update(f"{_lp_text(lp)} -> {_canonical(lp_solve(lp))}\n".encode())
+    assert (len(solved), digest.hexdigest()) == (solves, pinned)
 
 
 def test_beale_cycling_example_terminates_at_the_optimum():

@@ -10,7 +10,7 @@ from hellykit.projection import (
     poly_subset,
     project_polyhedron,
 )
-from hellykit.rationals import rat, vec
+from hellykit.rationals import ZERO, rat, vec
 
 
 def box(lo, hi):
@@ -29,6 +29,14 @@ def test_eliminate_variable_shadow_of_a_triangle():
     assert p.contains(vec((0,))) and p.contains(vec((2,)))
     assert not p.contains(vec((rat(21, 10),)))
     assert not out_eq
+
+
+def test_eliminate_variable_is_exact_on_int_rows():
+    # x + 2y <= 3 with 2x + y = 1: x = (1 - y) / 2 leaves (3/2) y <= 5/2
+    out_leq, out_eq = eliminate_variable(2, [((1, 2), 3)], [((2, 1), 1)], 0)
+    assert (out_leq, out_eq) == ([((rat(3, 2),), rat(5, 2))], [])
+    ((coeffs, rhs),) = out_leq
+    assert all(type(v) is type(ZERO) for v in (*coeffs, rhs))
 
 
 def test_project_box_along_diagonal_is_a_slab():

@@ -6,6 +6,7 @@ import pytest
 
 from hellykit.errors import InputError
 from hellykit.rationals import (
+    ZERO,
     dot,
     integer_row,
     nullspace,
@@ -47,6 +48,24 @@ def test_normalize_row_keeps_the_sign():
     coeffs, rhs = normalize_row(vec((rat(0), rat(-2))), rat(-4))
     assert coeffs == (rat(0), rat(-1))
     assert rhs == rat(-2)
+
+
+def test_normalize_row_returns_python_ints():
+    coeffs, rhs = normalize_row(vec(("1/2", "-3/4")), rat("5/8"))
+    assert (coeffs, rhs) == ((4, -6), 5)
+    assert type(rhs) is int and all(type(v) is int for v in coeffs)
+
+
+def test_dense_algebra_is_exact_on_int_input():
+    def exact(values):
+        return all(type(v) is type(ZERO) for v in values)
+
+    x = solve_linear([[2, 1]], [1])
+    assert x == (rat(1, 2), rat(0)) and exact(x)
+    (basis,) = nullspace([(2, 1)], 2)
+    assert basis == (rat(-1, 2), rat(1)) and exact(basis)
+    x = solve_linear([[3, 0], [1, 7]], [2, 1])
+    assert x == (rat(2, 3), rat(1, 21)) and exact(x)
 
 
 def test_integer_row_returns_python_ints_and_the_scale():
