@@ -265,7 +265,7 @@ def _cmd_d2_dichotomy(request: dict, budget: SearchBudget) -> Outcome:
     rep = check_ch(fam, budget)
     if not rep.holds:
         return _refutation(rep, ["cross-pair hypothesis refuted"])
-    out = theorem_main_d2(fam, budget)
+    out = theorem_main_d2(fam, budget, report=rep)
     if isinstance(out, PiercedClass):
         return _pierced(out, f"class {out.class_index} has a common point (1 <= 1 bound)")
     assert isinstance(out, LineCover)

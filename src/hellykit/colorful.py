@@ -69,7 +69,7 @@ from .hypergraphs import (
     piercing_number,
     plane_cover_number,
 )
-from .lp import Infeasible, LinearProgram, Optimal, aggregate_rows, lp_solve
+from .lp import Infeasible, Optimal, aggregate_rows, lp_solve
 from .projection import affine_project
 from .rationals import ZERO, dot, is_zero_vec, rat, vec
 
@@ -257,11 +257,6 @@ def _halfspace_contains_set(h: Halfspace, s: Polyhedron) -> bool:
     return isinstance(out, Infeasible)  # empty sets sit inside everything
 
 
-def _halfspaces_empty(dim: int, halfspaces: Sequence[Halfspace]) -> bool:
-    rows = tuple((h.normal, h.offset) for h in halfspaces)
-    return isinstance(lp_solve(LinearProgram(dim, leq=rows)), Infeasible)
-
-
 def _own_row_halfspace(s: Polyhedron) -> Halfspace:
     if s.inequalities:
         return s.inequalities[0]
@@ -276,18 +271,11 @@ def _repair_halfspace(s: Polyhedron, others: Sequence[Halfspace]) -> Halfspace:
     certificate puts no weight on the rows of s (which happens exactly when
     the other aggregates are contradictory on their own), any row of s works.
     """
-    d = s.dim
-    leq = [(h.normal, h.offset) for h in s.inequalities]
-    n_own = len(leq)
-    leq += [(h.normal, h.offset) for h in others]
-    eq = [(h.normal, h.offset) for h in s.equalities]
-    out = lp_solve(LinearProgram(d, leq=tuple(leq), eq=tuple(eq)))
-    if isinstance(out, Infeasible):
+    sets = [s, Polyhedron(s.dim, tuple(others))]
+    cert = polyhedra_intersect(sets)
+    if not cert.feasible:
         normal, offset = aggregate_rows(
-            d,
-            itertools.chain(
-                zip(out.leq_multipliers[:n_own], leq), zip(out.eq_multipliers, eq)
-            ),
+            s.dim, ((e.multiplier, e.row(sets)) for e in cert.farkas if e.set_index == 0)
         )
         if not is_zero_vec(normal):
             return Halfspace(normal, offset)
@@ -352,7 +340,7 @@ def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
     for i, (h, s) in enumerate(zip(halfspaces, sets)):
         if not _halfspace_contains_set(h, s):
             raise TheoremViolationError(f"halfspace {i} fails to contain its set")
-    if not _halfspaces_empty(d, halfspaces):
+    if not Polyhedron(d, tuple(halfspaces)).is_empty():
         raise TheoremViolationError("separating halfspaces still intersect")
     return SeparatingHalfspaces(tuple(halfspaces), tuple(entries), tuple(repaired))
 
@@ -439,18 +427,21 @@ def two_color_lemma(
 
 
 def theorem_main_d2(
-    fam: ColoredFamily, budget: SearchBudget = DEFAULT_BUDGET
+    fam: ColoredFamily,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    report: Optional[ChReport] = None,
 ) -> DichotomyOutcome:
     """Planar 2-colored dichotomy: one piercing point, or at most 4 lines.
 
     Runs the two-colored step in both role orders.  If neither class has a
     common point, each application contributes at most two bounding lines
     (crossing the opposite class), and their union crosses every set of the
-    family.  The cover is re-verified before emission.
+    family.  The cover is re-verified before emission.  A `report` from
+    check_ch on the same family stands in for the cross-pair sweep.
     """
     if fam.dim != 2 or fam.num_classes != 2:
         raise PreconditionError("expected two classes in the plane")
-    rep = check_ch(fam, budget)
+    rep = report if report is not None else check_ch(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "some pair of differently colored sets is disjoint",

@@ -182,9 +182,6 @@ class PlanarConstruction:
     def family(self) -> ColoredFamily:
         return ColoredFamily(2, (self.triangles, self.segments))
 
-    def segment_group(self, side: int) -> tuple:
-        return self.segments[side * self.m : (side + 1) * self.m]
-
 
 _FRAME = (
     (rat(0), rat(0)),
@@ -548,12 +545,12 @@ def _max_margin(width: int, leq: Sequence, slack: Sequence, eq: Sequence):
     last with delta added to their left-hand sides.  Rows are
     (coefficients, rhs) over `width` variables; returns (delta, point), or
     (None, None) when the rows are infeasible."""
-    zeros = (ZERO,) * width
-    rows = [((*c, ZERO), r) for c, r in leq]
-    rows.extend(((*c, ONE), r) for c, r in slack)
-    rows.append(((*zeros, ONE), ONE))
-    eqs = tuple(((*c, ZERO), r) for c, r in eq)
-    out = lp_solve(LinearProgram(width + 1, tuple(rows), eqs, (*zeros, ONE)))
+    zeros = (0,) * width
+    rows = [((*c, 0), r) for c, r in leq]
+    rows.extend(((*c, 1), r) for c, r in slack)
+    rows.append(((*zeros, 1), 1))
+    eqs = tuple(((*c, 0), r) for c, r in eq)
+    out = lp_solve(LinearProgram(width + 1, tuple(rows), eqs, (*zeros, 1)))
     if isinstance(out, Optimal):
         return out.value, tuple(out.point[:width])
     return None, None

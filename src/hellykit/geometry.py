@@ -153,9 +153,7 @@ class Polyhedron:
         )
 
     def feasibility_lp(self, objective=None, maximize=True) -> LinearProgram:
-        leq = tuple((h.normal, h.offset) for h in self.inequalities)
-        eq = tuple((h.normal, h.offset) for h in self.equalities)
-        return LinearProgram(self.dim, leq=leq, eq=eq, objective=objective, maximize=maximize)
+        return joint_lp([self], objective, maximize)[0]
 
     def feasible_point(self) -> Optional[Vec]:
         out = lp_solve(self.feasibility_lp())
@@ -266,7 +264,10 @@ class IntersectionCertificate:
 
 
 def joint_lp(sets: Sequence[Polyhedron], objective=None, maximize=True):
-    """LP for the intersection of `sets` plus row provenance lists."""
+    """LP for the intersection of `sets` plus row provenance lists.
+
+    The one place polyhedron rows become LP rows: the inequality rows of each
+    set in turn, and likewise the equality rows, as stored."""
     if not sets:
         raise InputError("need at least one polyhedron")
     d = sets[0].dim

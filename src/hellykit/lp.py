@@ -14,11 +14,13 @@ certificate that is re-verified before it is returned:
 Problems are stated over free variables by default; `nonneg=True` constrains
 all variables to be >= 0 (used by the fractional transversal/matching LPs).
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
-tool.  It pivots fraction-free: each row enters as given and is scaled to
-coprime Python ints (a stored polyhedron row already is), the rows share one
-integer denominator (the basis determinant), and rationals appear only when a
-point, ray or certificate is read out.  The pivot sequence is that of the
-rational tableau, so the answers are too.
+tool.  It pivots fraction-free: each row enters as given, the inequality rows
+and then the equality rows, and is scaled to coprime Python ints (a stored
+polyhedron row already is); the rows share one integer denominator (the basis
+determinant), and rationals appear only when a point, ray or certificate is
+read out.  The pivot sequence is that of the rational tableau, so the answers
+are too.  Polyhedra reach the solver through one builder, geometry.joint_lp,
+which fixes the row order and so the pivots and certificates.
 """
 
 from __future__ import annotations
@@ -159,58 +161,36 @@ class _Tableau:
     rows[i] / den and every division in `_pivot` is exact (Edmonds 1967,
     Bareiss 1968).  The reduced-cost row `obj` lives over the same `den`,
     times a positive constant when the costs are not integers; only its signs
-    are read.  Columns from `art` on are the artificials, one per row; they
-    never enter the basis.
+    are read.  Rows are the inequality rows, then the equality rows, each in
+    program order.  Columns are the structural ones, then a slack per
+    inequality row, then from `art` on the artificials, one per row; the
+    artificials never enter the basis.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = lp.num_vars
-        # expanded structural columns: one per nonneg var, a +/- pair per free var
-        self.col_of_plus = []
-        self.col_of_minus = []
-        cols = 0
-        for _ in range(n):
-            self.col_of_plus.append(cols)
-            cols += 1
-            if not lp.nonneg:
-                self.col_of_minus.append(cols)
-                cols += 1
-            else:
-                self.col_of_minus.append(None)
-        rows = []
-        self.row_kind = []  # ("leq", idx) / ("eq", idx)
-        self.scale = []  # positive factor from the original row to the stored one
-        for kind, source in (("leq", lp.leq), ("eq", lp.eq)):
-            for idx, (coeffs, rhs) in enumerate(source):
-                try:
-                    c, r, k = integer_row(coeffs, rhs)
-                except AttributeError:  # an entry that is not an int or rational
-                    vec((*coeffs, rhs))  # raises rat's InputError, e.g. for floats
-                    raise
-                rows.append((c, r, kind == "leq"))
-                self.row_kind.append((kind, idx))
-                self.scale.append(k)
-        self.art = cols + sum(has_slack for _, _, has_slack in rows)
-        total = self.art + len(rows)
-        self.total_cols = total
-        self.flip = []
-        self.rows = []
-        slack = cols  # slack columns follow the structural ones, in row order
-        for i, (coeffs, rhs, has_slack) in enumerate(rows):
-            sigma = -1 if rhs < 0 else 1
-            self.flip.append(sigma)
-            row = [0] * (total + 1)
-            for k, a in enumerate(coeffs):
-                if a:
-                    row[self.col_of_plus[k]] = sigma * a
-                    if self.col_of_minus[k] is not None:
-                        row[self.col_of_minus[k]] = -sigma * a
-            if has_slack:
-                row[slack] = sigma
-                slack += 1
+        # a variable spans one structural column per sign: (1,) when it is
+        # nonneg, the +/- pair (1, -1) when it is free
+        self.signs = (1,) if lp.nonneg else (1, -1)
+        self.num_vars = lp.num_vars
+        cols = lp.num_vars * len(self.signs)
+        n_leq = len(lp.leq)
+        self.art = cols + n_leq  # a slack column per inequality row, in row order
+        total = self.total_cols = self.art + n_leq + len(lp.eq)
+        self.flip, self.scale, self.rows = [], [], []
+        for i, (coeffs, rhs) in enumerate(chain(lp.leq, lp.eq)):
+            try:
+                c, r, k = integer_row(coeffs, rhs)
+            except AttributeError:  # an entry that is not an int or rational
+                vec((*coeffs, rhs))  # raises rat's InputError, e.g. for floats
+                raise
+            sigma = -1 if r < 0 else 1
+            row = [s * sigma * a for a in c for s in self.signs] + [0] * (total + 1 - cols)
+            if i < n_leq:
+                row[cols + i] = sigma
             row[self.art + i] = 1
-            row[total] = sigma * rhs
+            row[total] = sigma * r
+            self.flip.append(sigma)
+            self.scale.append(k)  # positive factor from the given row to the stored one
             self.rows.append(row)
         self.den = 1
         self.basis = list(range(self.art, total))
@@ -282,14 +262,11 @@ class _Tableau:
 
     def _structural(self, values: dict) -> Vec:
         """Map expanded-column numerators over `den` back to the variables."""
-        out = []
-        for k in range(self.lp.num_vars):
-            x = values.get(self.col_of_plus[k], 0)
-            mc = self.col_of_minus[k]
-            if mc is not None:
-                x -= values.get(mc, 0)
-            out.append(rat(x, self.den))
-        return tuple(out)
+        w = len(self.signs)
+        return tuple(
+            rat(sum(s * values.get(k * w + j, 0) for j, s in enumerate(self.signs)), self.den)
+            for k in range(self.num_vars)
+        )
 
     def structural_point(self) -> Vec:
         total = self.total_cols
@@ -314,29 +291,24 @@ def _eliminate(other: list, row: list, c: int, p: int, den: int) -> list:
     return [x * p // den for x in other]
 
 
-def _phase_one(t: _Tableau):
-    """Returns None if feasible, else the Infeasible certificate."""
+def _phase_one(t: _Tableau, n_leq: int):
+    """Returns None if feasible, else the Infeasible certificate; the first
+    `n_leq` rows are the inequality rows."""
     t._set_costs([0] * t.art + [1] * len(t.rows))
     state = t._run()
     if state == "unbounded":  # sum of artificials is bounded below by zero
         raise TheoremViolationError("phase-1 objective reported unbounded")
     if t.obj[t.total_cols] < 0:  # -den * (sum of artificials) < 0
-        n_leq = len(t.lp.leq)
-        mult_leq = [ZERO] * n_leq
-        mult_eq = [ZERO] * len(t.lp.eq)
-        for i in range(len(t.rows)):
-            # reduced cost of artificial i is 1 - y_i, so den * y_i is
-            # den - obj[art + i]; map the dual value back through the row's
-            # sign flip and normalization scale (the factor den cancels below)
-            mu = -t.flip[i] * (t.den - t.obj[t.art + i]) * t.scale[i]
-            kind, idx = t.row_kind[i]
-            if kind == "leq":
-                mult_leq[idx] = mu
-            else:
-                mult_eq[idx] = mu
-        mults = _normalize_multipliers(mult_leq + mult_eq)
-        cert = Infeasible(tuple(mults[:n_leq]), tuple(mults[n_leq:]))
-        return cert
+        # reduced cost of artificial i is 1 - y_i, so den * y_i is
+        # den - obj[art + i]; map the dual value back through the row's
+        # sign flip and normalization scale (the factor den cancels below)
+        mults = _normalize_multipliers(
+            [
+                -sigma * (t.den - t.obj[t.art + i]) * k
+                for i, (sigma, k) in enumerate(zip(t.flip, t.scale))
+            ]
+        )
+        return Infeasible(tuple(mults[:n_leq]), tuple(mults[n_leq:]))
     _evict_artificials(t)
     return None
 
@@ -368,7 +340,7 @@ def _evict_artificials(t: _Tableau) -> None:
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; every returned certificate is re-verified first."""
     t = _Tableau(lp)
-    cert = _phase_one(t)
+    cert = _phase_one(t, len(lp.leq))
     if cert is not None:
         if not verify_farkas(lp, cert):
             raise TheoremViolationError("Farkas certificate failed verification")
@@ -382,13 +354,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     # objective's denominators (a positive factor) changes no pivot
     objective = tuple(rat(c) for c in lp.objective)
     sense = -1 if lp.maximize else 1
-    costs = [0] * t.total_cols
-    for k, c in enumerate(scaled_ints(objective, common_denominator(objective))):
-        if c:
-            costs[t.col_of_plus[k]] += sense * c
-            if t.col_of_minus[k] is not None:
-                costs[t.col_of_minus[k]] -= sense * c
-    t._set_costs(costs)
+    ints = scaled_ints(objective, common_denominator(objective))
+    costs = [s * sense * c for c in ints for s in t.signs]
+    t._set_costs(costs + [0] * (t.total_cols - len(costs)))
     state = t._run()
     point = t.structural_point()
     if not verify_point(lp, point):

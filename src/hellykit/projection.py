@@ -148,24 +148,15 @@ def poly_subset(p: Polyhedron, q: Polyhedron) -> bool:
     """Is P a subset of Q?  Decided row by row with exact LPs."""
     if p.dim != q.dim:
         raise DimensionError("comparing polyhedra of different dimensions")
-    p_lp_rows = (
-        [(h.normal, h.offset) for h in p.inequalities],
-        [(h.normal, h.offset) for h in p.equalities],
-    )
-    if isinstance(_solve_rows(p.dim, *p_lp_rows), Infeasible):
+    if p.is_empty():
         return True
-    for h in q.inequalities:
-        out = _solve_rows(p.dim, *p_lp_rows, objective=h.normal, maximize=True)
-        if isinstance(out, Unbounded) or (isinstance(out, Optimal) and out.value > h.offset):
-            return False
+    bounds = [(h.normal, h.offset) for h in q.inequalities]
     for h in q.equalities:
-        for sign in (1, -1):
-            obj = tuple(sign * v for v in h.normal)
-            out = _solve_rows(p.dim, *p_lp_rows, objective=obj, maximize=True)
-            if isinstance(out, Unbounded) or (
-                isinstance(out, Optimal) and out.value > sign * h.offset
-            ):
-                return False
+        bounds += [(h.normal, h.offset), (tuple(-v for v in h.normal), -h.offset)]
+    for normal, offset in bounds:
+        out = lp_solve(p.feasibility_lp(normal))
+        if isinstance(out, Unbounded) or (isinstance(out, Optimal) and out.value > offset):
+            return False
     return True
 
 

@@ -1,10 +1,8 @@
 """Exact rational arithmetic and small dense linear algebra.
 
-All decision paths in the toolkit run over exact rationals.  The carrier is
-gmpy2.mpq when available (noticeably faster) and fractions.Fraction otherwise;
-both are reduced-form rationals with positive denominators and identical
-semantics for everything used here.  `rat` is the only constructor the rest of
-the code base calls.
+All decision paths in the toolkit run over exact rationals, carried as
+fractions.Fraction (reduced, positive denominator).  `rat` is the only
+constructor the rest of the code base calls.
 
 Vectors are plain tuples of rationals.  The linear algebra is textbook
 Gauss-Jordan elimination over rationals (each pivot row is divided by its
@@ -21,25 +19,10 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 
-try:  # pragma: no cover - exercised implicitly by whichever backend is present
-    from gmpy2 import mpq as _mpq
+RATIONAL_BACKEND = "fractions.Fraction"
 
-    _BACKEND = "gmpy2.mpq"
-
-    def _make(num, den):
-        return _mpq(num, den)
-
-except ImportError:  # pragma: no cover
-    _BACKEND = "fractions.Fraction"
-
-    def _make(num, den):
-        return Fraction(num, den)
-
-
-RATIONAL_BACKEND = _BACKEND
-
-ZERO = _make(0, 1)
-ONE = _make(1, 1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 Vec = tuple  # tuple of rationals; alias for readability in signatures
 
@@ -49,25 +32,23 @@ def rat(value, den=None):
     if den is not None:
         if den == 0:
             raise InputError("zero denominator")
-        return _make(value, den)
-    if type(value) is type(ZERO):  # already reduced, and immutable
+        return Fraction(value, den)
+    if type(value) is Fraction:  # already reduced, and immutable
         return value
     if isinstance(value, str):
-        text = value.strip()
         try:
-            f = Fraction(text)  # accepts "3", "-3/7", "1.25"
+            return Fraction(value.strip())  # accepts "3", "-3/7", "1.25"
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {value!r}") from exc
-        return _make(f.numerator, f.denominator)
     if isinstance(value, float):
         raise InputError("floats are not accepted; pass a string or rational")
     if isinstance(value, int):
-        return _make(value, 1)
+        return Fraction(value)
     num = getattr(value, "numerator", None)
     d = getattr(value, "denominator", None)
     if num is None or d is None:
         raise InputError(f"cannot interpret {value!r} as a rational")
-    return _make(num, d)
+    return Fraction(num, d)
 
 
 def rat_str(q) -> str:
@@ -96,7 +77,7 @@ def dot(a: Sequence, b: Sequence):
     acc = ZERO
     for x, y in zip(a, b):
         if x and y:
-            acc += x * y
+            acc += y * x  # callers pass the int row first: Fraction * int is faster
     return acc
 
 
@@ -140,7 +121,7 @@ def integer_row(coeffs: Sequence, rhs) -> tuple:
     if g > 1:
         ints = [v // g for v in ints]
         r //= g
-    return tuple(ints), r, _make(den, g or 1)
+    return tuple(ints), r, Fraction(den, g or 1)
 
 
 def normalize_row(coeffs: Sequence, rhs) -> tuple:

@@ -321,6 +321,25 @@ SUBCOMMAND_ARGS = {
 }
 
 
+def test_d2_dichotomy_sweeps_the_cross_pairs_once(capsys, tmp_path, monkeypatch):
+    from hellykit import cli, colorful
+
+    path = _ch_pair(tmp_path)
+    sweeps = []
+    check_ch = colorful.check_ch
+
+    def counted(fam, *args):
+        sweeps.append(fam)
+        return check_ch(fam, *args)
+
+    monkeypatch.setattr(colorful, "check_ch", counted)
+    monkeypatch.setattr(cli, "check_ch", counted)
+    code, report, _ = invoke(capsys, "d2-dichotomy", "--input", path)
+    assert code == report["exit_code"] == 0
+    assert report["results"]["outcome"] == "lines"
+    assert len(sweeps) == 1
+
+
 def test_every_subcommand_has_a_recheck_case():
     from hellykit.cli import _HANDLERS
 

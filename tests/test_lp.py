@@ -12,8 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hellykit import lp as lp_module
+from hellykit.colorful import separating_halfspaces, two_color_lemma
 from hellykit.constructions import generate_planar, generate_simplex_family
 from hellykit.errors import InputError
+from hellykit.geometry import Halfspace, Polyhedron
+from hellykit.instances import random_polygon_family, random_two_colored
 from hellykit.lp import (
     Feasible,
     Infeasible,
@@ -25,6 +28,7 @@ from hellykit.lp import (
     verify_point,
     verify_ray,
 )
+from hellykit.projection import poly_subset
 from hellykit.rationals import dot, rat, rat_str, solve_linear, vec
 
 
@@ -227,6 +231,28 @@ def _lp_text(lp: LinearProgram) -> str:
     return f"{lp.num_vars}|{rows(lp.leq)}|{rows(lp.eq)}|{objective}|{lp.maximize}|{lp.nonneg}"
 
 
+def _two_color_lemmas():
+    for d in (2, 3):
+        for s in range(5):
+            two_color_lemma(*random_two_colored(s, d))
+
+
+def _repaired_separation():
+    separating_halfspaces(
+        [
+            Polyhedron(2, (Halfspace(vec([1, 0]), rat(0)),)),
+            Polyhedron(2, (Halfspace(vec([-1, 0]), rat(-1)),)),
+            Polyhedron.box(vec([-5, -5]), vec([5, 5])),
+        ]
+    )
+
+
+def _polygon_subsets():
+    polys = random_polygon_family(0)
+    for p, q in itertools.product(polys, repeat=2):
+        poly_subset(p, q)
+
+
 @pytest.mark.parametrize(
     "build, solves, pinned",
     [
@@ -240,11 +266,33 @@ def _lp_text(lp: LinearProgram) -> str:
             39,
             "d08b1c8d070dc58b749b63f4b1fdd27a67252adf2cc5812de6d9ffa821155443",
         ),
+        (
+            _two_color_lemmas,
+            442,
+            "16d4ada853467de55520b5606737c294bbbfb5cd7507775e77a1c6d2e32d0469",
+        ),
+        (
+            _repaired_separation,
+            9,
+            "c5e6c91adfb9974c0be075174002b7975f36bdb808f454ec3fac058e8f36c96c",
+        ),
+        (
+            _polygon_subsets,
+            33,
+            "e8a3c15d145b5fed3577dba940a6502191e0045c4b83901f49aa932a62985404",
+        ),
     ],
-    ids=["planar-2-7", "simplex-2-1-0"],
+    ids=[
+        "planar-2-7",
+        "simplex-2-1-0",
+        "two-color-lemma",
+        "repaired-separation",
+        "poly-subset",
+    ],
 )
 def test_construction_lp_sequences_are_pinned(monkeypatch, build, solves, pinned):
-    """The programs a construction solves, in order, with their outcomes."""
+    """The programs a construction or a query solves, in order, with their
+    outcomes (inputs generated inside `build` included)."""
     solved = []
 
     class Recording(lp_module._Tableau):
