@@ -661,6 +661,38 @@ def _check_generic_line(fam: ColoredFamily, results: dict) -> str:
     return "crossing line re-verified"
 
 
+def _side_met(sets, results: dict, key: str, parse, meets, value) -> bool:
+    """One side of a fractional report: its stored witness meets every set it
+    lists as covered, and its target is `value` times the number of sets.
+    Returns whether the side meets its target."""
+    side, name = results[f"{key}_side"], f"{key} side"
+    covered = side["covered"]
+    _require(
+        covered == sorted(set(covered))
+        and all(type(j) is int and 0 <= j < len(sets) for j in covered),
+        f"{name} covered indices are not distinct indices of the class",
+    )
+    if side[key] is None:
+        _require(not covered, f"{name} covers sets without a witness")
+    else:
+        item = parse(side[key])
+        _require_met([sets[j] for j in covered], [item], meets, f"{name} witness rejected")
+    target = rat(side["target"])
+    _require(target == rat(value) * len(sets), f"{name} target mismatch")
+    return len(covered) >= target
+
+
+def _check_fractional(fam: ColoredFamily, results: dict) -> str:
+    a_sets, b_sets = fam.classes
+    point_met = _side_met(a_sets, results, "point", vec_from_json, _inside, results["gamma"])
+    # the LP predicate, independent of the line kernel the search uses
+    plane_met = _side_met(
+        b_sets, results, "hyperplane", hyperplane_from_json, hyperplane_crosses, results["lambda"]
+    )
+    _require(results["holds"] == (point_met or plane_met), "holds flag mismatch")
+    return "fractional dichotomy witnesses re-verified"
+
+
 def _check_duality(h, results: dict) -> str:
     weights = [rat(w) for w in results["tau_star_weights"]]
     _require(
@@ -684,6 +716,7 @@ _CHECKS = {
     "two-color": _check_two_color,
     "d2-dichotomy": _check_d2_dichotomy,
     "generic-line": _check_generic_line,
+    "fractional-two-color": _check_fractional,
     "duality": _check_duality,
 }
 

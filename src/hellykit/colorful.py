@@ -579,8 +579,11 @@ def fractional_two_color_search(
     Requires at least alpha*|A|*|B| meeting pairs (counted exactly).  The
     point candidates are the witness points of maximal intersecting
     subfamilies of A; hyperplane candidates pass through vertices of the
-    input sets (lines in the plane, planes in R^3).  Failing both coverage
-    targets contradicts the dichotomy, so it raises TheoremViolationError.
+    input sets.  In the plane they are lines, tested by the integer line
+    kernel of `flat_crosses`, and only the winner is converted to a
+    Hyperplane; in R^3 they are planes, tested by `hyperplane_crosses`.
+    Failing both coverage targets contradicts the dichotomy, so it raises
+    TheoremViolationError.
     """
     a_sets, b_sets = list(a_sets), list(b_sets)
     if not a_sets or not b_sets:
@@ -626,15 +629,16 @@ def fractional_two_color_search(
     best_hyperplane, hyperplane_covered = None, ()
     if live_sets:
         if d == 2:
-            candidates = [_line_to_hyperplane(l) for l in candidate_lines(live_sets)]
+            candidates, crosses = candidate_lines(live_sets), flat_crosses
         else:
-            candidates = candidate_planes(live_sets)
-        for h in candidates:
-            covered = tuple(
-                j for j, b in enumerate(b_sets) if hyperplane_crosses(h, b)
-            )
+            candidates, crosses = candidate_planes(live_sets), hyperplane_crosses
+        best = None
+        for c in candidates:
+            covered = tuple(j for j, b in enumerate(b_sets) if crosses(c, b))
             if len(covered) > len(hyperplane_covered):
-                best_hyperplane, hyperplane_covered = h, covered
+                best, hyperplane_covered = c, covered
+        if best is not None:
+            best_hyperplane = _line_to_hyperplane(best) if d == 2 else best
 
     holds = (
         rat(len(point_covered)) >= gamma_target

@@ -34,8 +34,8 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
-    _flat_rows,
     first_meeting,
+    line_meets_relint,
     line_through,
     polytope_from_vertices,
 )
@@ -597,20 +597,14 @@ _CROSSING_ARGUMENT = (
 )
 
 
-def _line_relint_margin(line: AffineFlat, facet: Polyhedron):
-    """Max facet-row slack over points of a line on the carrier hyperplane."""
-    slack, eq = _flat_rows(line, facet)
-    return _max_margin(1, (), slack, eq)[0]
-
-
 def max_simplex_facets_crossed(d: int) -> FacetCrossingReport:
     """Exact maximum number of facet relative interiors a line crosses.
 
     Candidate lines run through pairs of interior facet points (centroids
     and centroid-vertex midpoints of distinct facets) and through vertex
-    pairs; each is scored by margin LPs against every facet.  The maximum
-    is 2 for every 2 <= d <= 4, matching the a-priori convexity argument
-    recorded in the report.
+    pairs; each is scored against every facet by `line_meets_relint`, an
+    exact integer test with no LP.  The maximum is 2 for every 2 <= d <= 4,
+    matching the a-priori convexity argument recorded in the report.
     """
     if not 2 <= d <= 4:
         raise InputError("facet crossing bound is computed for 2 <= d <= 4")
@@ -643,11 +637,7 @@ def max_simplex_facets_crossed(d: int) -> FacetCrossingReport:
     best = 0
     witness = None
     for line in lines.values():
-        crossed = 0
-        for facet in facets:
-            margin = _line_relint_margin(line, facet)
-            if margin is not None and margin > 0:
-                crossed += 1
+        crossed = sum(line_meets_relint(line, facet) for facet in facets)
         if crossed > best:
             best = crossed
             witness = line

@@ -18,7 +18,9 @@ simplicial shapes (d <= 4) the constructions need.
 Line-versus-set crossing (`flat_crosses` with k = 1), the inner loop of every
 line cover, is decided in Python-int arithmetic on the stored rows: each line
 caches its integer form once, and parameter bounds are compared by
-cross-multiplication, so no rational is built per test.
+cross-multiplication, so no rational is built per test.  Its strict sibling
+`line_meets_relint` decides, on the same integer rows, whether a line reaches
+a facet's relative interior.  Neither solves an LP.
 """
 
 from __future__ import annotations
@@ -396,6 +398,61 @@ def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
     leq, eq = _flat_rows(flat, poly)
     lp = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))
     return isinstance(lp_solve(lp), Feasible)
+
+
+def line_meets_relint(line: AffineFlat, poly: Polyhedron) -> bool:
+    """Whether some point of the line satisfies every equality row of `poly`
+    and every inequality row strictly.
+
+    For a facet (carrier equalities, facet inequalities) this is crossing its
+    relative interior, i.e. a positive margin max{delta : a * t + delta <= r}.
+    The rows are those of the k = 1 kernel of `flat_crosses`, a * t <= r (or
+    =) in Python ints.  An equality with a != 0 fixes t = r / a, and every
+    other row is checked at that t by cross-multiplication; otherwise the
+    open interval the inequalities leave must be nonempty.
+    """
+    if line.dim != poly.dim:
+        raise DimensionError("line/polyhedron dimension mismatch")
+    if line.k != 1:
+        raise InputError("relative-interior crossing is defined for lines (k = 1)")
+    den, base, direction = line._line_ints
+
+    def pulled_back(h) -> tuple:
+        a, r = 0, h.offset * den
+        for x, v, b in zip(h.normal, direction, base):
+            a += x * v
+            r -= x * b
+        return a, r
+
+    fixed = None  # t = fn / fd with fd > 0, once an equality pins it
+    for h in poly.equalities:
+        a, r = pulled_back(h)
+        if a < 0:
+            a, r = -a, -r
+        if a == 0:
+            if r:
+                return False
+        elif fixed is None:
+            fixed = r, a
+        elif r * fixed[1] != fixed[0] * a:
+            return False
+    if fixed is not None:
+        fn, fd = fixed
+        return all(a * fn < r * fd for a, r in map(pulled_back, poly.inequalities))
+    # lo < t < hi with lo = ln / ld, hi = hn / hd; a zero denominator stands
+    # for an infinite bound, as in `flat_crosses`
+    hn, hd, ln, ld = 1, 0, -1, 0
+    for h in poly.inequalities:
+        a, r = pulled_back(h)
+        if a > 0:
+            if r * hd < hn * a:
+                hn, hd = r, a
+        elif a < 0:
+            if r * ld < ln * a:
+                ln, ld = -r, -a
+        elif r <= 0:
+            return False
+    return not (hd and ld) or ln * hd < hn * ld
 
 
 def line_parameter_interval(flat: AffineFlat, poly: Polyhedron):

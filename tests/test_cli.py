@@ -409,12 +409,64 @@ def test_tampered_certificate_is_refuted(capsys, tmp_path, argv, tamper):
     assert verdict["results"]["error"].startswith("stored ")
 
 
+def _tamper_fractional_point(res):
+    side = res["point_side"]
+    side["point"] = [_shift(x) for x in side["point"]]
+
+
+def _tamper_fractional_hyperplane(res):
+    hyperplane = res["hyperplane_side"]["hyperplane"]
+    hyperplane["offset"] = _shift(hyperplane["offset"])
+
+
+def _tamper_fractional_index(res):
+    res["hyperplane_side"]["covered"].append(99)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_tamper_fractional_point, "stored point side witness rejected"),
+        (_tamper_fractional_hyperplane, "stored hyperplane side witness rejected"),
+        (
+            _tamper_fractional_index,
+            "stored hyperplane side covered indices are not distinct indices of the class",
+        ),
+    ],
+    ids=["point", "hyperplane", "covered-index"],
+)
+def test_tampered_fractional_witness_is_refuted(capsys, tmp_path, tamper, message):
+    code, report, _ = invoke(capsys, "fractional-two-color", *_fractional_args(tmp_path))
+    assert code == 0
+    res = report["results"]
+    assert res["point_side"]["covered"] and res["hyperplane_side"]["covered"]
+    tamper(res)
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["refuted"] is True
+    assert verdict["results"]["error"] == message
+
+
+def test_fractional_recheck_logs_its_certificate_check(capsys, tmp_path):
+    _, report, _ = invoke(capsys, "fractional-two-color", *_fractional_args(tmp_path))
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["verification"] == [
+        "fractional dichotomy witnesses re-verified",
+        "re-run reproduced the stored results exactly",
+    ]
+
+
 def _drop_farkas(res):
     del res["farkas"]
 
 
 def _scalar_lines(res):
     res["lines"] = 7
+
+
+def _scalar_covered(res):
+    res["point_side"]["covered"] = 7
 
 
 @pytest.mark.parametrize(
@@ -425,9 +477,12 @@ def _scalar_lines(res):
             ("line-cover", "--input", str(FIXTURES / "corpus" / "three_collinear_boxes.json")),
             _scalar_lines,
         ),
+        (("fractional-two-color", None), _scalar_covered),
     ],
 )
 def test_malformed_certificate_gives_a_json_verdict(capsys, tmp_path, argv, damage):
+    if argv[1] is None:
+        argv = (argv[0], *_fractional_args(tmp_path))
     _, report, _ = invoke(capsys, *argv)
     damage(report["results"])
     code, verdict, _ = _recheck(capsys, tmp_path, report)

@@ -11,6 +11,7 @@ from hellykit.colorful import (
     HyperplaneCover,
     LineCover,
     PiercedClass,
+    _line_to_hyperplane,
     check_ch,
     dichotomy_report,
     fractional_two_color_search,
@@ -21,10 +22,10 @@ from hellykit.colorful import (
 )
 from hellykit.errors import PreconditionError, ScaleError
 from hellykit.geometry import Polyhedron, flat_crosses, hyperplane_crosses
-from hellykit.hypergraphs import piercing_number
-from hellykit.rationals import rat, vec
-from hellykit.serialize import family_from_doc
-from hellykit.instances import random_two_colored
+from hellykit.hypergraphs import candidate_lines, piercing_number
+from hellykit.instances import random_fractional_instance, random_two_colored
+from hellykit.rationals import rat, rat_str, vec
+from hellykit.serialize import digest, family_from_doc, point_to_json, vec_to_json
 
 
 def box(lo, hi):
@@ -158,6 +159,47 @@ def test_fractional_search_rejects_low_alpha_claim():
     b = [box((0, 0), (1, 1))]
     with pytest.raises(PreconditionError):
         fractional_two_color_search(a, b, rat(1))
+
+
+FRACTIONAL_SEEDS = range(10)
+
+
+def test_fractional_search_witnesses_are_pinned():
+    docs = []
+    for seed in FRACTIONAL_SEEDS:
+        a, b, alpha = random_fractional_instance(seed)
+        rep = fractional_two_color_search(a, b, alpha)
+        h = rep.best_hyperplane
+        docs.append(
+            {
+                "point": point_to_json(rep.best_point) if rep.best_point else None,
+                "point_covered": list(rep.point_covered),
+                "hyperplane": (
+                    {"normal": vec_to_json(h.normal), "offset": rat_str(h.offset)}
+                    if h
+                    else None
+                ),
+                "hyperplane_covered": list(rep.hyperplane_covered),
+            }
+        )
+    assert digest(docs) == (
+        "88e2c042010b5e382b89b69a36726684de739aeb1b637ae359c8b31a08328926"
+    )
+
+
+def test_planar_candidate_lines_cross_as_their_hyperplanes():
+    # the planar search tests each candidate line on the line kernel; as a
+    # hyperplane of the plane the line must cross exactly the same sets
+    pairs = 0
+    for seed in FRACTIONAL_SEEDS:
+        a, b, _ = random_fractional_instance(seed)
+        live = [s for s in a + b if s.feasible_point() is not None]
+        for line in candidate_lines(live):
+            h = _line_to_hyperplane(line)
+            for s in b:
+                assert flat_crosses(line, s) == hyperplane_crosses(h, s)
+                pairs += 1
+    assert pairs > 0
 
 
 def test_dichotomy_report_structure():

@@ -175,7 +175,7 @@ def test_relint_margin_detects_boundary_contact():
 
 
 def test_facet_crossing_maximum_is_two():
-    for d in (2, 3):
+    for d in (2, 3, 4):
         rep = max_simplex_facets_crossed(d)
         assert rep.value == 2
         assert rep.lines_checked > 0
@@ -219,13 +219,23 @@ def test_construction_outputs_are_pinned(build, steps, family_digest):
     assert digest(family_to_doc(c.family)) == family_digest
 
 
-def test_facet_crossing_report_is_pinned():
-    rep = max_simplex_facets_crossed(3)
-    assert (rep.value, rep.lines_checked) == (2, 102)
-    assert line_to_json(rep.witness_line) == {
-        "base": ["2", "2", "4"],
-        "direction": ["1", "-1", "0"],
-    }
+@pytest.mark.parametrize(
+    "d, lines_checked, witness",
+    [
+        (2, 30, {"base": ["3", "3"], "direction": ["1", "-1"]}),
+        (3, 102, {"base": ["2", "2", "4"], "direction": ["1", "-1", "0"]}),
+        (
+            4,
+            260,
+            {"base": ["3/2", "3/2", "3", "3"], "direction": ["1", "-1", "0", "0"]},
+        ),
+    ],
+    ids=["d2", "d3", "d4"],
+)
+def test_facet_crossing_report_is_pinned(d, lines_checked, witness):
+    rep = max_simplex_facets_crossed(d)
+    assert (rep.value, rep.lines_checked) == (2, lines_checked)
+    assert line_to_json(rep.witness_line) == witness
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hellykit.colorful import ColoredFamily
-from hellykit.constructions import generate_planar, generate_simplex_family
+from hellykit.constructions import (
+    _centroid,
+    _max_margin,
+    _simplex_facets,
+    _simplex_vertices,
+    generate_planar,
+    generate_simplex_family,
+)
 from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
     AffineFlat,
@@ -19,6 +26,7 @@ from hellykit.geometry import (
     _flat_rows,
     flat_crosses,
     hyperplane_crosses,
+    line_meets_relint,
     line_parameter_interval,
     line_through,
     polyhedra_intersect,
@@ -35,7 +43,7 @@ from hellykit.instances import (
 )
 from hellykit.lp import Feasible, LinearProgram, lp_solve
 from hellykit.projection import project_polyhedron
-from hellykit.rationals import ZERO, dot, normalize_row, rat, vec, vsub
+from hellykit.rationals import ZERO, dot, normalize_row, rat, vadd, vec, vscale, vsub
 from hellykit.serialize import family_from_doc, family_to_doc
 
 
@@ -348,6 +356,91 @@ TINY = Fraction(1, 10**12)
 )
 def test_line_crossing_boundary_cases(poly, base, direction, expected):
     assert _assert_crossing_agrees(AffineFlat.line(vec(base), vec(direction)), poly) is expected
+
+
+# ---------------------------------------------------------------------------
+# strict line kernel (relative-interior crossing) against the margin LP
+
+
+def _assert_relint_agrees(line, poly):
+    """line_meets_relint against the LP oracle: the largest common slack of
+    the inequality rows over the line's points on the equality rows (None
+    when there is no such point) is positive.  Returns (decision, margin)."""
+    got = line_meets_relint(line, poly)
+    margin = _max_margin(1, (), *_flat_rows(line, poly))[0]
+    assert got == (margin is not None and margin > 0)
+    return got, margin
+
+
+@PROPERTY
+@given(st.data())
+def test_strict_line_kernel_matches_the_margin_lp(data):
+    poly = data.draw(polyhedra(data.draw(st.sampled_from([2, 3]))))
+    _assert_relint_agrees(data.draw(lines_against(poly)), poly)
+
+
+@st.composite
+def carried_hulls_and_lines(draw):
+    """Hulls of 1..d points in R^d, so every one carries equality rows, with
+    lines inside the carrier (direction between two of the points) or free,
+    based at a point or the centroid, optionally shifted off the carrier."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    pts = [vec(p) for p in draw(st.lists(points(d), min_size=1, max_size=d))]
+    poly = polytope_from_vertices(d, pts)
+    base = draw(st.sampled_from(pts + [_centroid(pts)]))
+    direction = draw(points(d))
+    if len(pts) > 1 and draw(st.booleans()):
+        p, q = draw(st.permutations(pts))[:2]
+        direction = vsub(q, p)
+    if not any(direction):
+        direction = (1,) + (0,) * (d - 1)
+    base = vadd(base, vscale(draw(EPS), draw(points(d))))
+    return poly, AffineFlat.line(base, direction)
+
+
+@PROPERTY
+@given(carried_hulls_and_lines())
+def test_strict_line_kernel_matches_the_margin_lp_on_carried_sets(case):
+    poly, line = case
+    assert poly.equalities
+    _assert_relint_agrees(line, poly)
+
+
+def _facet_cases(d):
+    """Lines against each facet of the d-simplex the facet-crossing bound
+    scores, as (facet, base, direction, LP margin); positive margins reach
+    the LP's cap of 1."""
+    verts = _simplex_vertices(d)
+    for skip, facet in enumerate(_simplex_facets(verts)):
+        w = [v for j, v in enumerate(verts) if j != skip]
+        opposite, center = verts[skip], _centroid(w)
+        inward = vsub(opposite, center)
+        yield facet, center, vsub(w[1], w[0]), 1  # in the carrier, through the centroid
+        if d >= 3:  # in the plane the carrier is the facet's own line
+            # barycentric (1, t, -t, 0, ...): meets the facet at w0 only
+            yield facet, w[0], vsub(w[1], w[2]), 0
+        yield facet, center, inward, 1  # crossing the carrier at an interior point
+        yield facet, w[0], vsub(opposite, w[0]), 0  # crossing it at a vertex
+        off = vadd(center, vscale(rat(1, 7), inward))
+        yield facet, off, vsub(w[1], w[0]), None  # parallel to the carrier, off it
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_strict_line_kernel_on_simplex_facets(d):
+    cases = list(_facet_cases(d))
+    assert len(cases) == (d + 1) * (5 if d >= 3 else 4)
+    for facet, base, direction, margin in cases:
+        got, lp_margin = _assert_relint_agrees(AffineFlat.line(base, direction), facet)
+        assert lp_margin == margin
+        assert got is (margin == 1)
+
+
+def test_strict_line_kernel_checks_its_arguments():
+    square = box((0, 0), (1, 1))
+    with pytest.raises(DimensionError):
+        line_meets_relint(AffineFlat.line(vec((0, 0, 0)), vec((1, 0, 0))), square)
+    with pytest.raises(InputError):
+        line_meets_relint(AffineFlat(2, vec((0, 0))), square)
 
 
 def _reference_line(p, q):
