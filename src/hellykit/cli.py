@@ -1,11 +1,14 @@
 """Command-line harness: exact-geometry questions in, certified reports out.
 
-Every subcommand reads JSON (family or hypergraph documents), runs the
-corresponding exact decision procedure, and prints a single JSON report
-to standard output.  Each command's certificate checker runs on the results
-before they are printed.  Reports echo the full request, so `recheck` can
-re-validate any report standalone: it runs the same checker on the stored
-results and re-runs the original computation, demanding exact agreement.
+One table, `_COMMANDS`, gives each subcommand its handler, the reader that
+parses its input document (a colored family, a hypergraph or a stored
+report; none when the request holds only construction parameters) and its
+certificate checker.  A request's input is read once, for the handler and
+the checker both; the checker runs on the results before the single JSON
+report is printed to standard output.  Reports echo the full request, so
+`recheck` can re-validate any report standalone: it runs the same checker on
+the stored results and re-runs the original computation, demanding exact
+agreement.
 
 Exit codes: 0 = claim verified or quantity computed; 2 = property refuted
 (the report carries the refuting certificate); 3 = a search budget or
@@ -23,7 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .budgets import SearchBudget, budget_from_env
 from .colorful import (
@@ -111,11 +114,12 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _two_classes(doc) -> tuple[ColoredFamily, list, list]:
-    fam, labels = family_from_doc(doc)
-    if fam.num_classes != 2:
-        raise InputError(f"expected exactly 2 classes, got {fam.num_classes}")
-    return fam, list(fam.classes[0]), list(fam.classes[1])
+def _two_classes(doc) -> tuple[ColoredFamily, list]:
+    """A family document with exactly two classes, read as `family_from_doc`."""
+    family = family_from_doc(doc)
+    if family[0].num_classes != 2:
+        raise InputError(f"expected exactly 2 classes, got {family[0].num_classes}")
+    return family
 
 
 def _jsonable_witness(witness):
@@ -152,10 +156,12 @@ def _pierced(out: PiercedClass, note: str) -> Outcome:
 
 
 # -- subcommand handlers ------------------------------------------------------
+# Each handler takes its command's parsed input (for a family document, the
+# (family, labels) pair of `family_from_doc`), the request and the budget.
 
 
-def _cmd_check_ch(request: dict, budget: SearchBudget) -> Outcome:
-    fam, _ = family_from_doc(request["input"])
+def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, _ = family
     rep = check_ch(fam, budget)
     log = [f"swept {rep.checked} rainbow selections over {fam.num_classes} classes"]
     if not rep.holds:
@@ -180,8 +186,8 @@ def _cmd_check_ch(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_intersecting_class(request: dict, budget: SearchBudget) -> Outcome:
-    fam, labels = family_from_doc(request["input"])
+def _cmd_intersecting(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, labels = family
     if fam.num_classes != fam.dim + 1:
         raise InputError(
             f"need dim+1 = {fam.dim + 1} classes, got {fam.num_classes}"
@@ -202,8 +208,8 @@ def _cmd_intersecting_class(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_pierce(request: dict, budget: SearchBudget) -> Outcome:
-    fam, _ = family_from_doc(request["input"])
+def _cmd_pierce(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, _ = family
     h = build_point_hypergraph(fam.all_sets(), budget)
     result = tau(h, budget)
     results = {
@@ -219,8 +225,8 @@ def _cmd_pierce(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_line_cover(request: dict, budget: SearchBudget) -> Outcome:
-    fam, _ = family_from_doc(request["input"])
+def _cmd_line_cover(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, _ = family
     sets = list(fam.all_sets())
     lines = candidate_lines(sets)
     result = tau(build_cover_hypergraph(sets, lines), budget)
@@ -237,8 +243,8 @@ def _cmd_line_cover(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_two_color(request: dict, budget: SearchBudget) -> Outcome:
-    _, a_sets, b_sets = _two_classes(request["input"])
+def _cmd_two_color(family, request: dict, budget: SearchBudget) -> Outcome:
+    a_sets, b_sets = family[0].classes
     out = two_color_lemma(a_sets, b_sets, budget)
     if isinstance(out, PiercedClass):
         return _pierced(out, f"one point lies in all {len(a_sets)} first-class sets")
@@ -258,8 +264,8 @@ def _cmd_two_color(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_d2_dichotomy(request: dict, budget: SearchBudget) -> Outcome:
-    fam, a_sets, b_sets = _two_classes(request["input"])
+def _cmd_d2_dichotomy(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, _ = family
     if fam.dim != 2:
         raise InputError("the dichotomy runs in the plane (dim = 2)")
     rep = check_ch(fam, budget)
@@ -279,8 +285,8 @@ def _cmd_d2_dichotomy(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_fractional(request: dict, budget: SearchBudget) -> Outcome:
-    _, a_sets, b_sets = _two_classes(request["input"])
+def _cmd_fractional(family, request: dict, budget: SearchBudget) -> Outcome:
+    a_sets, b_sets = family[0].classes
     alpha = rat(request["alpha"])
     rep = fractional_two_color_search(a_sets, b_sets, alpha, budget=budget)
     results = {
@@ -323,10 +329,9 @@ def _cmd_fractional(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_duality(request: dict, budget: SearchBudget) -> Outcome:
-    h = hypergraph_from_doc(request["input"])
+def _cmd_duality(h, request: dict, budget: SearchBudget) -> Outcome:
     b = int(request.get("b", 1))
-    rep = duality_report(h, b)
+    rep = duality_report(h, b, budget)
     results = {
         "b": rep.b,
         "nu_b": rep.nu_b_value,
@@ -405,7 +410,7 @@ def _generator_family(request: dict):
     return c.family, labels, audit, c
 
 
-def _cmd_generate(request: dict, budget: SearchBudget) -> Outcome:
+def _cmd_generate(_, request: dict, budget: SearchBudget) -> Outcome:
     fam, labels, audit, construction = _generator_family(request)
     results = {"family": family_to_doc(fam, labels), "audit": audit}
     log = [f"generated {request['kind']} family with {fam.num_classes} classes"]
@@ -425,7 +430,7 @@ def _claim(name: str, observed, required, ok: bool, **extra) -> dict:
     return out
 
 
-def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
+def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
     fam, labels, audit, construction = _generator_family(request)
     kind = request["kind"]
     claims = []
@@ -518,7 +523,7 @@ def _cmd_verify_lower_bound(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK if all_ok else EXIT_REFUTED, log)
 
 
-def _cmd_relint_check(request: dict, budget: SearchBudget) -> Outcome:
+def _cmd_relint_check(_, request: dict, budget: SearchBudget) -> Outcome:
     params = _generator_params(request, "simplex")
     d, f = params["d"], params["f"]
     seed = int(request.get("seed", 0))
@@ -551,8 +556,8 @@ def _cmd_relint_check(request: dict, budget: SearchBudget) -> Outcome:
     return Outcome(results, EXIT_OK, log)
 
 
-def _cmd_generic_line(request: dict, budget: SearchBudget) -> Outcome:
-    fam, labels = family_from_doc(request["input"])
+def _cmd_generic_line(family, request: dict, budget: SearchBudget) -> Outcome:
+    fam, labels = family
     seed = int(request.get("seed", 0))
     k, line = generic_line_class(fam, seed=seed, budget=budget)
     results = {
@@ -570,7 +575,8 @@ def _cmd_generic_line(request: dict, budget: SearchBudget) -> Outcome:
 # -- certificate checks ---------------------------------------------------------
 # One checker per command reads the JSON results of a report against its
 # parsed input, raises TheoremViolationError on a failed certificate, and
-# returns the note `recheck` logs (None: nothing to check).
+# returns the note `recheck` logs (None: nothing to check).  A result with
+# `holds: false` is checked as a refutation, by `_check_refutation`, instead.
 
 
 def _require(ok: bool, message: str) -> None:
@@ -587,43 +593,39 @@ def _inside(point, s) -> bool:
     return s.contains(point)
 
 
-def _check_refutation(fam: ColoredFamily, results: dict) -> str:
-    sets = [fam.classes[k][i] for k, i in results["violating_rainbow"]]
+def _check_refutation(family, results: dict) -> str:
+    sets = [family[0].classes[k][i] for k, i in results["violating_rainbow"]]
     entries = farkas_from_json(results["farkas"])
     _require(verify_farkas_entries(sets, entries), "emptiness certificate failed")
     return "emptiness certificate re-aggregated exactly"
 
 
-def _check_check_ch(fam: ColoredFamily, results: dict) -> Optional[str]:
-    if results.get("holds") is False:
-        return _check_refutation(fam, results)
+def _check_check_ch(family, results: dict) -> Optional[str]:
     if not results.get("witnesses_included"):
         return None
     for w in results["witnesses"]:
-        picked = [fam.classes[k][i] for k, i in enumerate(w["rainbow"])]
+        picked = [family[0].classes[k][i] for k, i in enumerate(w["rainbow"])]
         point = vec_from_json(w["point"])
         _require_met(picked, [point], _inside, "rainbow witness rejected")
     return f"{len(results['witnesses'])} rainbow witnesses re-verified"
 
 
-def _check_intersecting_class(fam: ColoredFamily, results: dict) -> str:
-    if results.get("holds") is False:
-        return _check_refutation(fam, results)
-    members = fam.classes[results["class_index"]]
+def _check_intersecting(family, results: dict) -> str:
+    members = family[0].classes[results["class_index"]]
     point = vec_from_json(results["point"])
     _require_met(members, [point], _inside, "class witness rejected")
     return "class common point re-verified"
 
 
-def _check_pierce(fam: ColoredFamily, results: dict) -> str:
+def _check_pierce(family, results: dict) -> str:
     points = [vec_from_json(p) for p in results["points"]]
-    _require_met(fam.all_sets(), points, _inside, "piercing set rejected")
+    _require_met(family[0].all_sets(), points, _inside, "piercing set rejected")
     return "piercing transversal re-verified"
 
 
-def _check_line_cover(fam: ColoredFamily, results: dict) -> str:
+def _check_line_cover(family, results: dict) -> str:
     lines = [line_from_json(obj) for obj in results["lines"]]
-    _require_met(fam.all_sets(), lines, flat_crosses, "line cover rejected")
+    _require_met(family[0].all_sets(), lines, flat_crosses, "line cover rejected")
     return "line cover re-verified"
 
 
@@ -633,7 +635,8 @@ def _require_pierced(fam: ColoredFamily, results: dict) -> None:
     _require_met(members, [point], _inside, "piercing point rejected")
 
 
-def _check_two_color(fam: ColoredFamily, results: dict) -> str:
+def _check_two_color(family, results: dict) -> str:
+    fam, _ = family
     if results["outcome"] == "pierced":
         _require_pierced(fam, results)
     else:
@@ -643,9 +646,8 @@ def _check_two_color(fam: ColoredFamily, results: dict) -> str:
     return "two-color certificate re-verified"
 
 
-def _check_d2_dichotomy(fam: ColoredFamily, results: dict) -> str:
-    if results.get("holds") is False:
-        return _check_refutation(fam, results)
+def _check_d2_dichotomy(family, results: dict) -> str:
+    fam, _ = family
     if results["outcome"] == "pierced":
         _require_pierced(fam, results)
     else:
@@ -654,8 +656,8 @@ def _check_d2_dichotomy(fam: ColoredFamily, results: dict) -> str:
     return "dichotomy certificate re-verified"
 
 
-def _check_generic_line(fam: ColoredFamily, results: dict) -> str:
-    members = fam.classes[results["class_index"]]
+def _check_generic_line(family, results: dict) -> str:
+    members = family[0].classes[results["class_index"]]
     line = line_from_json(results["line"])
     _require_met(members, [line], flat_crosses, "line rejected")
     return "crossing line re-verified"
@@ -682,8 +684,8 @@ def _side_met(sets, results: dict, key: str, parse, meets, value) -> bool:
     return len(covered) >= target
 
 
-def _check_fractional(fam: ColoredFamily, results: dict) -> str:
-    a_sets, b_sets = fam.classes
+def _check_fractional(family, results: dict) -> str:
+    a_sets, b_sets = family[0].classes
     point_met = _side_met(a_sets, results, "point", vec_from_json, _inside, results["gamma"])
     # the LP predicate, independent of the line kernel the search uses
     plane_met = _side_met(
@@ -708,29 +710,16 @@ def _check_duality(h, results: dict) -> str:
     return "fractional transversal certificate re-verified"
 
 
-_CHECKS = {
-    "check-ch": _check_check_ch,
-    "intersecting-class": _check_intersecting_class,
-    "pierce": _check_pierce,
-    "line-cover": _check_line_cover,
-    "two-color": _check_two_color,
-    "d2-dichotomy": _check_d2_dichotomy,
-    "generic-line": _check_generic_line,
-    "fractional-two-color": _check_fractional,
-    "duality": _check_duality,
-}
-
-
-def _check_results(request: dict, results: dict) -> Optional[str]:
-    """Run the request's checker on its results; error results carry no
-    certificate and are not checked."""
-    command = request.get("command")
-    check = _CHECKS.get(command)
-    if check is None or "error" in results:
+def _check_results(command, results: dict, parsed: Callable) -> Optional[str]:
+    """Run the command's checker on its results, reading the input with
+    `parsed()` only then; error results carry no certificate and are not
+    checked."""
+    entry = _COMMANDS.get(command)
+    if entry is None or entry.check is None or "error" in results:
         return None
-    doc = request["input"]
-    subject = hypergraph_from_doc(doc) if command == "duality" else family_from_doc(doc)[0]
-    return check(subject, results)
+    if results.get("holds") is False:
+        return _check_refutation(parsed(), results)
+    return entry.check(parsed(), results)
 
 
 # -- recheck ------------------------------------------------------------------
@@ -750,18 +739,22 @@ def _stored_budget(report: dict) -> SearchBudget:
     return SearchBudget(**stored)
 
 
-def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
+def _stored_report(doc) -> dict:
+    """A previously emitted report, with a stored request `recheck` can re-run."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("request"), dict):
+        raise InputError("recheck expects a previously emitted report")
+    if doc["request"].get("command") == "recheck":
+        raise InputError("rechecking a recheck report is not supported")
+    if "input" not in doc["request"]:
+        raise InputError("malformed stored request: missing 'input'")
+    return doc
+
+
+def _cmd_recheck(report: dict, request: dict, budget: SearchBudget) -> Outcome:
     """Check the stored certificate, then re-run the stored request under
     the stored budgets and demand the same results and exit code."""
-    report = request["input"]
-    if not isinstance(report, dict) or not isinstance(report.get("request"), dict):
-        raise InputError("recheck expects a previously emitted report")
     stored_request = report["request"]
     command = stored_request.get("command")
-    if command == "recheck":
-        raise InputError("rechecking a recheck report is not supported")
-    if "input" not in stored_request:
-        raise InputError("malformed stored request: missing 'input'")
     stored_budget = _stored_budget(report)
     stored_results = report.get("results", {})
     stored_digest = report.get("input_digest")
@@ -775,7 +768,9 @@ def _cmd_recheck(request: dict, budget: SearchBudget) -> Outcome:
         }
         return Outcome(results, EXIT_REFUTED, ["digest mismatch"])
     try:
-        note = _check_results(stored_request, stored_results)
+        note = _check_results(
+            command, stored_results, lambda: _COMMANDS[command].read(stored_request["input"])
+        )
     except TheoremViolationError as exc:
         raise TheoremViolationError(f"stored {exc}") from None
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -843,20 +838,26 @@ def _planar_svg(construction) -> str:
 # -- dispatch and entry point ---------------------------------------------------
 
 
-_HANDLERS = {
-    "check-ch": _cmd_check_ch,
-    "intersecting-class": _cmd_intersecting_class,
-    "pierce": _cmd_pierce,
-    "line-cover": _cmd_line_cover,
-    "two-color": _cmd_two_color,
-    "d2-dichotomy": _cmd_d2_dichotomy,
-    "fractional-two-color": _cmd_fractional,
-    "duality": _cmd_duality,
-    "generate": _cmd_generate,
-    "verify-lower-bound": _cmd_verify_lower_bound,
-    "relint-check": _cmd_relint_check,
-    "generic-line": _cmd_generic_line,
-    "recheck": _cmd_recheck,
+class _Command(NamedTuple):
+    run: Callable  # (parsed input, request, budget) -> Outcome
+    read: Optional[Callable] = None  # input document -> parsed input; None: not read
+    check: Optional[Callable] = None  # (parsed input, results) -> note; None: re-run only
+
+
+_COMMANDS = {
+    "check-ch": _Command(_cmd_check_ch, family_from_doc, _check_check_ch),
+    "intersecting-class": _Command(_cmd_intersecting, family_from_doc, _check_intersecting),
+    "pierce": _Command(_cmd_pierce, family_from_doc, _check_pierce),
+    "line-cover": _Command(_cmd_line_cover, family_from_doc, _check_line_cover),
+    "two-color": _Command(_cmd_two_color, _two_classes, _check_two_color),
+    "d2-dichotomy": _Command(_cmd_d2_dichotomy, _two_classes, _check_d2_dichotomy),
+    "fractional-two-color": _Command(_cmd_fractional, _two_classes, _check_fractional),
+    "duality": _Command(_cmd_duality, hypergraph_from_doc, _check_duality),
+    "generate": _Command(_cmd_generate),
+    "verify-lower-bound": _Command(_cmd_verify_lower_bound),
+    "relint-check": _Command(_cmd_relint_check),
+    "generic-line": _Command(_cmd_generic_line, family_from_doc, _check_generic_line),
+    "recheck": _Command(_cmd_recheck, _stored_report),
 }
 
 
@@ -888,12 +889,13 @@ def _error_outcome(exc: Exception) -> Outcome:
 
 def _dispatch(request: dict, budget: SearchBudget) -> Outcome:
     command = request.get("command")
-    handler = _HANDLERS.get(command)
-    if handler is None:
+    entry = _COMMANDS.get(command)
+    if entry is None:
         raise InputError(f"unknown command {command!r}")
     try:
-        outcome = handler(request, budget)
-        _check_results(request, outcome.results)
+        parsed = entry.read(request["input"]) if entry.read else None
+        outcome = entry.run(parsed, request, budget)
+        _check_results(command, outcome.results, lambda: parsed)
         return outcome
     except tuple(_ERROR_EXITS) as exc:
         return _error_outcome(exc)
@@ -998,17 +1000,14 @@ def _request_from_args(args: argparse.Namespace) -> dict:
         request["input"] = {"kind": "simplex", **sizes, "seed": args.seed}
     else:
         request["input"] = _read_json(args.input)
-        if args.command == "fractional-two-color":
-            request["alpha"] = args.alpha
-        if args.command == "duality":
-            request["b"] = args.b
+        request.update((key, given[key]) for key in ("alpha", "b") if key in given)
     return request
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    budget = budget_from_env(os.environ)
     try:
+        budget = budget_from_env(os.environ)
         request = _request_from_args(args)
     except InputError as exc:
         report = {

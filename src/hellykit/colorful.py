@@ -625,7 +625,8 @@ def fractional_two_color_search(
             if len(covered) > len(point_covered):
                 best_point, point_covered = pt, covered
 
-    live_sets = [s for s in a_sets + b_sets if s.feasible_point() is not None]
+    live_b = [s for s in b_sets if s.feasible_point() is not None]
+    live_sets = [a_sets[i] for i in live_a] + live_b
     best_hyperplane, hyperplane_covered = None, ()
     if live_sets:
         if d == 2:

@@ -15,12 +15,12 @@ rational chart of the hull, and halfspaces are pulled back to ambient
 coordinates.  That one routine covers segments, polygons, and the small
 simplicial shapes (d <= 4) the constructions need.
 
-Line-versus-set crossing (`flat_crosses` with k = 1), the inner loop of every
-line cover, is decided in Python-int arithmetic on the stored rows: each line
-caches its integer form once, and parameter bounds are compared by
-cross-multiplication, so no rational is built per test.  Its strict sibling
-`line_meets_relint` decides, on the same integer rows, whether a line reaches
-a facet's relative interior.  Neither solves an LP.
+Whether a line meets a set, closed (`flat_crosses` with k = 1, the inner
+loop of every line cover) or in its relative interior (`line_meets_relint`,
+as for a facet), is decided by one integer line kernel on the stored rows:
+each line caches its integer form once, and parameter bounds, each marked
+strict or closed, are compared by cross-multiplication, so no rational is
+built and no LP is solved per test.
 """
 
 from __future__ import annotations
@@ -358,43 +358,59 @@ def _flat_rows(flat: AffineFlat, poly: Polyhedron):
     return leq, eq
 
 
+def _line_meets(line: AffineFlat, poly: Polyhedron, open_rows: bool) -> bool:
+    """The k = 1 kernel: does some point of the line satisfy the rows of
+    `poly`, its inequality rows strictly when `open_rows`?
+
+    With base = B / D and integer direction V, row (n, c) reads a * t <= r
+    (or =) for a = n . V, r = c * D - n . B, in Python ints; the parameter
+    bounds r / a are compared by cross-multiplication.  Each bound records
+    whether it is strict: inequality rows are open when `open_rows`, equality
+    rows are always closed.
+    """
+    den, base, direction = line._line_ints
+    # t <= hn / hd and t >= ln / ld with hd, ld >= 0, strict when hs / ls; a
+    # zero denominator stands for an infinite bound (hn = 1 or ln = -1).  A
+    # bound moves only when strictly tightened, and needs no tie rule: the
+    # inequality rows are read first, so no closed bound exists yet when a
+    # strict one is set, and a later closed row at the same value is looser.
+    hn, hd, ln, ld, hs, ls = 1, 0, -1, 0, False, False
+    for is_eq, rows in ((False, poly.inequalities), (True, poly.equalities)):
+        strict = open_rows and not is_eq
+        for h in rows:
+            a, r = 0, h.offset * den
+            for x, v, b in zip(h.normal, direction, base):
+                a += x * v
+                r -= x * b
+            if is_eq and a < 0:  # a * t = r with a > 0 bounds t on both sides
+                a, r = -a, -r
+            if a > 0:
+                if r * hd < hn * a:
+                    hn, hd, hs = r, a, strict
+                if is_eq and r * ld > ln * a:
+                    ln, ld, ls = r, a, False
+            elif a < 0:
+                if r * ld < ln * a:
+                    ln, ld, ls = -r, -a, strict
+            elif r < 0 or is_eq and r or strict and not r:
+                return False
+    gap = hn * ld - ln * hd
+    return gap > 0 or gap == 0 and not (hs or ls)
+
+
 def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
     """Exact decision of flat-meets-set in the flat's k parameters.
 
     k = 0 degenerates to point membership; k >= 2 goes to the simplex.
-    k = 1 is exact interval propagation (the one-variable LP spelled out) in
-    integer arithmetic on the stored rows: with base = B / D and integer
-    direction V, row (n, c) reads a * t <= r (or =) for a = n . V,
-    r = c * D - n . B, and the bounds r / a are compared by cross-multiplication.
+    k = 1 is exact interval propagation (the one-variable LP spelled out) by
+    the integer line kernel, every row closed.
     """
     if flat.dim != poly.dim:
         raise DimensionError("flat/polyhedron dimension mismatch")
     if flat.k == 0:
         return poly.contains(flat.base)
     if flat.k == 1:
-        den, base, direction = flat._line_ints
-        # t <= hn / hd and t >= ln / ld with hd, ld >= 0; a zero denominator
-        # stands for an infinite bound (hn = 1 or ln = -1)
-        hn, hd, ln, ld = 1, 0, -1, 0
-        for is_eq, rows in ((False, poly.inequalities), (True, poly.equalities)):
-            for h in rows:
-                a, r = 0, h.offset * den
-                for x, v, b in zip(h.normal, direction, base):
-                    a += x * v
-                    r -= x * b
-                if is_eq and a < 0:  # a * t = r with a > 0 bounds t on both sides
-                    a, r = -a, -r
-                if a > 0:
-                    if r * hd < hn * a:
-                        hn, hd = r, a
-                    if is_eq and r * ld > ln * a:
-                        ln, ld = r, a
-                elif a < 0:
-                    if r * ld < ln * a:
-                        ln, ld = -r, -a
-                elif r < 0 or is_eq and r:
-                    return False
-        return ln * hd <= hn * ld
+        return _line_meets(flat, poly, False)
     leq, eq = _flat_rows(flat, poly)
     lp = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))
     return isinstance(lp_solve(lp), Feasible)
@@ -406,53 +422,13 @@ def line_meets_relint(line: AffineFlat, poly: Polyhedron) -> bool:
 
     For a facet (carrier equalities, facet inequalities) this is crossing its
     relative interior, i.e. a positive margin max{delta : a * t + delta <= r}.
-    The rows are those of the k = 1 kernel of `flat_crosses`, a * t <= r (or
-    =) in Python ints.  An equality with a != 0 fixes t = r / a, and every
-    other row is checked at that t by cross-multiplication; otherwise the
-    open interval the inequalities leave must be nonempty.
+    It is the integer line kernel of `flat_crosses` with open inequality rows.
     """
     if line.dim != poly.dim:
         raise DimensionError("line/polyhedron dimension mismatch")
     if line.k != 1:
         raise InputError("relative-interior crossing is defined for lines (k = 1)")
-    den, base, direction = line._line_ints
-
-    def pulled_back(h) -> tuple:
-        a, r = 0, h.offset * den
-        for x, v, b in zip(h.normal, direction, base):
-            a += x * v
-            r -= x * b
-        return a, r
-
-    fixed = None  # t = fn / fd with fd > 0, once an equality pins it
-    for h in poly.equalities:
-        a, r = pulled_back(h)
-        if a < 0:
-            a, r = -a, -r
-        if a == 0:
-            if r:
-                return False
-        elif fixed is None:
-            fixed = r, a
-        elif r * fixed[1] != fixed[0] * a:
-            return False
-    if fixed is not None:
-        fn, fd = fixed
-        return all(a * fn < r * fd for a, r in map(pulled_back, poly.inequalities))
-    # lo < t < hi with lo = ln / ld, hi = hn / hd; a zero denominator stands
-    # for an infinite bound, as in `flat_crosses`
-    hn, hd, ln, ld = 1, 0, -1, 0
-    for h in poly.inequalities:
-        a, r = pulled_back(h)
-        if a > 0:
-            if r * hd < hn * a:
-                hn, hd = r, a
-        elif a < 0:
-            if r * ld < ln * a:
-                ln, ld = -r, -a
-        elif r <= 0:
-            return False
-    return not (hd and ld) or ln * hd < hn * ld
+    return _line_meets(line, poly, True)
 
 
 def line_parameter_interval(flat: AffineFlat, poly: Polyhedron):

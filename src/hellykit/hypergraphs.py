@@ -333,15 +333,18 @@ def nu_b(h: Hypergraph, b: int) -> int:
     return best_found
 
 
-def duality_report(h: Hypergraph, b: int = 1) -> DualityReport:
-    """tau, tau*, nu*, nu_b with the exact duality sandwich asserted."""
+def duality_report(
+    h: Hypergraph, b: int = 1, budget: SearchBudget = DEFAULT_BUDGET
+) -> DualityReport:
+    """tau, tau*, nu*, nu_b with the exact duality sandwich asserted; tau is
+    searched under `budget`, and a tau beyond it is reported in `scale_note`."""
     ts = tau_star(h)
     ns = nu_star(h)
     if ts.value != ns.value:
         raise TheoremViolationError("LP duality violated: tau* != nu*")
     note = ""
     try:
-        t = tau(h)
+        t = tau(h, budget)
     except ScaleError as exc:
         t = None
         note = str(exc)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -341,9 +342,88 @@ def test_d2_dichotomy_sweeps_the_cross_pairs_once(capsys, tmp_path, monkeypatch)
 
 
 def test_every_subcommand_has_a_recheck_case():
-    from hellykit.cli import _HANDLERS
+    from hellykit.cli import _COMMANDS
 
-    assert set(SUBCOMMAND_ARGS) == set(_HANDLERS) - {"recheck"}
+    assert set(SUBCOMMAND_ARGS) == set(_COMMANDS) - {"recheck"}
+
+
+def test_only_construction_commands_and_recheck_go_unchecked():
+    # `recheck` vouches for these by re-running alone, so a new command that
+    # ships a certificate must come with its checker
+    from hellykit.cli import _COMMANDS
+
+    unchecked = {name for name, command in _COMMANDS.items() if command.check is None}
+    assert unchecked == {"generate", "verify-lower-bound", "relint-check", "recheck"}
+
+
+def test_one_input_parse_per_request_and_two_per_recheck(capsys, tmp_path, monkeypatch):
+    from hellykit import serialize
+
+    parses = []
+    for name in ("ColoredFamily", "Hypergraph"):
+        built = getattr(serialize, name)
+        monkeypatch.setattr(
+            serialize, name, lambda *a, built=built, **k: parses.append(a) or built(*a, **k)
+        )
+    for argv in (
+        ("check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")),
+        ("two-color", "--input", _split_pair(tmp_path)),
+        ("duality", "--input", str(FIXTURES / "hypergraph_triangle.json")),
+    ):
+        parses.clear()
+        _, report, _ = invoke(capsys, *argv)
+        assert len(parses) == 1
+        parses.clear()
+        code, verdict, _ = _recheck(capsys, tmp_path, report)
+        assert code == 0 and verdict["results"]["agrees"] is True
+        assert len(parses) == 2
+
+
+def test_report_bytes_are_pinned(capsys, tmp_path):
+    # every SUBCOMMAND_ARGS report, a refutation and two error reports, with
+    # the wall time zeroed: a change to the dispatch must not move a byte
+    bad_schema = {**load_fixture("family_ch_d2.json"), "schema_version": 99}
+    cases = [[command, *SUBCOMMAND_ARGS[command](tmp_path)] for command in sorted(SUBCOMMAND_ARGS)]
+    cases += [
+        ["check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")],
+        ["check-ch", "--input", _write_json(tmp_path, "bad.json", bad_schema)],
+        ["generate", "simplex", "--d", "5"],
+    ]
+    reports = []
+    for argv in cases:
+        _, report, _ = invoke(capsys, *argv)
+        reports.append({**report, "wall_time_ms": 0})
+    assert [r["exit_code"] for r in reports[-3:]] == [2, 4, 4]
+    blob = json.dumps(reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b28be444a409e395f3fe57e03aaf48c16e20aba3e21465be73a4a394cf9e02fb"
+    )
+
+
+def test_malformed_budget_variable_gives_a_json_report(capsys, monkeypatch):
+    monkeypatch.setenv("HELLYKIT_MAX_TAU_VERTICES", "abc")
+    code, report, _ = invoke(
+        capsys, "duality", "--input", str(FIXTURES / "hypergraph_triangle.json")
+    )
+    assert code == report["exit_code"] == 4
+    assert report["results"]["error"] == (
+        "HELLYKIT_MAX_TAU_VERTICES must be an integer, got 'abc'"
+    )
+
+
+def test_duality_searches_tau_under_the_request_budget(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HELLYKIT_MAX_TAU_VERTICES", "1")
+    fano = str(FIXTURES / "hypergraph_fano.json")
+    code, report, _ = invoke(capsys, "duality", "--input", fano)
+    assert code == report["exit_code"] == 0
+    res = report["results"]
+    assert report["budgets"]["max_tau_vertices"] == 1
+    assert res["tau"] is None and res["tau_witness"] is None
+    assert "max_tau_vertices" in res["scale_note"]
+    monkeypatch.delenv("HELLYKIT_MAX_TAU_VERTICES")
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 0
+    assert verdict["results"]["agrees"] is True
 
 
 def _recheck(capsys, tmp_path, report):

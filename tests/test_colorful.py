@@ -187,6 +187,21 @@ def test_fractional_search_witnesses_are_pinned():
     )
 
 
+def test_fractional_search_decides_each_set_feasible_once(monkeypatch):
+    # `live_a` decides the A sets, and the hyperplane candidates reuse it
+    calls = []
+    feasible_point = Polyhedron.feasible_point
+
+    def counted(self):
+        calls.append(self)
+        return feasible_point(self)
+
+    monkeypatch.setattr(Polyhedron, "feasible_point", counted)
+    a, b, alpha = random_fractional_instance(0)
+    fractional_two_color_search(a, b, alpha)
+    assert sorted(map(id, calls)) == sorted(map(id, a + b))
+
+
 def test_planar_candidate_lines_cross_as_their_hyperplanes():
     # the planar search tests each candidate line on the line kernel; as a
     # hyperplane of the plane the line must cross exactly the same sets
