@@ -55,7 +55,6 @@ from .geometry import (
     first_meeting,
     flat_crosses,
     hyperplane_crosses,
-    polyhedra_intersect,
     verify_farkas_entries,
 )
 from .hypergraphs import (
@@ -169,16 +168,11 @@ def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
         return _refutation(rep, log, checked=rep.checked)
     results = {"holds": True, "checked": rep.checked}
     if fam.rainbow_count <= _WITNESS_CAP:
-        witnesses = []
         ranges = [range(len(cls)) for cls in fam.classes]
-        for combo in itertools.product(*ranges):
-            cert = polyhedra_intersect(
-                [fam.classes[k][i] for k, i in enumerate(combo)]
-            )
-            witnesses.append(
-                {"rainbow": list(combo), "point": point_to_json(cert.point)}
-            )
-        results["witnesses"] = witnesses
+        results["witnesses"] = [
+            {"rainbow": list(combo), "point": point_to_json(point)}
+            for combo, point in zip(itertools.product(*ranges), rep.points)
+        ]
         results["witnesses_included"] = True
     else:
         results["witnesses_included"] = False

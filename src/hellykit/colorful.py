@@ -142,12 +142,15 @@ class ChReport:
 
     holds = False cites the first failing selection as (class, set) index
     pairs together with the emptiness certificate of its joint system.
+    holds = True lists the verified common Point of every selection, in
+    sweep order.
     """
 
     holds: bool
     violating_rainbow: Optional[tuple] = None
     certificate: Optional[IntersectionCertificate] = None
     checked: int = 0
+    points: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -204,16 +207,16 @@ def check_ch(fam: ColoredFamily, budget: SearchBudget = DEFAULT_BUDGET) -> ChRep
     total = fam.rainbow_count
     if total > budget.max_rainbow_tuples:
         raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, total)
-    checked = 0
+    points = []
     ranges = [range(len(c)) for c in fam.classes]
     for pick in itertools.product(*ranges):
-        checked += 1
         sets = [fam.classes[k][i] for k, i in enumerate(pick)]
         cert = polyhedra_intersect(sets)
         if not cert.feasible:
             rainbow = tuple((k, i) for k, i in enumerate(pick))
-            return ChReport(False, rainbow, cert, checked)
-    return ChReport(True, None, None, checked)
+            return ChReport(False, rainbow, cert, len(points) + 1)
+        points.append(cert.point)
+    return ChReport(True, None, None, len(points), tuple(points))
 
 
 def intersecting_class(

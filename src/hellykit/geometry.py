@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InputError, TheoremViolationError
@@ -147,12 +148,16 @@ class Polyhedron:
     # -- basic queries ---------------------------------------------------------
 
     def contains(self, x) -> bool:
+        """Exact membership: the point is scaled once to X / D, and each
+        stored row a . x <= c (or = c) is tested as a . X <= c * D in ints."""
         coords = x.coords if isinstance(x, Point) else x
         if len(coords) != self.dim:
             raise DimensionError("point/polyhedron dimension mismatch")
-        return all(h.contains(coords) for h in self.inequalities) and all(
-            h.contains(coords) for h in self.equalities
-        )
+        den = common_denominator(coords)
+        xs = scaled_ints(coords, den)
+        return all(
+            sum(map(mul, h.normal, xs)) <= h.offset * den for h in self.inequalities
+        ) and all(sum(map(mul, h.normal, xs)) == h.offset * den for h in self.equalities)
 
     def feasibility_lp(self, objective=None, maximize=True) -> LinearProgram:
         return joint_lp([self], objective, maximize)[0]

@@ -18,15 +18,22 @@ tool.  It pivots fraction-free: each row enters as given, the inequality rows
 and then the equality rows, and is scaled to coprime Python ints (a stored
 polyhedron row already is); the rows share one integer denominator (the basis
 determinant), and rationals appear only when a point, ray or certificate is
-read out.  The pivot sequence is that of the rational tableau, so the answers
-are too.  Polyhedra reach the solver through one builder, geometry.joint_lp,
-which fixes the row order and so the pivots and certificates.
+read out.  The tableau stores one column per variable and one artificial per
+row: a free variable's minus column and an inequality row's slack column are
+fixed multiples of stored ones (see `_Tableau`), read where the pivot rule
+needs them.  Pivots index the textbook tableau's columns, so the pivot
+sequence is that of the rational tableau, and the answers are too.  The
+point check (`verify_point`) reads the program, never the tableau, and runs
+in Python ints over the point's common denominator.  Polyhedra reach the
+solver through one builder, geometry.joint_lp, which fixes the row order and
+so the pivots and certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, TheoremViolationError
@@ -39,7 +46,6 @@ from .rationals import (
     is_zero_vec,
     rat,
     scaled_ints,
-    vec,
 )
 
 
@@ -122,13 +128,19 @@ def verify_farkas(lp: LinearProgram, cert: Infeasible) -> bool:
 
 
 def verify_point(lp: LinearProgram, point: Vec) -> bool:
-    if lp.nonneg and any(x < 0 for x in point):
+    """Exact check of every constraint at `point`, apart from the tableau.
+
+    The point is scaled once to X / D, and a row a . x <= r is tested as
+    a . X <= r * D: in Python ints on integer rows."""
+    den = common_denominator(point)
+    xs = scaled_ints(point, den)
+    if lp.nonneg and any(x < 0 for x in xs):
         return False
     for coeffs, rhs in lp.leq:
-        if dot(coeffs, point) > rhs:
+        if sum(map(mul, coeffs, xs)) > rhs * den:
             return False
     for coeffs, rhs in lp.eq:
-        if dot(coeffs, point) != rhs:
+        if sum(map(mul, coeffs, xs)) != rhs * den:
             return False
     return True
 
@@ -154,7 +166,7 @@ def verify_ray(lp: LinearProgram, ray: Vec) -> bool:
 
 
 class _Tableau:
-    """Dense fraction-free simplex tableau; rows end with the rhs entry.
+    """Dense fraction-free simplex tableau that stores one column per variable.
 
     Every row holds Python ints over the common denominator `den` > 0, the
     absolute basis determinant, so the rational tableau row i is
@@ -162,51 +174,81 @@ class _Tableau:
     Bareiss 1968).  The reduced-cost row `obj` lives over the same `den`,
     times a positive constant when the costs are not integers; only its signs
     are read.  Rows are the inequality rows, then the equality rows, each in
-    program order.  Columns are the structural ones, then a slack per
-    inequality row, then from `art` on the artificials, one per row; the
-    artificials never enter the basis.
+    program order.
+
+    *Logical* columns are those of the textbook tableau, and the pivot rule,
+    `basis` and every method argument index them: a variable's structural
+    column per sign (the +/- pair of a free variable), then a slack per
+    inequality row, then from `art` on an artificial per row, which never
+    enters the basis.  *Stored* columns are fewer: each variable's plus
+    column, then the artificials, then the rhs.  The others are multiples of
+    a stored one, which `column` records as (stored index, factor):
+
+      * a minus column is -1 times its plus column;
+      * the slack of inequality row i is flip_i times artificial i.
+
+    Both hold at the start (the slack and the artificial of row i are
+    flip_i and 1 times the same unit vector) and after every pivot, because
+    the Bareiss update and the sign change of a negative pivot act on each
+    column by the same linear map.  Costs are multiples likewise, except
+    that an artificial costs `c_art` (1 in phase 1, 0 in phase 2) and a slack
+    nothing, so slack i has the reduced cost flip_i * (obj[art_i] - c_art *
+    den); `_reduced_cost` reads it so, and so must the update of `obj`.
     """
 
     def __init__(self, lp: LinearProgram):
-        # a variable spans one structural column per sign: (1,) when it is
-        # nonneg, the +/- pair (1, -1) when it is free
+        # a variable spans one logical structural column per sign: (1,) when
+        # it is nonneg, the +/- pair (1, -1) when it is free
         self.signs = (1,) if lp.nonneg else (1, -1)
-        self.num_vars = lp.num_vars
-        cols = lp.num_vars * len(self.signs)
-        n_leq = len(lp.leq)
-        self.art = cols + n_leq  # a slack column per inequality row, in row order
-        total = self.total_cols = self.art + n_leq + len(lp.eq)
+        n = self.num_vars = lp.num_vars
+        self.cols = cols = n * len(self.signs)
+        self.n_leq = n_leq = len(lp.leq)
+        m = n_leq + len(lp.eq)
+        self.art = cols + n_leq
+        self.total_cols = self.art + m
+        self.rhs = n + m  # stored index of the rhs entry
         self.flip, self.scale, self.rows = [], [], []
         for i, (coeffs, rhs) in enumerate(chain(lp.leq, lp.eq)):
-            try:
-                c, r, k = integer_row(coeffs, rhs)
-            except AttributeError:  # an entry that is not an int or rational
-                vec((*coeffs, rhs))  # raises rat's InputError, e.g. for floats
-                raise
+            c, r, k = integer_row(coeffs, rhs)
             sigma = -1 if r < 0 else 1
-            row = [s * sigma * a for a in c for s in self.signs] + [0] * (total + 1 - cols)
-            if i < n_leq:
-                row[cols + i] = sigma
-            row[self.art + i] = 1
-            row[total] = sigma * r
+            row = [sigma * a for a in c] + [0] * (m + 1)
+            row[n + i] = 1
+            row[n + m] = sigma * r
             self.flip.append(sigma)
             self.scale.append(k)  # positive factor from the given row to the stored one
             self.rows.append(row)
+        self.column = [(k, s) for k in range(n) for s in self.signs]
+        self.column += [(n + i, self.flip[i]) for i in range(n_leq)]
+        self.column += [(n + i, 1) for i in range(m)]
         self.den = 1
-        self.basis = list(range(self.art, total))
-        self.obj = None  # reduced-cost row, entry [total] = -den * (objective value)
+        self.basis = list(range(self.art, self.total_cols))
+        self.obj = None  # reduced-cost row, entry [rhs] = -den * (objective value)
+        self.c_art = 0
+
+    def entry(self, r: int, j: int) -> int:
+        """Row r's entry in logical column j."""
+        s, f = self.column[j]
+        return f * self.rows[r][s]
+
+    def _reduced_cost(self, j: int) -> int:
+        """Logical column j's reduced cost, over den as `obj` stores it."""
+        s, f = self.column[j]
+        if self.cols <= j < self.art:
+            return f * (self.obj[s] - self.c_art * self.den)
+        return f * self.obj[s]
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        s, f = self.column[c]
         row = self.rows[r]
-        p = row[c]
+        p = f * row[s]
         den = self.den
         self.rows = [
-            other if i == r else _eliminate(other, row, c, p, den)
+            other if i == r else _eliminate(other, row, f * other[s], p, den)
             for i, other in enumerate(self.rows)
         ]
-        self.obj = _eliminate(self.obj, row, c, p, den)
+        self.obj = _eliminate(self.obj, row, self._reduced_cost(c), p, den)
         if p < 0:
             self.rows = [[-x for x in other] for other in self.rows]
             self.obj = [-x for x in self.obj]
@@ -214,38 +256,45 @@ class _Tableau:
         self.den = p
         self.basis[r] = c
 
-    def _set_costs(self, costs: list) -> None:
-        """Install reduced costs for the integer minimization cost vector `costs`."""
-        obj = [c * self.den for c in costs] + [0]
+    def _set_costs(self, costs: list, c_art: int) -> None:
+        """Install reduced costs for integer minimization costs: `costs` per
+        variable (its plus column), `c_art` per artificial, 0 per slack."""
+        self.c_art = c_art
+        den = self.den
+        obj = [c * den for c in costs] + [c_art * den] * len(self.rows) + [0]
         for i, row in enumerate(self.rows):
-            cb = costs[self.basis[i]]
+            b = self.basis[i]
+            if b < self.cols:
+                s, f = self.column[b]
+                cb = f * costs[s]
+            else:
+                cb = c_art if b >= self.art else 0
             if cb:
                 obj = [o - cb * x for o, x in zip(obj, row)]
         self.obj = obj
 
     def _bland_step(self) -> str:
         """One simplex step; returns 'optimal', 'pivoted', or 'unbounded'."""
-        total = self.total_cols
-        enter = None
-        for j in range(self.art):
-            if self.obj[j] < 0:
-                enter = j
-                break
+        # Bland's rule: the first logical column with a negative reduced cost
+        enter = next((j for j in range(self.art) if self._reduced_cost(j) < 0), None)
         if enter is None:
             return "optimal"
-        # minimum ratio rows[i][total] / rows[i][enter] over positive entries,
-        # compared by cross-multiplication; ties go to the smaller basis index
+        # minimum ratio rhs / (entering entry) over positive entries, compared
+        # by cross-multiplication; ties go to the smaller basis index
+        s, f = self.column[enter]
+        rhs = self.rhs
         leave = None
         for i, row in enumerate(self.rows):
-            a = row[enter]
+            a = f * row[s]
             if a > 0:
                 if leave is None:
-                    leave = i
+                    leave, best_a, best_r = i, a, row[rhs]
                     continue
-                best = self.rows[leave]
-                lhs, rhs = row[total] * best[enter], best[total] * a
-                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                    leave = i
+                lhs, rhs_cross = row[rhs] * best_a, best_r * a
+                if lhs < rhs_cross or (
+                    lhs == rhs_cross and self.basis[i] < self.basis[leave]
+                ):
+                    leave, best_a, best_r = i, a, row[rhs]
         if leave is None:
             self._unbounded_col = enter
             return "unbounded"
@@ -261,7 +310,7 @@ class _Tableau:
     # -- solution readout ---------------------------------------------------
 
     def _structural(self, values: dict) -> Vec:
-        """Map expanded-column numerators over `den` back to the variables."""
+        """Map logical-column numerators over `den` back to the variables."""
         w = len(self.signs)
         return tuple(
             rat(sum(s * values.get(k * w + j, 0) for j, s in enumerate(self.signs)), self.den)
@@ -269,21 +318,20 @@ class _Tableau:
         )
 
     def structural_point(self) -> Vec:
-        total = self.total_cols
-        return self._structural({b: self.rows[i][total] for i, b in enumerate(self.basis)})
+        return self._structural({b: self.rows[i][self.rhs] for i, b in enumerate(self.basis)})
 
     def structural_ray(self, enter: int) -> Vec:
         delta = {enter: self.den}
         for i, b in enumerate(self.basis):
-            v = self.rows[i][enter]
+            v = self.entry(i, enter)
             if v:
                 delta[b] = -v
         return self._structural(delta)
 
 
-def _eliminate(other: list, row: list, c: int, p: int, den: int) -> list:
-    """Bareiss update of `other` for a pivot on row[c] = p over denominator den."""
-    f = other[c]
+def _eliminate(other: list, row: list, f: int, p: int, den: int) -> list:
+    """Bareiss update of `other`, whose entry in the pivot column is f, for a
+    pivot of value p on `row` over denominator den."""
     if f:
         return [(x * p - f * y) // den for x, y in zip(other, row)]
     if p == den:
@@ -294,17 +342,17 @@ def _eliminate(other: list, row: list, c: int, p: int, den: int) -> list:
 def _phase_one(t: _Tableau, n_leq: int):
     """Returns None if feasible, else the Infeasible certificate; the first
     `n_leq` rows are the inequality rows."""
-    t._set_costs([0] * t.art + [1] * len(t.rows))
+    t._set_costs([0] * t.num_vars, 1)
     state = t._run()
     if state == "unbounded":  # sum of artificials is bounded below by zero
         raise TheoremViolationError("phase-1 objective reported unbounded")
-    if t.obj[t.total_cols] < 0:  # -den * (sum of artificials) < 0
+    if t.obj[t.rhs] < 0:  # -den * (sum of artificials) < 0
         # reduced cost of artificial i is 1 - y_i, so den * y_i is
-        # den - obj[art + i]; map the dual value back through the row's
+        # den - obj[art_i]; map the dual value back through the row's
         # sign flip and normalization scale (the factor den cancels below)
         mults = _normalize_multipliers(
             [
-                -sigma * (t.den - t.obj[t.art + i]) * k
+                -sigma * (t.den - t.obj[t.num_vars + i]) * k
                 for i, (sigma, k) in enumerate(zip(t.flip, t.scale))
             ]
         )
@@ -327,11 +375,7 @@ def _evict_artificials(t: _Tableau) -> None:
     for i in range(len(t.rows)):
         if t.basis[i] < t.art:
             continue
-        pivot_col = None
-        for j in range(t.art):
-            if t.rows[i][j] != 0:
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(t.art) if t.entry(i, j)), None)
         if pivot_col is not None:
             t._pivot(i, pivot_col)
         # else: row is a redundant zero row; harmless to keep
@@ -355,8 +399,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     objective = tuple(rat(c) for c in lp.objective)
     sense = -1 if lp.maximize else 1
     ints = scaled_ints(objective, common_denominator(objective))
-    costs = [s * sense * c for c in ints for s in t.signs]
-    t._set_costs(costs + [0] * (t.total_cols - len(costs)))
+    t._set_costs([sense * c for c in ints], 0)
     state = t._run()
     point = t.structural_point()
     if not verify_point(lp, point):

@@ -98,10 +98,17 @@ def is_zero_vec(a: Sequence) -> bool:
 
 
 def common_denominator(values: Iterable) -> int:
-    """Least positive int D such that D * q is an integer for every q."""
+    """Least positive int D such that D * q is an integer for every q.
+
+    Every q must be an int or rational: anything else, a float included, is
+    an InputError, so no integer check built on D can run on inexact data."""
     den = 1
     for q in values:
-        d = int(q.denominator)
+        try:
+            d = int(q.denominator)
+        except AttributeError:
+            rat(q)  # raises rat's InputError for a float
+            raise InputError(f"not an int or rational: {q!r}") from None
         den = den // gcd(den, d) * d
     return den
 

@@ -59,6 +59,22 @@ def test_check_ch_holds_and_refutes(capsys):
     assert res["farkas"], "refutation must carry a Farkas certificate"
 
 
+def test_check_ch_lists_the_witnesses_of_its_own_sweep(capsys, monkeypatch):
+    # one LP per rainbow selection: the witness list reuses the sweep's points
+    from hellykit import geometry
+
+    solves = []
+    lp_solve = geometry.lp_solve
+    monkeypatch.setattr(geometry, "lp_solve", lambda lp: solves.append(lp) or lp_solve(lp))
+    code, report, _ = invoke(capsys, "check-ch", "--input", str(FIXTURES / "family_ch_d2.json"))
+    assert code == 0
+    assert len(solves) == report["results"]["checked"] == len(report["results"]["witnesses"]) == 4
+    blob = json.dumps({**report, "wall_time_ms": 0}).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "962696e8d72c7d3aa0d3ba239df512fb26676c84df68002793f24ab4beafd119"
+    )
+
+
 def test_generate_then_verify_lower_bound(capsys):
     code, report, _ = invoke(capsys, "generate", "planar", "--f", "2", "--seed", "7")
     assert code == 0

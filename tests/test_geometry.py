@@ -41,7 +41,7 @@ from hellykit.instances import (
     random_polygon_family,
     random_two_colored,
 )
-from hellykit.lp import Feasible, LinearProgram, lp_solve
+from hellykit.lp import Feasible, LinearProgram, lp_solve, verify_point
 from hellykit.projection import project_polyhedron
 from hellykit.rationals import ZERO, dot, normalize_row, rat, vadd, vec, vscale, vsub
 from hellykit.serialize import family_from_doc, family_to_doc
@@ -463,3 +463,41 @@ def test_line_through_matches_rational_formula(pair):
     for a, b in ((p, q), (q, p)):  # one of the two orders has a negative leading difference
         line = line_through(a, b)
         assert (line.base, line.directions) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer point checks against the per-row rational `dot`
+
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7)
+
+
+@PROPERTY
+@given(st.data())
+def test_integer_point_checks_match_the_rational_rows(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    poly = data.draw(polyhedra(d))
+    # vertices lie exactly on facets; the nudge moves them off by tiny rationals
+    x = data.draw(st.sampled_from(vertices_of(poly) + [data.draw(points(d, COORD))]))
+    x = vadd(x, data.draw(points(d, EPS)))
+    assert poly.contains(x) == (
+        all(h.contains(x) for h in poly.inequalities)
+        and all(h.contains(x) for h in poly.equalities)
+    )
+    # the same rows as an LP, scaled by positive rationals to Fraction entries
+    def scaled(h):
+        q = data.draw(POSITIVE)
+        return tuple(q * a for a in h.normal), q * h.offset
+
+    leq = tuple(scaled(h) for h in poly.inequalities)
+    eq = tuple(scaled(h) for h in poly.equalities)
+    lp = LinearProgram(d, leq=leq, eq=eq, nonneg=data.draw(st.booleans()))
+    assert verify_point(lp, x) == (
+        (not lp.nonneg or all(v >= 0 for v in x))
+        and all(dot(c, x) <= r for c, r in leq)
+        and all(dot(c, x) == r for c, r in eq)
+    )
+
+
+def test_float_coordinates_are_an_input_error_in_membership():
+    with pytest.raises(InputError, match="floats are not accepted"):
+        box((0, 0), (1, 1)).contains((Fraction(1, 2), 0.5))

@@ -129,6 +129,12 @@ def test_float_rows_are_an_input_error(lp):
         lp_solve(lp)
 
 
+def test_float_coordinates_are_an_input_error():
+    lp = LinearProgram(2, leq=(row((1, 0), 1),))
+    with pytest.raises(InputError, match="floats are not accepted"):
+        verify_point(lp, (rat(0), 0.5))
+
+
 def test_random_lps_always_verify():
     rng = random.Random("lp-regression")
     for trial in range(60):
@@ -157,6 +163,7 @@ def test_random_lps_always_verify():
 
 
 PINNED_DIGEST = "ad45abe9ec24693afccadbcb92863d00001a8169bb8fa8eaf45b41d4bf2fb2c8"
+PINNED_PIVOT_DIGEST = "7157ca22239d431d9c3609a8f29ae22b622b2d20fca28c0de07e9ebd4b82e503"
 
 
 def _random_coeff(rng):
@@ -218,6 +225,25 @@ def test_pinned_outputs_on_a_seeded_corpus():
         digest.update(_canonical(out).encode() + b"\n")
     assert set(kinds) == {"Optimal", "Feasible", "Infeasible", "Unbounded"}
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_pinned_pivot_sequences_on_a_seeded_corpus(monkeypatch):
+    """Each solve's (row, logical column) pivots next to its outcome: a change
+    of Bland's order that lands on the same vertex shows here."""
+    pivot, pivots = lp_module._Tableau._pivot, []
+
+    def recorded(t, r, c):
+        pivots.append(f"{r}:{c}")
+        pivot(t, r, c)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recorded)
+    digest, total = hashlib.sha256(), 0
+    for lp in _pinned_corpus():
+        pivots.clear()
+        out = lp_solve(lp)
+        total += len(pivots)
+        digest.update(f"{_canonical(out)} {' '.join(pivots)}\n".encode())
+    assert (total, digest.hexdigest()) == (1709, PINNED_PIVOT_DIGEST)
 
 
 def _lp_text(lp: LinearProgram) -> str:
@@ -326,6 +352,27 @@ def test_beale_cycling_example_terminates_at_the_optimum():
     assert out == Optimal(vec(("1/25", 0, 1, 0)), rat(-1, 20))
 
 
+def test_kuhn_cycling_example_terminates_at_the_optimum():
+    # Kuhn's example (Bland 1977): cycles under the largest-coefficient rule.
+    # Row 3 bounds the objective below and x >= 0 makes the feasible set
+    # pointed, so the optimum is attained at a vertex the oracle lists.
+    lp = LinearProgram(
+        4,
+        leq=(
+            row((-2, -9, 1, 9), 0),
+            row(("1/3", 1, "-1/3", -2), 0),
+            row((2, 3, -1, -12), 2),
+        ),
+        objective=vec((-2, -3, 1, 12)),
+        maximize=False,
+        nonneg=True,
+    )
+    out = lp_solve(lp)
+    assert isinstance(out, Optimal)
+    assert verify_point(lp, out.point)
+    assert out.value == min(dot(lp.objective, x) for x in _vertex_candidates(lp))
+
+
 # ---------------------------------------------------------------------------
 # optimality against an independent oracle: brute-force vertex enumeration
 
@@ -401,7 +448,7 @@ def test_tableau_entries_stay_python_ints(monkeypatch):
     phase, seen = ["phase 1"], set()
 
     def checked_pivot(t, r, c):
-        seen.add((phase[0], t.rows[r][c] < 0))
+        seen.add((phase[0], t.entry(r, c) < 0))
         pivot(t, r, c)
         assert type(t.den) is int and t.den > 0
         for entries in (*t.rows, t.obj):
@@ -433,3 +480,18 @@ def test_tableau_entries_stay_python_ints(monkeypatch):
     assert kinds == ["Optimal", "Feasible", "Infeasible", "Unbounded"]
     assert {"phase 1", "phase 2", "eviction"} <= {p for p, _ in seen}
     assert ("eviction", True) in seen
+
+
+def test_tableau_stores_one_column_per_variable_and_row():
+    # n free variables and m rows: n plus columns, m artificials and the rhs;
+    # the minus and slack columns are read off them, never stored
+    lp = LinearProgram(
+        3,
+        leq=(row((1, 0, 0), 1), row((0, 1, "1/2"), 2), row((-1, -1, -1), 0)),
+        eq=(row((1, 1, 1), 1),),
+        objective=vec((1, 2, 3)),
+    )
+    t = lp_module._Tableau(lp)
+    assert lp_module._phase_one(t, len(lp.leq)) is None
+    assert t.total_cols == 3 * 2 + 3 + 4
+    assert {len(entries) for entries in (*t.rows, t.obj)} == {3 + 4 + 1}
