@@ -123,7 +123,9 @@ def _triangle_scheme(m: int, rng: random.Random) -> list[tuple]:
     side at half the lowest ordinate reached by any pairwise intersection
     so far, which empties every triple while keeping all pairs meeting.
     Base anchors are kept distinct so pairwise intersections stay strictly
-    above the base line and the recursion never bottoms out.
+    above the base line and the recursion never bottoms out.  Each triangle
+    is built once, and only the pairs the newest one forms are solved: the
+    lowest ordinate is a running minimum.
     """
 
     def fresh_theta(used: list) -> object:
@@ -135,15 +137,18 @@ def _triangle_scheme(m: int, rng: random.Random) -> list[tuple]:
 
     params: list[tuple] = []
     thetas: list = []
+    built: list[Polyhedron] = []
+    lowest = None
     for i in range(m):
         if i < 2:
             mu = rat(rng.randint(16, 48), 64)
         else:
-            built = [_scheme_set(p, t, _REFERENCE) for p, t in params]
-            lowest = min(
-                _min_ordinate(built[j], built[k])
-                for j, k in itertools.combinations(range(i), 2)
-            )
+            built.extend(_scheme_set(p, t, _REFERENCE) for p, t in params[len(built) :])
+            newest = built[-1]
+            for other in built[:-1]:
+                y = _min_ordinate(other, newest)
+                if lowest is None or y < lowest:
+                    lowest = y
             if lowest <= 0:
                 raise GenerationError("pairwise intersections touched the base")
             mu = lowest * rat(1, 2)

@@ -21,6 +21,14 @@ as for a facet), is decided by one integer line kernel on the stored rows:
 each line caches its integer form once, and parameter bounds, each marked
 strict or closed, are compared by cross-multiplication, so no rational is
 built and no LP is solved per test.
+
+The same kernel decides whether two sets meet (`first_meeting` with r = 2)
+when either set is line-shaped, its equality rows fixing a line (rank d - 1,
+consistent), as a segment's do: every common point lies on that cached
+carrier line, so the joint rows are tested there.  The LP still decides
+every pair in which neither set has a carrier (one-point sets, inconsistent
+equality rows, polygons and bodies), every r != 2, and every certified
+intersection (`polyhedra_intersect`).
 """
 
 from __future__ import annotations
@@ -62,12 +70,20 @@ class Point:
         return len(self.coords)
 
 
+def _exact(value):
+    """An int as it is, anything else through `rat`."""
+    return value if type(value) is int else rat(value)
+
+
 def _stored_row(normal: Sequence, offset, name: str) -> tuple:
-    """(normal, offset) as coprime Python ints; the normal must be nonzero."""
-    n = vec(normal)
+    """(normal, offset) as coprime Python ints; the normal must be nonzero.
+
+    Int entries reach `normalize_row` as they are, so an integer row is
+    normalised without building a rational."""
+    n = tuple(map(_exact, normal))
     if is_zero_vec(n):
         raise InputError(f"{name} normal must be nonzero")
-    return normalize_row(n, rat(offset))
+    return normalize_row(n, _exact(offset))
 
 
 @dataclass(frozen=True)
@@ -169,6 +185,24 @@ class Polyhedron:
     def is_empty(self) -> bool:
         return self.feasible_point() is None
 
+    @cached_property
+    def _carrier_line(self) -> Optional["AffineFlat"]:
+        """The line the equality rows fix, or None.
+
+        A set is line-shaped when its equality rows have rank d - 1 and are
+        consistent; every point of it then lies on this line.  One-point
+        sets (rank d), inconsistent rows and d < 2 have no carrier."""
+        if self.dim < 2 or not self.equalities:
+            return None
+        normals = [h.normal for h in self.equalities]
+        directions = nullspace(normals, self.dim)
+        if len(directions) != 1:
+            return None
+        base = solve_linear(normals, [h.offset for h in self.equalities])
+        if base is None:
+            return None
+        return AffineFlat.line(base, directions[0])
+
     # -- derived polyhedra -----------------------------------------------------
 
     def intersected(self, other: "Polyhedron") -> "Polyhedron":
@@ -186,13 +220,21 @@ class Polyhedron:
         )
 
     def translated(self, t: Sequence) -> "Polyhedron":
+        """The set shifted by t, worked out in ints: t is scaled once to T / D,
+        and each stored row (n, c) becomes (D * n, D * c + n . T), which the
+        stored-row normaliser brings back to coprime ints."""
         tv = vec(t)
-        ineqs = tuple(
-            Halfspace(h.normal, h.offset + dot(h.normal, tv)) for h in self.inequalities
-        )
-        eqs = tuple(
-            Hyperplane(h.normal, h.offset + dot(h.normal, tv)) for h in self.equalities
-        )
+        if len(tv) != self.dim:
+            raise DimensionError("translation/polyhedron dimension mismatch")
+        den = common_denominator(tv)
+        ts = scaled_ints(tv, den)
+
+        def shifted(h) -> tuple:
+            n = h.normal
+            return tuple(den * x for x in n), den * h.offset + sum(map(mul, n, ts))
+
+        ineqs = tuple(Halfspace(*shifted(h)) for h in self.inequalities)
+        eqs = tuple(Hyperplane(*shifted(h)) for h in self.equalities)
         hint = None
         if self.vertices_hint is not None:
             hint = tuple(vadd(v, tv) for v in self.vertices_hint)
@@ -321,11 +363,31 @@ def polyhedra_intersect(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
     return cert
 
 
+def _sets_meet(group: Sequence[Polyhedron]) -> bool:
+    """Whether the sets share a point: for a pair with a line-shaped member,
+    on the integer line kernel along that member's carrier line (the common
+    points lie on it), and by the LP otherwise."""
+    if len(group) == 2:
+        a, b = group
+        line = a._carrier_line if a._carrier_line is not None else b._carrier_line
+        if line is not None:
+            return _line_meets(line, a.intersected(b), False)
+    return polyhedra_intersect(group).feasible
+
+
 def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
     """Lexicographically first r-tuple of indices whose sets share a point,
-    or None; stops at the first one found."""
+    or None; stops at the first one found.
+
+    A pair (r = 2) in which either set is line-shaped (equality rows of
+    rank d - 1 that are consistent, as a segment's are) is decided in Python
+    ints by the line kernel on that set's carrier line.  The LP runs for
+    every other tuple: pairs in which neither set has a carrier (one-point
+    sets, inconsistent equality rows, sets of higher dimension), and every
+    r != 2.  Only indices are returned, so no point or certificate depends
+    on which path decided."""
     for combo in itertools.combinations(range(len(sets)), r):
-        if polyhedra_intersect([sets[i] for i in combo]).feasible:
+        if _sets_meet([sets[i] for i in combo]):
             return combo
     return None
 
@@ -434,33 +496,6 @@ def line_meets_relint(line: AffineFlat, poly: Polyhedron) -> bool:
     if line.k != 1:
         raise InputError("relative-interior crossing is defined for lines (k = 1)")
     return _line_meets(line, poly, True)
-
-
-def line_parameter_interval(flat: AffineFlat, poly: Polyhedron):
-    """Parameter range {t : base + t*dir in poly} as (lo, hi), None bounds for
-    infinite ends; returns None when the line misses the set."""
-    if flat.k != 1:
-        raise InputError("parameter interval is defined for lines (k = 1)")
-    leq, eq = _flat_rows(flat, poly)
-    lo, hi = None, None  # None = unbounded on that side
-    for coeffs, b in leq + [(c, r) for c, r in eq] + [
-        (tuple(-c for c in cs), -r) for cs, r in eq
-    ]:
-        a = coeffs[0]
-        if a == 0:
-            if b < 0:
-                return None
-        elif a > 0:
-            v = b / a
-            if hi is None or v < hi:
-                hi = v
-        else:
-            v = b / a
-            if lo is None or v > lo:
-                lo = v
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return (lo, hi)
 
 
 def hyperplane_crosses(h: Hyperplane, poly: Polyhedron) -> bool:

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for piercing and line-cover numbers.
+"""Independent brute-force oracles for piercing and line-cover numbers,
+and the rational parameter interval of a line through a set.
 
 Everything here runs on stdlib Fractions and elementary 2x2 linear
 algebra, sharing no solver code with the package: candidate points come
@@ -132,3 +133,34 @@ def brute_line_cover(family, normal_bound: int = 4) -> int:
             if sig:
                 signatures.append(sig)
     return _min_cover(signatures, universe)
+
+
+def line_parameter_interval(line, poly):
+    """Parameter range {t : base + t * direction in poly} of a line as
+    (lo, hi), None for an infinite end, or None when the line misses the set.
+
+    Each stored row is pulled back to a * t <= b in Fractions (an equality
+    row to two opposite inequalities) and the bounds b / a are intersected.
+    """
+    (direction,) = line.directions
+
+    def pulled_back(normal, offset):
+        a = sum(Fraction(x) * v for x, v in zip(normal, direction))
+        return a, Fraction(offset) - sum(Fraction(x) * p for x, p in zip(normal, line.base))
+
+    rows = [pulled_back(h.normal, h.offset) for h in poly.inequalities]
+    for h in poly.equalities:
+        a, b = pulled_back(h.normal, h.offset)
+        rows += [(a, b), (-a, -b)]
+    lo = hi = None  # None = unbounded on that side
+    for a, b in rows:
+        if a == 0:
+            if b < 0:
+                return None
+        elif a > 0:
+            hi = b / a if hi is None else min(hi, b / a)
+        else:
+            lo = b / a if lo is None else max(lo, b / a)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -217,6 +218,40 @@ def test_construction_outputs_are_pinned(build, steps, family_digest):
     c = build()
     assert {name: rat_str(getattr(c, name)) for name in steps} == steps
     assert digest(family_to_doc(c.family)) == family_digest
+
+
+@pytest.mark.parametrize(
+    "build, calls, pinned",
+    [
+        (
+            lambda: generate_planar(2, 7),
+            92,
+            "eaca5dcd21d50fe24798b3693507d4ecbb84cada2403bbcb31c48eecbc1b7918",
+        ),
+        (
+            lambda: generate_simplex_family(2, 1, 0),
+            4,
+            "bd20a984165027eabf17e6cd23fa28df92a4dfccc1441fdd719ec3393e294b84",
+        ),
+    ],
+    ids=["planar-2-7", "simplex-2-1-0"],
+)
+def test_meeting_decisions_are_pinned(monkeypatch, build, calls, pinned):
+    """Every `first_meeting` answer a construction asks for, in order: the
+    pins were taken when every pair was still solved as an LP, so they hold
+    the line kernel's segment decisions to the LP's."""
+    answers = []
+    real = constructions.first_meeting
+
+    def recording(sets, r):
+        out = real(sets, r)
+        answers.append((len(sets), r, out))
+        return out
+
+    monkeypatch.setattr(constructions, "first_meeting", recording)
+    build()
+    assert len(answers) == calls
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == pinned
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import line_parameter_interval
 
 from hellykit.colorful import ColoredFamily
 from hellykit.constructions import (
@@ -24,10 +25,10 @@ from hellykit.geometry import (
     Hyperplane,
     Polyhedron,
     _flat_rows,
+    first_meeting,
     flat_crosses,
     hyperplane_crosses,
     line_meets_relint,
-    line_parameter_interval,
     line_through,
     polyhedra_intersect,
     polytope_from_vertices,
@@ -166,6 +167,11 @@ def test_translated_box_contains_shifted_point():
     b = box((0, 0), (1, 1)).translated(vec((5, 5)))
     assert b.contains(vec((rat(11, 2), rat(11, 2))))
     assert not b.contains(vec((0, 0)))
+
+
+def test_translation_width_must_match():
+    with pytest.raises(DimensionError):
+        polytope_from_vertices(2, [(0, 0), (1, 0), (0, 1)]).translated((5,))
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +507,119 @@ def test_integer_point_checks_match_the_rational_rows(data):
 def test_float_coordinates_are_an_input_error_in_membership():
     with pytest.raises(InputError, match="floats are not accepted"):
         box((0, 0), (1, 1)).contains((Fraction(1, 2), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# pair meetings: the line kernel inside `first_meeting` against the LP
+
+
+def _assert_meeting_agrees(a, b):
+    """first_meeting on the pair against polyhedra_intersect and, when a set
+    is line-shaped, the rational interval of the joint rows on its carrier
+    line.  Returns (decision, whether a carrier line decided it)."""
+    got = first_meeting([a, b], 2)
+    assert got in (None, (0, 1))
+    feasible = polyhedra_intersect([a, b]).feasible
+    assert (got is not None) == feasible
+    line = a._carrier_line if a._carrier_line is not None else b._carrier_line
+    if line is not None:
+        assert (line_parameter_interval(line, a.intersected(b)) is not None) == feasible
+    return feasible, line is not None
+
+
+def _hull(*pts):
+    return polytope_from_vertices(len(pts[0]), [vec(p) for p in pts])
+
+
+NANO = Fraction(1, 10**9)
+SPACE_TRIANGLE = _hull((0, 0, 0), (4, 0, 0), (0, 4, 0))
+CLASHING = Polyhedron(2, (), (Hyperplane(vec((2, 0)), rat(0)), Hyperplane(vec((1, 0)), rat(1))))
+
+
+@pytest.mark.parametrize(
+    "a, b, expected, kernel",
+    [
+        (_hull((4, 0), (6, 2)), TRIANGLE, True, True),  # touches a vertex
+        (_hull((4 + NANO, 0), (6, 2)), TRIANGLE, False, True),
+        (SEGMENT, _hull((1, 1), (3, 3)), True, True),  # collinear, overlapping
+        (SEGMENT, _hull((2, 2), (3, 3)), True, True),  # collinear, touching
+        (SEGMENT, _hull((2 + NANO, 2 + NANO), (3, 3)), False, True),  # collinear, apart
+        (_hull((1, 1), (1, 1)), SEGMENT, True, True),  # one-point segment, on the other's line
+        (_hull((1, 1 + NANO), (1, 1 + NANO)), SEGMENT, False, True),
+        (_hull((1, 1), (1, 1)), TRIANGLE, True, False),  # no carrier on either side
+        (_hull((4, NANO)), TRIANGLE, False, False),
+        (_hull((1, 1)), _hull((1, 1)), True, False),
+        (_hull((1, 0), (3, 0)), TRIANGLE, True, True),  # on a polygon edge
+        (_hull((5, 0), (6, 0)), TRIANGLE, False, True),  # on its line, past the edge
+        (_hull((1, -NANO), (3, -NANO)), TRIANGLE, False, True),  # parallel, off it
+        (_hull((1, NANO), (3, NANO)), TRIANGLE, True, True),  # parallel, inside
+        (TRIANGLE, _hull((0, 4), (4, 0)), True, True),  # along the hypotenuse
+        (TRIANGLE, _hull((0, 4 + NANO), (4, NANO)), False, True),
+        (_hull((1, 1, -1), (1, 1, 1)), SPACE_TRIANGLE, True, True),  # pierces it in R^3
+        (_hull((1, 1, NANO), (2, 2, 1)), SPACE_TRIANGLE, False, True),
+        (SPACE_TRIANGLE, _hull((1, 3, 0), (3, 3, 0)), True, True),  # in its plane, touching
+        (SPACE_TRIANGLE, _hull((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)), True, False),
+        (CLASHING, SEGMENT, False, True),  # the segment's carrier decides
+        (CLASHING, TRIANGLE, False, False),  # inconsistent rows have no carrier
+        (Polyhedron(2, (), (Hyperplane(vec((0, 1)), rat(1)),)), TRIANGLE, True, True),
+    ],
+)
+def test_first_meeting_pairs_match_the_lp(a, b, expected, kernel):
+    for pair in ((a, b), (b, a)):
+        assert _assert_meeting_agrees(*pair) == (expected, kernel)
+
+
+def test_carrier_lines_come_from_the_equality_rows():
+    seg = _hull(("1/3", 2), (5, "-7/2"))
+    line = seg._carrier_line
+    carrier = Polyhedron(2, (), seg.equalities)
+    assert line.k == 1 and flat_crosses(line, seg)
+    assert carrier.contains(line.base) and carrier.contains(vadd(line.base, *line.directions))
+    for no_line in (_hull((1, 1)), CLASHING, TRIANGLE, SPACE_TRIANGLE, Polyhedron.whole_space(1)):
+        assert no_line._carrier_line is None
+
+
+@st.composite
+def meeting_pairs(draw):
+    """A set from `polyhedra` against a segment whose ends are free points or
+    the set's vertices nudged by tiny rationals, or against another set."""
+    d = draw(st.sampled_from([2, 3]))
+    b = draw(polyhedra(d))
+    verts = vertices_of(b)
+
+    def end():
+        if verts and draw(st.booleans()):
+            return vadd(draw(st.sampled_from(verts)), draw(points(d, EPS)))
+        return draw(points(d, COORD))
+
+    a = polytope_from_vertices(d, [end(), end()]) if draw(st.booleans()) else draw(polyhedra(d))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@PROPERTY
+@given(meeting_pairs())
+def test_first_meeting_pairs_match_the_lp_on_random_sets(pair):
+    _assert_meeting_agrees(*pair)
+
+
+# ---------------------------------------------------------------------------
+# integer translation against the rational row formula
+
+
+@PROPERTY
+@given(st.data())
+def test_translated_rows_match_the_rational_formula(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    poly = data.draw(polyhedra(d))
+    t = data.draw(points(d, COORD))
+    moved = poly.translated(t)
+
+    def shifted(h):
+        return h.normal, h.offset + sum(x * Fraction(y) for x, y in zip(h.normal, t))
+
+    assert moved.inequalities == tuple(Halfspace(*shifted(h)) for h in poly.inequalities)
+    assert moved.equalities == tuple(Hyperplane(*shifted(h)) for h in poly.equalities)
+    for h in moved.inequalities + moved.equalities:
+        assert all(type(x) is int for x in h.normal) and type(h.offset) is int
+    if poly.vertices_hint is not None:
+        assert moved.vertices_hint == tuple(vadd(v, vec(t)) for v in poly.vertices_hint)

@@ -284,13 +284,13 @@ def _polygon_subsets():
     [
         (
             lambda: generate_planar(2, 7),
-            164,
-            "6953a5016c008469956852d676718fb01afaca3b3b3b6bbd325f330a0732ff1a",
+            13,
+            "0b40227249a61acf376d2c476778371232d80b2a73273c1ecbe0ecedf521e20a",
         ),
         (
             lambda: generate_simplex_family(2, 1, 0),
-            39,
-            "d08b1c8d070dc58b749b63f4b1fdd27a67252adf2cc5812de6d9ffa821155443",
+            36,
+            "dc841a5ab939ec565304751923cbd9173676ae4fa7605dbde3b9b1bbe937e611",
         ),
         (
             _two_color_lemmas,
