@@ -58,9 +58,10 @@ from .geometry import (
     verify_farkas_entries,
 )
 from .hypergraphs import (
-    build_cover_hypergraph,
+    Hypergraph,
+    _as_line,
+    _line_candidates,
     build_point_hypergraph,
-    candidate_lines,
     duality_report,
     line_cover_number,
     tau,
@@ -221,17 +222,16 @@ def _cmd_pierce(family, request: dict, budget: SearchBudget) -> Outcome:
 
 def _cmd_line_cover(family, request: dict, budget: SearchBudget) -> Outcome:
     fam, _ = family
-    sets = list(fam.all_sets())
-    lines = candidate_lines(sets)
-    result = tau(build_cover_hypergraph(sets, lines), budget)
+    candidates, edges = _line_candidates(list(fam.all_sets()))
+    result = tau(Hypergraph(len(candidates), edges), budget)
     results = {
         "size": result.size,
-        "lines": [line_to_json(lines[i]) for i in result.witness],
-        "candidates": len(lines),
+        "lines": [line_to_json(_as_line(candidates[i])) for i in result.witness],
+        "candidates": len(candidates),
         "exact_over_candidates": True,
     }
     log = [
-        f"{len(lines)} candidate lines from the vertex-pair pool",
+        f"{len(candidates)} candidate lines from the vertex-pair pool",
         f"cover of size {result.size} crosses every set (exact interval checks)",
     ]
     return Outcome(results, EXIT_OK, log)

@@ -62,7 +62,8 @@ from .geometry import (
 )
 from .hypergraphs import (
     TransversalResult,
-    candidate_lines,
+    _as_line,
+    _line_candidates,
     candidate_planes,
     line_cover_number,
     maximal_intersecting_subfamilies,
@@ -582,9 +583,11 @@ def fractional_two_color_search(
     Requires at least alpha*|A|*|B| meeting pairs (counted exactly).  The
     point candidates are the witness points of maximal intersecting
     subfamilies of A; hyperplane candidates pass through vertices of the
-    input sets.  In the plane they are lines, tested by the integer line
-    kernel of `flat_crosses`, and only the winner is converted to a
-    Hyperplane; in R^3 they are planes, tested by `hyperplane_crosses`.
+    input sets.  In the plane they are lines, and each one's covered B sets
+    are read from the edges of `hypergraphs._line_candidates` (an empty set
+    is crossed by no line); only the winner is built and converted to a
+    Hyperplane.  In R^3 they are planes, tested by `hyperplane_crosses`.
+    The first candidate covering the most B sets wins.
     Failing both coverage targets contradicts the dichotomy, so it raises
     TheoremViolationError.
     """
@@ -628,21 +631,27 @@ def fractional_two_color_search(
             if len(covered) > len(point_covered):
                 best_point, point_covered = pt, covered
 
-    live_b = [s for s in b_sets if s.feasible_point() is not None]
-    live_sets = [a_sets[i] for i in live_a] + live_b
+    live_b = [j for j, s in enumerate(b_sets) if s.feasible_point() is not None]
+    live_sets = [a_sets[i] for i in live_a] + [b_sets[j] for j in live_b]
     best_hyperplane, hyperplane_covered = None, ()
     if live_sets:
         if d == 2:
-            candidates, crosses = candidate_lines(live_sets), flat_crosses
+            candidates, edges = _line_candidates(live_sets)
+            covered = [[] for _ in candidates]
+            for pos, j in enumerate(live_b, len(live_a)):
+                for k in edges[pos]:
+                    covered[k].append(j)
         else:
-            candidates, crosses = candidate_planes(live_sets), hyperplane_crosses
-        best = None
-        for c in candidates:
-            covered = tuple(j for j, b in enumerate(b_sets) if crosses(c, b))
-            if len(covered) > len(hyperplane_covered):
-                best, hyperplane_covered = c, covered
-        if best is not None:
-            best_hyperplane = _line_to_hyperplane(best) if d == 2 else best
+            candidates = candidate_planes(live_sets)
+            covered = [
+                [j for j, b in enumerate(b_sets) if hyperplane_crosses(c, b)]
+                for c in candidates
+            ]
+        best = max(range(len(candidates)), key=lambda k: len(covered[k]))
+        if covered[best]:
+            hyperplane_covered = tuple(covered[best])
+            c = candidates[best]
+            best_hyperplane = _line_to_hyperplane(_as_line(c)) if d == 2 else c
 
     holds = (
         rat(len(point_covered)) >= gamma_target

@@ -15,12 +15,17 @@ rational chart of the hull, and halfspaces are pulled back to ambient
 coordinates.  That one routine covers segments, polygons, and the small
 simplicial shapes (d <= 4) the constructions need.
 
-Whether a line meets a set, closed (`flat_crosses` with k = 1, the inner
-loop of every line cover) or in its relative interior (`line_meets_relint`,
-as for a facet), is decided by one integer line kernel on the stored rows:
-each line caches its integer form once, and parameter bounds, each marked
-strict or closed, are compared by cross-multiplication, so no rational is
-built and no LP is solved per test.
+Whether a line meets a set, closed (`flat_crosses` with k = 1) or in its
+relative interior (`line_meets_relint`, as for a facet), is decided by one
+integer line kernel on the stored rows: each line caches its integer form
+once, and parameter bounds, each marked strict or closed, are compared by
+cross-multiplication, so no rational is built and no LP is solved per test.
+Line covers run the same closed test from pool-point slacks instead (see
+`hypergraphs`).
+
+`vertices_of` enumerates vertices in ints too: each candidate vertex is one
+fraction-free square solve, and rationals are built for accepted vertices
+only.
 
 The same kernel decides whether two sets meet (`first_meeting` with r = 2)
 when either set is line-shaped, its equality rows fixing a line (rank d - 1,
@@ -55,6 +60,7 @@ from .rationals import (
     rat,
     scaled_ints,
     solve_linear,
+    solve_square_ints,
     vadd,
     vec,
     vsub,
@@ -627,43 +633,40 @@ def polytope_from_vertices(dim: int, vertices: Sequence[Sequence]) -> Polyhedron
 def vertices_of(poly: Polyhedron) -> list[Vec]:
     """All vertices of a (possibly lower-dimensional) bounded polyhedron.
 
-    Enumerates r-subsets of inequality rows inside a rational chart of the
-    explicit-equality hull; desk scale only.  Unbounded polyhedra simply
-    return whatever vertices exist (possibly none).
+    A vertex is the unique solution of an independent subset E of the
+    equality rows (chosen once) together with r = d - |E| inequality rows.
+    Each r-subset of inequality rows, in lexicographic order, gives a square
+    integer system [E; N_sub] x = [f; c_sub], solved fraction-free by
+    `solve_square_ints` as x = X / D; the point is a vertex when every other
+    row holds at it, tested as n . X <= c * D (or =) in ints.  Rationals are
+    built for accepted vertices only, each listed once in order of discovery.
+    Inconsistent equality rows leave no vertex; unbounded polyhedra return
+    whatever vertices exist (possibly none).  Desk scale only.
     """
     if poly.vertices_hint is not None:
         return list(poly.vertices_hint)
-    d = poly.dim
-    if poly.equalities:
-        normals = [list(h.normal) for h in poly.equalities]
-        offsets = [h.offset for h in poly.equalities]
-        base = solve_linear(normals, offsets)
-        if base is None:
-            return []
-        basis = nullspace([h.normal for h in poly.equalities], d)
-    else:
-        base = tuple(ZERO for _ in range(d))
-        basis = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
-    r = len(basis)
-    if r == 0:
-        return [base] if poly.contains(base) else []
-    rows = []
-    for h in poly.inequalities:
-        coeffs = tuple(dot(h.normal, b) for b in basis)
-        rows.append((coeffs, h.offset - dot(h.normal, base)))
-    found: list[Vec] = []
-    for subset in itertools.combinations(range(len(rows)), r):
-        mat = [list(rows[i][0]) for i in subset]
-        if rank(mat) != r:
+    independent: list = []
+    dependent: list = []
+    for h in poly.equalities:
+        if rank([e.normal for e in independent] + [h.normal]) > len(independent):
+            independent.append(h)
+        else:
+            dependent.append(h)
+    rows = poly.inequalities
+    found: dict = {}
+    for subset in itertools.combinations(range(len(rows)), poly.dim - len(independent)):
+        system = independent + [rows[i] for i in subset]
+        sol = solve_square_ints([h.normal for h in system], [h.offset for h in system])
+        if sol is None:
             continue
-        u = solve_linear(mat, [rows[i][1] for i in subset])
-        if u is None:
-            continue
-        if all(dot(c, u) <= b for c, b in rows):
-            x = base
-            for t, b in zip(u, basis):
-                if t:
-                    x = vadd(x, tuple(t * v for v in b))
-            if x not in found:
-                found.append(x)
-    return found
+        xs, den = sol
+        if all(
+            sum(map(mul, h.normal, xs)) <= h.offset * den
+            for i, h in enumerate(rows)
+            if i not in subset
+        ) and all(sum(map(mul, h.normal, xs)) == h.offset * den for h in dependent):
+            g = gcd(den, *xs)
+            key = (den // g, *(x // g for x in xs))
+            if key not in found:
+                found[key] = tuple(rat(x, den) for x in xs)
+    return list(found.values())

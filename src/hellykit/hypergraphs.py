@@ -13,12 +13,22 @@ The geometric builders turn a family of convex sets into hypergraphs whose
 transversals are piercing numbers (vertices = points witnessing maximal
 intersecting subfamilies) or flat-cover numbers (vertices = candidate lines
 or planes drawn from a finite candidate pool).
+
+Line covers skip the generic builder.  `_line_candidates` scales each pool
+point once to integers, computes its slack against every row of every set
+once, and decides whether the line through two pool points crosses a set
+from the two points' slacks alone, in Python ints: no dot product per test,
+and no line is built.  Only a witness line is ever built, by `_as_line`.
+Plane covers still test each (plane, set) pair with `hyperplane_crosses`
+through `build_cover_hypergraph`, which carries the planes as its payload.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
@@ -36,7 +46,17 @@ from .geometry import (
     vertices_of,
 )
 from .lp import LinearProgram, Optimal, lp_solve
-from .rationals import ONE, ZERO, ceil_rat, dot, floor_rat, rat, vsub
+from .rationals import (
+    ONE,
+    ZERO,
+    ceil_rat,
+    common_denominator,
+    dot,
+    floor_rat,
+    rat,
+    scaled_ints,
+    vsub,
+)
 
 
 @dataclass(frozen=True)
@@ -225,6 +245,7 @@ def tau(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> TransversalResu
                 return
 
     dfs(0, [])
+    del dfs  # a recursive closure is a reference cycle: free its captures now
     witness = tuple(sorted(forced | {verts[v] for v in best_set}))
     _assert_covers(h, witness)
     if len(witness) < len(forced) + root_lb:
@@ -242,14 +263,6 @@ def _assert_covers(h: Hypergraph, witness: Sequence[int]) -> None:
     for e in h.edges:
         if not (e & w):
             raise TheoremViolationError("claimed transversal misses an edge")
-
-
-def tau_greedy(h: Hypergraph) -> TransversalResult:
-    """Greedy upper bound, explicitly labeled non-optimal."""
-    chosen = _greedy_cover(list(h.edges))
-    witness = tuple(sorted(chosen))
-    _assert_covers(h, witness)
-    return TransversalResult(len(witness), witness, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +341,7 @@ def nu_b(h: Hypergraph, b: int) -> int:
         dfs(i + 1, count)
 
     dfs(0, 0)
+    del dfs  # as in tau
     if best_found > ub:
         raise TheoremViolationError("nu_b exceeded its duality upper bound")
     return best_found
@@ -400,6 +414,7 @@ def maximal_intersecting_subfamilies(
             x = x + [v]
 
     extend(frozenset(), singles, [])
+    del extend  # as in tau
     results.sort(key=lambda s: tuple(sorted(s)))
     witnesses = [cache[s].point for s in results]
     return results, witnesses
@@ -467,27 +482,140 @@ def _candidate_point_pool(fam: Sequence[Polyhedron]) -> list[tuple]:
     return pool
 
 
-def candidate_lines(fam: Sequence[Polyhedron]) -> list[AffineFlat]:
-    """Lines through pairs of pool points, plus one fallback per orphan set."""
+def _slacks_meet(sp: tuple, sq: tuple, dp: int, dq: int) -> bool:
+    """Whether the line through pool points p = X_p / dp and q = X_q / dq
+    meets a set, from their integer slacks c * D - n . X against its rows:
+    (inequality slacks, equality slacks) for each point.
+
+    On the line p + t (q - p) a row's slack is s(p) + t (s(q) - s(p)), in
+    units of 1 / (dp * dq) after scaling by dp * dq: r + t (s - r) with
+    r = s(p) * dq and s = s(q) * dp.  So the row reads a * t <= r (= r for an
+    equality) with a = r - s: the closed interval test of the integer line
+    kernel, with no dot product, stopping once the interval is empty.
+    """
+    (pi, pe), (qi, qe) = sp, sq
+    # t <= hn / hd and t >= ln / ld with hd, ld >= 0; a zero denominator
+    # stands for an infinite bound
+    hn, hd, ln, ld = 1, 0, -1, 0
+    for r, s in zip(pe, qe):
+        r *= dq
+        a = r - s * dp
+        if not a:
+            if r:
+                return False
+            continue
+        if a < 0:
+            a, r = -a, -r
+        if r * hd < hn * a:
+            hn, hd = r, a
+        if r * ld > ln * a:
+            ln, ld = r, a
+    for r, s in zip(pi, qi):
+        r *= dq
+        a = r - s * dp
+        if a > 0:
+            if r * hd < hn * a:
+                hn, hd = r, a
+                if hn * ld < ln * hd:
+                    return False
+        elif a < 0:
+            if r * ld < ln * a:
+                ln, ld = -r, -a
+                if hn * ld < ln * hd:
+                    return False
+        elif r < 0:
+            return False
+    return hn * ld >= ln * hd
+
+
+def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
+    """(candidates, edges): the candidate lines of `fam`, and for each set the
+    frozenset of candidates crossing it.
+
+    Candidates come in `candidate_lines` order: one per distinct line through
+    two pool points, as the first pool pair (p, q) spanning it, then one axis
+    line per set that no earlier candidate crosses, as an AffineFlat.
+    `_as_line` turns a candidate into its line, so no flat is built for a
+    pool line nobody asks for.
+
+    Each pool point is scaled once to X / D, and its slack c * D - n . X
+    against every row of every set is computed once; a pool line crosses a
+    set when p or q lies in it, and otherwise as `_slacks_meet` decides.
+    Pool lines are deduplicated by an integer key, the primitive direction v
+    and the perpendicular-foot numerators (v . v) X_p - (X_p . v) v over
+    D_p (v . v), reduced: the canonical line of `line_through`.  Fallback
+    lines are tested against every set with `flat_crosses`.
+    """
     if not fam:
         raise InputError("empty family")
     d = fam[0].dim
     pool = _candidate_point_pool(fam)
-    lines: dict = {}
-    for p, q in itertools.combinations(pool, 2):
-        line = line_through(p, q)
-        lines.setdefault((line.base, line.directions), line)
-    out = list(lines.values())
-    # fallback: any set crossed by no candidate gets an axis line through it
+    if d < 2 and len(pool) > 1:  # the error `line_through` raises on a pool pair
+        raise InputError("flat dimension k must satisfy 0 <= k < dim")
+    dens = [common_denominator(p) for p in pool]
+    ints = [scaled_ints(p, den) for p, den in zip(pool, dens)]
+    pairs = []
+    seen = set()
+    for (i, p), (j, q) in itertools.combinations(enumerate(ints), 2):
+        dp, dq = dens[i], dens[j]
+        diff = [y * dp - x * dq for x, y in zip(p, q)]
+        g = gcd(*diff)
+        if next(x for x in diff if x) < 0:
+            g = -g
+        v = tuple(x // g for x in diff)
+        vv = sum(x * x for x in v)
+        pv = sum(map(mul, p, v))
+        foot = (dp * vv, *(x * vv - pv * y for x, y in zip(p, v)))
+        g = gcd(*foot)
+        key = (v, *(x // g for x in foot))
+        if key not in seen:
+            seen.add(key)
+            pairs.append((i, j))
+    edges = []
     for s in fam:
-        if any(flat_crosses(line, s) for line in out):
+        slacks = [
+            (
+                tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.inequalities),
+                tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.equalities),
+            )
+            for x, den in zip(ints, dens)
+        ]
+        inside = [min(si, default=0) >= 0 and not any(se) for si, se in slacks]
+        edges.append(
+            [
+                k
+                for k, (i, j) in enumerate(pairs)
+                if inside[i]
+                or inside[j]
+                or _slacks_meet(slacks[i], slacks[j], dens[i], dens[j])
+            ]
+        )
+    candidates: list = [(pool[i], pool[j]) for i, j in pairs]
+    axis = tuple(ONE if i == 0 else ZERO for i in range(d))
+    for s, edge in zip(fam, edges):
+        if edge:
             continue
         base = s.feasible_point()
         if base is None:
             raise InputError("cannot cover an empty set with lines")
-        direction = tuple(ONE if i == 0 else ZERO for i in range(d))
-        out.append(AffineFlat.line(base, direction))
-    return out
+        line = AffineFlat.line(base, axis)
+        for t, e in zip(fam, edges):
+            if flat_crosses(line, t):
+                e.append(len(candidates))
+        candidates.append(line)
+    return candidates, tuple(frozenset(e) for e in edges)
+
+
+def _as_line(candidate) -> AffineFlat:
+    """The line a `_line_candidates` candidate stands for."""
+    return candidate if isinstance(candidate, AffineFlat) else line_through(*candidate)
+
+
+def candidate_lines(fam: Sequence[Polyhedron]) -> list[AffineFlat]:
+    """Lines through pairs of pool points, one per distinct line in order of
+    first appearance, plus one axis line per set that no earlier line
+    crosses (an orphan).  Built from `_line_candidates`."""
+    return [_as_line(c) for c in _line_candidates(fam)[0]]
 
 
 def line_cover_number(
@@ -499,10 +627,11 @@ def line_cover_number(
     is complete, so the value is the true line-cover number; tangency counts
     as crossing because all sets are closed.  In R^3 the value is exact over
     the candidate pool (see the construction verifiers for the a-priori
-    lower-bound argument).
+    lower-bound argument).  `tau` runs on the edges of `_line_candidates`;
+    the witness indexes `candidate_lines(fam)`, and no line is built.
     """
-    h = build_cover_hypergraph(fam, candidate_lines(fam))
-    return tau(h, budget)
+    candidates, edges = _line_candidates(fam)
+    return tau(Hypergraph(len(candidates), edges), budget)
 
 
 def candidate_planes(fam: Sequence[Polyhedron]) -> list[Hyperplane]:
@@ -545,6 +674,9 @@ def build_cover_hypergraph(
 
     `crosses(candidate, set)` decides crossing; None means `flat_crosses`,
     looked up at call time so a rebound (for example traced) predicate is used.
+    One call per (candidate, set) pair.  `plane_cover_number` builds its
+    hypergraph here; line covers do not (see `_line_candidates`), so they
+    carry no payload, and this builder with `flat_crosses` is their oracle.
     """
     crosses = crosses or flat_crosses
     edges = []

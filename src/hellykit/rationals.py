@@ -6,9 +6,11 @@ constructor the rest of the code base calls.
 
 Vectors are plain tuples of rationals.  The linear algebra is textbook
 Gauss-Jordan elimination over rationals (each pivot row is divided by its
-pivot); sizes never exceed a few dozen rows.  `integer_row` turns a rational
-row into coprime Python ints plus its positive scale for the fraction-free LP
-tableau; `normalize_row` gives the ints alone, the form polyhedra store.
+pivot); sizes never exceed a few dozen rows.  `solve_square_ints` is its
+fraction-free counterpart for square integer systems, as vertex enumeration
+solves them.  `integer_row` turns a rational row into coprime Python ints plus
+its positive scale for the fraction-free LP tableau; `normalize_row` gives
+the ints alone, the form polyhedra store.
 """
 
 from __future__ import annotations
@@ -215,3 +217,37 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence):
             return None
         x[pc] = rrow[ncols]
     return tuple(x)
+
+
+def solve_square_ints(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """(nums, den) with matrix . (nums / den) = rhs and den > 0, for a square
+    matrix of Python ints, or None when the matrix is singular.
+
+    Fraction-free (Bareiss) elimination followed by back substitution: den is
+    |det(matrix)| and den * x is an integer vector by Cramer's rule, so every
+    division below is exact and no rational is built.
+    """
+    n = len(matrix)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        akk = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            aik = row[k]
+            rows[i] = [(x * akk - aik * y) // prev for x, y in zip(row, top)]
+        prev = akk
+    det = prev
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
+        nums[i] = acc // row[i]
+    if det < 0:
+        return tuple(-x for x in nums), -det
+    return tuple(nums), det

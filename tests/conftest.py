@@ -16,6 +16,20 @@ def load_fixture(name: str):
         return json.load(fh)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Rebind module.name to a wrapper that records each call's arguments;
+    returns the list it records into."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def corpus_paths() -> list[Path]:
     return sorted((FIXTURES / "corpus").glob("*.json"))
 

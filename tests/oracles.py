@@ -1,17 +1,29 @@
 """Independent brute-force oracles for piercing and line-cover numbers,
-and the rational parameter interval of a line through a set.
+the rational parameter interval of a line through a set, and the reference
+versions of retired package routines.
 
-Everything here runs on stdlib Fractions and elementary 2x2 linear
+The brute-force oracles run on stdlib Fractions and elementary 2x2 linear
 algebra, sharing no solver code with the package: candidate points come
 from the line arrangement spanned by the polygon edges, candidate lines
 from a dense integer half-grid, and the minima from exhaustive subset
 search over coverage signatures.
+
+`chart_vertices` is the package's former rational vertex enumeration, kept
+as the reference for the fraction-free `geometry.vertices_of`: it shares
+the rational Gauss-Jordan algebra of `hellykit.rationals`, not the integer
+solve under test.  `pairwise_candidate_lines` is the former candidate-line
+builder, one `line_through` per pool pair and one `flat_crosses` scan per
+set.  `tau_greedy` is the former greedy transversal bound.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from hellykit.geometry import AffineFlat, flat_crosses, line_through
+from hellykit.hypergraphs import TransversalResult, _candidate_point_pool, _greedy_cover
+from hellykit.rationals import ONE, ZERO, dot, nullspace, rank, solve_linear, vadd
 
 
 def poly_rows(poly) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:
@@ -164,3 +176,71 @@ def line_parameter_interval(line, poly):
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)
+
+
+def chart_vertices(poly) -> list[tuple]:
+    """All vertices of a polyhedron, in `vertices_of` order, ignoring any
+    vertex hint: r-subsets of inequality rows solved inside a rational chart
+    (base + span of a nullspace basis) of the equality rows."""
+    d = poly.dim
+    if poly.equalities:
+        normals = [list(h.normal) for h in poly.equalities]
+        offsets = [h.offset for h in poly.equalities]
+        base = solve_linear(normals, offsets)
+        if base is None:
+            return []
+        basis = nullspace([h.normal for h in poly.equalities], d)
+    else:
+        base = tuple(ZERO for _ in range(d))
+        basis = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
+    r = len(basis)
+    if r == 0:
+        return [base] if poly.contains(base) else []
+    rows = []
+    for h in poly.inequalities:
+        coeffs = tuple(dot(h.normal, b) for b in basis)
+        rows.append((coeffs, h.offset - dot(h.normal, base)))
+    found: list[tuple] = []
+    for subset in itertools.combinations(range(len(rows)), r):
+        mat = [list(rows[i][0]) for i in subset]
+        if rank(mat) != r:
+            continue
+        u = solve_linear(mat, [rows[i][1] for i in subset])
+        if u is None:
+            continue
+        if all(dot(c, u) <= b for c, b in rows):
+            x = base
+            for t, b in zip(u, basis):
+                if t:
+                    x = vadd(x, tuple(t * v for v in b))
+            if x not in found:
+                found.append(x)
+    return found
+
+
+def tau_greedy(h) -> TransversalResult:
+    """Greedy upper bound on tau, labeled non-optimal: repeatedly take the
+    vertex in the most uncovered edges, the smallest on ties."""
+    witness = tuple(sorted(_greedy_cover(list(h.edges))))
+    assert all(e & set(witness) for e in h.edges)
+    return TransversalResult(len(witness), witness, exact=False)
+
+
+def pairwise_candidate_lines(fam) -> list:
+    """Candidate lines in `candidate_lines` order: the canonical line of
+    every pool pair, deduplicated by value in order of first appearance,
+    then an axis line through each set that no earlier line crosses."""
+    lines: dict = {}
+    for p, q in itertools.combinations(_candidate_point_pool(fam), 2):
+        line = line_through(p, q)
+        lines.setdefault((line.base, line.directions), line)
+    out = list(lines.values())
+    d = fam[0].dim
+    for s in fam:
+        if any(flat_crosses(line, s) for line in out):
+            continue
+        base = s.feasible_point()
+        if base is None:
+            raise AssertionError("an empty set has no fallback line")
+        out.append(AffineFlat.line(base, tuple(ONE if i == 0 else ZERO for i in range(d))))
+    return out

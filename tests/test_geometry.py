@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import line_parameter_interval
+from oracles import chart_vertices, line_parameter_interval
 
 from hellykit.colorful import ColoredFamily
 from hellykit.constructions import (
@@ -161,6 +162,66 @@ def test_polytope_from_vertices_segment():
 def test_vertices_of_a_box_without_hint():
     b = box((0, 0), (1, 2))
     assert len(vertices_of(b)) == 4
+
+
+def assert_vertices_match_the_chart(poly):
+    """Integer vertex enumeration equals the rational chart path: the same
+    vertices, in the same order, as Fractions; vertex hints are ignored."""
+    poly = dataclasses.replace(poly, vertices_hint=None)
+    got = vertices_of(poly)
+    assert got == chart_vertices(poly)
+    assert all(type(x) is Fraction for v in got for x in v)
+    return got
+
+
+def test_vertices_of_dependent_equality_rows():
+    # x = 0, y = 0, x + y = 0 fix the z-axis; z in [0, 1] cuts a segment
+    rows = (Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0), Hyperplane((1, 1, 0), 0))
+    seg = Polyhedron(3, (Halfspace((0, 0, 1), 1), Halfspace((0, 0, -1), 0)), rows)
+    assert assert_vertices_match_the_chart(seg) == [vec((0, 0, 1)), vec((0, 0, 0))]
+
+
+def test_vertices_of_inconsistent_equality_rows():
+    ineqs = box((-5, -5, -5), (5, 5, 5)).inequalities
+    rows = (Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0), Hyperplane((1, 1, 0), 1))
+    assert assert_vertices_match_the_chart(Polyhedron(3, ineqs, rows)) == []
+    parallel = (Hyperplane((1, 1), 0), Hyperplane((1, 1), 1))
+    assert assert_vertices_match_the_chart(Polyhedron(2, (), parallel)) == []
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        (Polyhedron(2, (Halfspace((1, 0), 0),)), []),
+        (Polyhedron(2, (Halfspace((-1, 0), 0), Halfspace((0, -1), 0))), [vec((0, 0))]),
+        (Polyhedron.whole_space(3), []),
+        (Polyhedron(2, (), (Hyperplane((1, 2), 3),)), []),
+        (box((1, 1), (0, 0)), []),
+        (box((0, 0, 0), (1, 1, 1)).with_rows(eqs=(Hyperplane((1, 1, 1), 4),)), []),
+        (polytope_from_vertices(3, [vec(("1/3", "2/7", 5))]), [vec(("1/3", "2/7", 5))]),
+        (
+            Polyhedron(2, (Halfspace((1, 0), 0),), (Hyperplane((1, 0), 1), Hyperplane((0, 1), 1))),
+            [],
+        ),
+        (
+            box(("1/2", 0), (1, "1/3")),
+            [vec((1, "1/3")), vec((1, 0)), vec(("1/2", "1/3")), vec(("1/2", 0))],
+        ),
+    ],
+    ids=[
+        "halfplane",
+        "quadrant",
+        "whole-space",
+        "line",
+        "empty-box",
+        "empty-slice",
+        "one-point",
+        "point-cut-off",
+        "box",
+    ],
+)
+def test_vertices_of_unbounded_empty_and_one_point_sets(poly, expected):
+    assert assert_vertices_match_the_chart(poly) == expected
 
 
 def test_translated_box_contains_shifted_point():
@@ -600,6 +661,12 @@ def meeting_pairs(draw):
 @given(meeting_pairs())
 def test_first_meeting_pairs_match_the_lp_on_random_sets(pair):
     _assert_meeting_agrees(*pair)
+
+
+@PROPERTY
+@given(st.data())
+def test_vertices_of_matches_the_chart_oracle(data):
+    assert_vertices_match_the_chart(data.draw(polyhedra(data.draw(st.sampled_from([2, 3, 4])))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,27 @@ same weights on lines).
 
 from __future__ import annotations
 
+import gc
+import json
+
 import pytest
 
-from conftest import load_fixture
+from conftest import FIXTURES, corpus_paths, count_calls, load_fixture
+from oracles import pairwise_candidate_lines, tau_greedy
+from hellykit import hypergraphs
 from hellykit.budgets import SearchBudget
+from hellykit.constructions import generate_planar, generate_simplex_family
 from hellykit.errors import InputError, ScaleError
-from hellykit.geometry import AffineFlat, Polyhedron
+from hellykit.geometry import (
+    AffineFlat,
+    Halfspace,
+    Hyperplane,
+    Polyhedron,
+    polytope_from_vertices,
+)
 from hellykit.hypergraphs import (
     Hypergraph,
+    _line_candidates,
     build_cover_hypergraph,
     build_point_hypergraph,
     candidate_lines,
@@ -27,12 +40,12 @@ from hellykit.hypergraphs import (
     nu_star,
     piercing_number,
     tau,
-    tau_greedy,
     tau_star,
     transversal_points,
 )
-from hellykit.rationals import rat, vec
-from hellykit.serialize import hypergraph_from_doc
+from hellykit.instances import random_polygon_family
+from hellykit.rationals import ONE, ZERO, rat, vec
+from hellykit.serialize import family_from_doc, hypergraph_from_doc
 
 
 def hg(n, edges):
@@ -97,6 +110,23 @@ def test_duality_report_sandwich():
 def test_greedy_upper_bound_never_beats_exact():
     h = fano()
     assert tau_greedy(h).size >= tau(h).size
+
+
+def test_searches_leave_no_reference_cycles():
+    # the recursive closures of tau, nu_b and the subfamily search would
+    # otherwise keep what they capture (edge masks, LP certificates) alive
+    # until the cyclic collector runs
+    h = fano()
+    fam = [box((0, 0), (2, 2)), box((1, 1), (3, 3)), box((10, 10), (11, 11))]
+    gc.collect()
+    gc.disable()
+    try:
+        tau(h)
+        nu_b(h, 2)
+        maximal_intersecting_subfamilies(fam)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tau_respects_vertex_budget():
@@ -175,3 +205,96 @@ def test_line_payload_matches_witness():
     result = tau(h)
     chosen = [h.payload[v] for v in result.witness]
     assert all(isinstance(line, AffineFlat) for line in chosen)
+
+
+# ---------------------------------------------------------------------------
+# line covers from pool-point slacks, against the flat_crosses oracle
+
+
+def planar_family(f):
+    c = generate_planar(f)
+    return list(c.triangles) + list(c.segments)
+
+
+HALFPLANE = Polyhedron(2, (Halfspace((1, 1), 3),))
+LINE = Polyhedron(2, (), (Hyperplane((1, -2), 1),))
+PLANE = Polyhedron(3, (), (Hyperplane((2, 0, -1), 5),))
+POINT = polytope_from_vertices(2, [vec(("1/3", 2))])
+EMPTY = box((1, 1), (0, 0))
+
+
+def assert_cover_matches_oracle(fam):
+    """Edges and witness of the slack path equal `flat_crosses` on every
+    (candidate, set) pair, and the candidates equal the pairwise builder's."""
+    lines = candidate_lines(fam)
+    assert lines == pairwise_candidate_lines(fam)
+    oracle = build_cover_hypergraph(fam, lines)
+    candidates, edges = _line_candidates(fam)
+    assert len(candidates) == len(lines)
+    assert edges == oracle.edges
+    assert line_cover_number(fam) == tau(oracle)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_line_cover_matches_the_oracle_on_planar_families(f):
+    assert_cover_matches_oracle(planar_family(f))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_line_cover_matches_the_oracle_on_simplex_families(d):
+    assert_cover_matches_oracle(list(generate_simplex_family(d, 1).all_sets))
+
+
+def test_line_cover_matches_the_oracle_on_random_polygons():
+    for seed in range(30):
+        assert_cover_matches_oracle(random_polygon_family(seed))
+
+
+def test_line_cover_matches_the_oracle_on_fixture_families():
+    for path in sorted(FIXTURES.glob("family_*.json")) + corpus_paths():
+        fam, _ = family_from_doc(json.loads(path.read_text(encoding="utf-8")))
+        assert_cover_matches_oracle(list(fam.all_sets()))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        [HALFPLANE, box((5, 5), (6, 7))],
+        [LINE, HALFPLANE, box((0, 0), (1, 1))],
+        [PLANE, polytope_from_vertices(3, [vec((0, 0, 0)), vec((1, 2, 3))])],
+        [HALFPLANE],
+        [LINE],
+        [POINT, POINT],
+    ],
+    ids=["halfplane-box", "line-halfplane-box", "plane-segment", "halfplane", "line", "points"],
+)
+def test_line_cover_matches_the_oracle_on_vertex_free_and_orphan_sets(fam):
+    # the last three have one pool point, so every line is a fallback; the
+    # second point is crossed by the first point's fallback line
+    assert_cover_matches_oracle(fam)
+
+
+def test_line_cover_of_an_empty_set_keeps_its_error():
+    for fam in ([box((0, 0), (1, 1)), EMPTY], [EMPTY]):
+        with pytest.raises(InputError, match="^cannot cover an empty set with lines$"):
+            line_cover_number(fam)
+        with pytest.raises(InputError, match="^cannot cover an empty set with lines$"):
+            candidate_lines(fam)
+
+
+def test_line_cover_builds_no_pool_line(monkeypatch):
+    fam = planar_family(2)
+    through = count_calls(monkeypatch, hypergraphs, "line_through")
+    crosses = count_calls(monkeypatch, hypergraphs, "flat_crosses")
+    assert line_cover_number(fam).size >= 2
+    assert (len(through), len(crosses)) == (0, 0)
+
+
+def test_line_cover_tests_only_fallback_lines_with_flat_crosses(monkeypatch):
+    fam = [POINT, POINT]
+    fallback = AffineFlat.line(POINT.feasible_point(), (ONE, ZERO))
+    through = count_calls(monkeypatch, hypergraphs, "line_through")
+    crosses = count_calls(monkeypatch, hypergraphs, "flat_crosses")
+    assert line_cover_number(fam).witness == (0,)
+    assert through == []
+    assert crosses == [(fallback, POINT), (fallback, POINT)]

@@ -1,17 +1,19 @@
-"""Every name a hellykit module imports is used in that module."""
+"""Every name a hellykit module imports is used in that module, and
+importing the package loads nothing outside it and the standard library."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p
-    for p in (Path(__file__).parent.parent / "src" / "hellykit").glob("*.py")
-    if p.name != "__init__.py"
-)
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted(p for p in (SRC / "hellykit").glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +39,26 @@ def test_no_unused_imports(path):
 def test_guard_flags_an_unused_name():
     source = "import os\nfrom itertools import chain, product\nprint(chain)\n"
     assert unused_imports(source) == ["os (line 1)", "product (line 2)"]
+
+
+def test_import_pulls_no_third_party_modules():
+    # numpy and scipy may be installed; an import of either would show in
+    # the start-up of every command
+    code = (
+        "import json, sys; before = set(sys.modules); import hellykit; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = json.loads(out.stdout)
+    assert "hellykit" in loaded
+    foreign = [
+        m for m in loaded if m.partition(".")[0] not in sys.stdlib_module_names | {"hellykit"}
+    ]
+    assert foreign == []

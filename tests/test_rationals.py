@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hellykit.errors import InputError
 from hellykit.rationals import (
@@ -15,6 +17,7 @@ from hellykit.rationals import (
     rat,
     rat_str,
     solve_linear,
+    solve_square_ints,
     vec,
 )
 
@@ -91,3 +94,31 @@ def test_solve_linear_exact():
 
 def test_solve_linear_inconsistent_returns_none():
     assert solve_linear([vec((1, 1)), vec((2, 2))], vec((1, 3))) is None
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(0, 4))
+    entries = st.integers(-4, 4) | st.integers(-(10**12), 10**12)
+    matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    return matrix, [draw(entries) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(square_systems())
+def test_solve_square_ints_matches_solve_linear(system):
+    matrix, rhs = system
+    got = solve_square_ints(matrix, rhs)
+    if rank(matrix) < len(matrix):
+        assert got is None
+        return
+    nums, den = got
+    assert den > 0 and all(type(x) is int for x in (*nums, den))
+    assert tuple(rat(x, den) for x in nums) == solve_linear(matrix, rhs)
+
+
+def test_solve_square_ints_hand_cases():
+    assert solve_square_ints([[2, 1], [1, -1]], [7, -1]) == ((6, 9), 3)
+    assert solve_square_ints([[0, 1], [1, 0]], [5, -2]) == ((-2, 5), 1)
+    assert solve_square_ints([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve_square_ints([], []) == ((), 1)
