@@ -10,6 +10,10 @@ report is printed to standard output.  Reports echo the full request, so
 the stored results and re-runs the original computation, demanding exact
 agreement.
 
+A request loads only the modules its subcommand runs: the handlers that use
+`colorful` or `constructions` import them when they are called, so a
+`pierce`, `line-cover` or `duality` request never loads either.
+
 Exit codes: 0 = claim verified or quantity computed; 2 = property refuted
 (the report carries the refuting certificate); 3 = a search budget or
 generation bound was exceeded; 4 = malformed input.  The mapping depends
@@ -26,31 +30,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .budgets import SearchBudget, budget_from_env
-from .colorful import (
-    ColoredFamily,
-    HyperplaneCover,
-    LineCover,
-    PiercedClass,
-    check_ch,
-    fractional_two_color_search,
-    generic_line_class,
-    intersecting_class,
-    theorem_main_d2,
-    two_color_lemma,
-)
-from .constructions import (
-    generate_figure1,
-    generate_planar,
-    generate_simplex_family,
-    max_simplex_facets_crossed,
-    verify_relint_property,
-)
 from .errors import GenerationError, InputError, ScaleError, TheoremViolationError
 from .geometry import (
     AffineFlat,
+    ColoredFamily,
     Point,
     first_meeting,
     flat_crosses,
@@ -83,6 +69,9 @@ from .serialize import (
     vec_from_json,
     vec_to_json,
 )
+
+if TYPE_CHECKING:
+    from .colorful import PiercedClass
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -161,6 +150,8 @@ def _pierced(out: PiercedClass, note: str) -> Outcome:
 
 
 def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import check_ch
+
     fam, _ = family
     rep = check_ch(fam, budget)
     log = [f"swept {rep.checked} rainbow selections over {fam.num_classes} classes"]
@@ -182,6 +173,8 @@ def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_intersecting(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import check_ch, intersecting_class
+
     fam, labels = family
     if fam.num_classes != fam.dim + 1:
         raise InputError(
@@ -238,6 +231,8 @@ def _cmd_line_cover(family, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_two_color(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import HyperplaneCover, PiercedClass, two_color_lemma
+
     a_sets, b_sets = family[0].classes
     out = two_color_lemma(a_sets, b_sets, budget)
     if isinstance(out, PiercedClass):
@@ -259,6 +254,8 @@ def _cmd_two_color(family, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_d2_dichotomy(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import LineCover, PiercedClass, check_ch, theorem_main_d2
+
     fam, _ = family
     if fam.dim != 2:
         raise InputError("the dichotomy runs in the plane (dim = 2)")
@@ -280,6 +277,8 @@ def _cmd_d2_dichotomy(family, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_fractional(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import fractional_two_color_search
+
     a_sets, b_sets = family[0].classes
     alpha = rat(request["alpha"])
     rep = fractional_two_color_search(a_sets, b_sets, alpha, budget=budget)
@@ -364,6 +363,8 @@ def _generator_params(request: dict, kind: str) -> dict:
 
 def _generator_family(request: dict):
     """Build (family, labels, audit, construction) for a generate request."""
+    from .constructions import generate_figure1, generate_planar, generate_simplex_family
+
     kind = request["kind"]
     params = _generator_params(request, kind)
     seed = int(request.get("seed", 0))
@@ -425,6 +426,9 @@ def _claim(name: str, observed, required, ok: bool, **extra) -> dict:
 
 
 def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import check_ch
+    from .constructions import max_simplex_facets_crossed
+
     fam, labels, audit, construction = _generator_family(request)
     kind = request["kind"]
     claims = []
@@ -518,6 +522,8 @@ def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_relint_check(_, request: dict, budget: SearchBudget) -> Outcome:
+    from .constructions import generate_simplex_family, verify_relint_property
+
     params = _generator_params(request, "simplex")
     d, f = params["d"], params["f"]
     seed = int(request.get("seed", 0))
@@ -551,6 +557,8 @@ def _cmd_relint_check(_, request: dict, budget: SearchBudget) -> Outcome:
 
 
 def _cmd_generic_line(family, request: dict, budget: SearchBudget) -> Outcome:
+    from .colorful import generic_line_class
+
     fam, labels = family
     seed = int(request.get("seed", 0))
     k, line = generic_line_class(fam, seed=seed, budget=budget)

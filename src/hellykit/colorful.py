@@ -32,7 +32,6 @@ instead of returning a wrong answer.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .geometry import (
     AffineFlat,
+    ColoredFamily,
     FarkasEntry,
     Halfspace,
     Hyperplane,
@@ -100,41 +100,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # data types
-
-
-@dataclass(frozen=True)
-class ColoredFamily:
-    """Convex sets partitioned into color classes within one ambient space."""
-
-    dim: int
-    classes: tuple  # tuple of tuples of Polyhedron
-
-    def __post_init__(self):
-        classes = tuple(tuple(c) for c in self.classes)
-        if not classes:
-            raise InputError("a colored family needs at least one class")
-        for k, cls in enumerate(classes):
-            if not cls:
-                raise InputError(f"color class {k} is empty")
-            for s in cls:
-                if not isinstance(s, Polyhedron):
-                    raise InputError("class members must be polyhedra")
-                if s.dim != self.dim:
-                    raise DimensionError(
-                        f"class {k} member has dimension {s.dim}, expected {self.dim}"
-                    )
-        object.__setattr__(self, "classes", classes)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    @property
-    def rainbow_count(self) -> int:
-        return math.prod(len(c) for c in self.classes)
-
-    def all_sets(self) -> list[Polyhedron]:
-        return [s for cls in self.classes for s in cls]
 
 
 @dataclass(frozen=True)
@@ -701,10 +666,6 @@ class DichotomyReport:
     f_budget: int
     g_budget: int
     entries: tuple
-
-    @property
-    def successful(self) -> tuple:
-        return tuple(e for e in self.entries if e.within_budgets)
 
 
 def dichotomy_report(

@@ -27,10 +27,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colorful import ColoredFamily, check_ch
+from .colorful import check_ch
 from .errors import GenerationError, InputError, TheoremViolationError
 from .geometry import (
     AffineFlat,
+    ColoredFamily,
     Halfspace,
     Hyperplane,
     Polyhedron,
@@ -341,10 +342,6 @@ class SimplexConstruction:
         """The final d-colored family: shrunk cones plus all facet copies."""
         copies = tuple(itertools.chain.from_iterable(self.facet_groups))
         return ColoredFamily(self.d, (*self.cone_classes, copies))
-
-    @property
-    def pre_shrink_family(self) -> ColoredFamily:
-        return ColoredFamily(self.d, (*self.raw_classes, self.facets))
 
     @property
     def all_sets(self) -> tuple:

@@ -34,6 +34,10 @@ carrier line, so the joint rows are tested there.  The LP still decides
 every pair in which neither set has a carrier (one-point sets, inconsistent
 equality rows, polygons and bodies), every r != 2, and every certified
 intersection (`polyhedra_intersect`).
+
+`ColoredFamily` (polyhedra partitioned into color classes) lives here, next
+to `Polyhedron`, so that reading a family document loads no more than this
+module and what it imports.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -245,6 +249,41 @@ class Polyhedron:
         if self.vertices_hint is not None:
             hint = tuple(vadd(v, tv) for v in self.vertices_hint)
         return Polyhedron(self.dim, ineqs, eqs, vertices_hint=hint)
+
+
+@dataclass(frozen=True)
+class ColoredFamily:
+    """Convex sets partitioned into color classes within one ambient space."""
+
+    dim: int
+    classes: tuple  # tuple of tuples of Polyhedron
+
+    def __post_init__(self):
+        classes = tuple(tuple(c) for c in self.classes)
+        if not classes:
+            raise InputError("a colored family needs at least one class")
+        for k, cls in enumerate(classes):
+            if not cls:
+                raise InputError(f"color class {k} is empty")
+            for s in cls:
+                if not isinstance(s, Polyhedron):
+                    raise InputError("class members must be polyhedra")
+                if s.dim != self.dim:
+                    raise DimensionError(
+                        f"class {k} member has dimension {s.dim}, expected {self.dim}"
+                    )
+        object.__setattr__(self, "classes", classes)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    @property
+    def rainbow_count(self) -> int:
+        return prod(len(c) for c in self.classes)
+
+    def all_sets(self) -> list[Polyhedron]:
+        return [s for cls in self.classes for s in cls]
 
 
 @dataclass(frozen=True)

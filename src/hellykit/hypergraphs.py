@@ -458,12 +458,13 @@ def transversal_points(h: Hypergraph, result: TransversalResult) -> list[Point]:
 def _candidate_point_pool(fam: Sequence[Polyhedron]) -> list[tuple]:
     """Vertices of every set; vertex-free sets contribute their own feasible
     point and feasible points of their pairwise intersections (the enrichment
-    that recovers diagonal transversals of hyperplane families)."""
-    pool: list[tuple] = []
+    that recovers diagonal transversals of hyperplane families).  Points are
+    keyed by value in a dict, which keeps the order of first appearance."""
+    pool: dict[tuple, None] = {}
 
     def add(p):
-        if p is not None and p not in pool:
-            pool.append(p)
+        if p is not None:
+            pool.setdefault(p)
 
     vert_lists = [vertices_of(s) for s in fam]
     for vl in vert_lists:
@@ -479,7 +480,7 @@ def _candidate_point_pool(fam: Sequence[Polyhedron]) -> list[tuple]:
             cert = polyhedra_intersect([s, other])
             if cert.feasible:
                 add(cert.point.coords)
-    return pool
+    return list(pool)
 
 
 def _slacks_meet(sp: tuple, sq: tuple, dp: int, dq: int) -> bool:

@@ -14,9 +14,10 @@ import itertools
 import random
 from typing import Sequence
 
-from .colorful import ColoredFamily, check_ch
+from .colorful import check_ch
 from .errors import GenerationError
 from .geometry import (
+    ColoredFamily,
     Halfspace,
     Hyperplane,
     Polyhedron,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .geometry import Halfspace, Hyperplane, Polyhedron
-from .lp import Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+from .lp import Infeasible, LinearProgram, Optimal, lp_solve
 from .rationals import ZERO, dot, is_zero_vec, rat, vec
 
 
@@ -139,26 +139,3 @@ def affine_project(fam: Sequence[Polyhedron], direction: Sequence) -> list[Polyh
     """Project every set of the family along one common direction."""
     return [project_polyhedron(p, direction) for p in fam]
 
-
-# ---------------------------------------------------------------------------
-# exact set comparison (used by the commutativity property and tests)
-
-
-def poly_subset(p: Polyhedron, q: Polyhedron) -> bool:
-    """Is P a subset of Q?  Decided row by row with exact LPs."""
-    if p.dim != q.dim:
-        raise DimensionError("comparing polyhedra of different dimensions")
-    if p.is_empty():
-        return True
-    bounds = [(h.normal, h.offset) for h in q.inequalities]
-    for h in q.equalities:
-        bounds += [(h.normal, h.offset), (tuple(-v for v in h.normal), -h.offset)]
-    for normal, offset in bounds:
-        out = lp_solve(p.feasibility_lp(normal))
-        if isinstance(out, Unbounded) or (isinstance(out, Optimal) and out.value > offset):
-            return False
-    return True
-
-
-def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
-    return poly_subset(p, q) and poly_subset(q, p)

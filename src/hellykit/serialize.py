@@ -14,10 +14,10 @@ import hashlib
 import json
 from typing import Optional, Sequence
 
-from .colorful import ColoredFamily
 from .errors import InputError
 from .geometry import (
     AffineFlat,
+    ColoredFamily,
     FarkasEntry,
     Halfspace,
     Hyperplane,
@@ -166,12 +166,6 @@ def family_from_doc(doc: dict) -> tuple[ColoredFamily, list[str]]:
             raise InputError("each class needs at least one set")
         classes.append(tuple(polyhedron_from_json(s, dim) for s in sets))
     return ColoredFamily(dim, tuple(classes)), labels
-
-
-def flat_family_from_doc(doc: dict) -> tuple[list[Polyhedron], list[str]]:
-    """All sets of a document in class order (for uncolored questions)."""
-    fam, labels = family_from_doc(doc)
-    return list(fam.all_sets()), labels
 
 
 # -- hypergraph documents -----------------------------------------------------

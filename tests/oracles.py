@@ -14,6 +14,10 @@ the rational Gauss-Jordan algebra of `hellykit.rationals`, not the integer
 solve under test.  `pairwise_candidate_lines` is the former candidate-line
 builder, one `line_through` per pool pair and one `flat_crosses` scan per
 set.  `tau_greedy` is the former greedy transversal bound.
+`list_scan_point_pool` is the former candidate point pool, deduplicated by
+a list scan.  `poly_subset` and `poly_equal` compare polyhedra row by row
+with exact LPs, and `flat_family_from_doc` reads a family document as one
+uncolored list of sets.
 """
 
 from __future__ import annotations
@@ -21,9 +25,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hellykit.geometry import AffineFlat, flat_crosses, line_through
+from hellykit.errors import DimensionError
+from hellykit.geometry import (
+    AffineFlat,
+    flat_crosses,
+    line_through,
+    polyhedra_intersect,
+    vertices_of,
+)
 from hellykit.hypergraphs import TransversalResult, _candidate_point_pool, _greedy_cover
+from hellykit.lp import Optimal, Unbounded, lp_solve
 from hellykit.rationals import ONE, ZERO, dot, nullspace, rank, solve_linear, vadd
+from hellykit.serialize import family_from_doc
 
 
 def poly_rows(poly) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:
@@ -244,3 +257,55 @@ def pairwise_candidate_lines(fam) -> list:
             raise AssertionError("an empty set has no fallback line")
         out.append(AffineFlat.line(base, tuple(ONE if i == 0 else ZERO for i in range(d))))
     return out
+
+
+def list_scan_point_pool(fam) -> list[tuple]:
+    """`_candidate_point_pool` as a list scan: each new point is compared
+    with every earlier one before it is appended."""
+    pool: list[tuple] = []
+
+    def add(p):
+        if p is not None and p not in pool:
+            pool.append(p)
+
+    vert_lists = [vertices_of(s) for s in fam]
+    for vl in vert_lists:
+        for v in vl:
+            add(v)
+    for i, s in enumerate(fam):
+        if vert_lists[i]:
+            continue
+        add(s.feasible_point())
+        for j, other in enumerate(fam):
+            if j == i:
+                continue
+            cert = polyhedra_intersect([s, other])
+            if cert.feasible:
+                add(cert.point.coords)
+    return pool
+
+
+def poly_subset(p, q) -> bool:
+    """Is P a subset of Q?  Decided row by row with exact LPs."""
+    if p.dim != q.dim:
+        raise DimensionError("comparing polyhedra of different dimensions")
+    if p.is_empty():
+        return True
+    bounds = [(h.normal, h.offset) for h in q.inequalities]
+    for h in q.equalities:
+        bounds += [(h.normal, h.offset), (tuple(-v for v in h.normal), -h.offset)]
+    for normal, offset in bounds:
+        out = lp_solve(p.feasibility_lp(normal))
+        if isinstance(out, Unbounded) or (isinstance(out, Optimal) and out.value > offset):
+            return False
+    return True
+
+
+def poly_equal(p, q) -> bool:
+    return poly_subset(p, q) and poly_subset(q, p)
+
+
+def flat_family_from_doc(doc: dict) -> tuple[list, list[str]]:
+    """All sets of a document in class order (for uncolored questions)."""
+    fam, labels = family_from_doc(doc)
+    return list(fam.all_sets()), labels

@@ -13,7 +13,7 @@ import itertools
 import time
 
 from conftest import corpus_paths, load_fixture
-from oracles import brute_line_cover, brute_pierce
+from oracles import brute_line_cover, brute_pierce, flat_family_from_doc
 
 from hellykit.bounds import BETA_DEFAULT_LABEL, lam
 from hellykit.budgets import DEFAULT_BUDGET
@@ -43,7 +43,7 @@ from hellykit.instances import (
     random_two_colored,
 )
 from hellykit.rationals import rat
-from hellykit.serialize import family_from_doc, flat_family_from_doc, hypergraph_from_doc
+from hellykit.serialize import family_from_doc, hypergraph_from_doc
 
 WIDE_BUDGET = DEFAULT_BUDGET.scaled(
     max_subfamily_sets=40,

@@ -339,7 +339,7 @@ SUBCOMMAND_ARGS = {
 
 
 def test_d2_dichotomy_sweeps_the_cross_pairs_once(capsys, tmp_path, monkeypatch):
-    from hellykit import cli, colorful
+    from hellykit import colorful
 
     path = _ch_pair(tmp_path)
     sweeps = []
@@ -350,7 +350,6 @@ def test_d2_dichotomy_sweeps_the_cross_pairs_once(capsys, tmp_path, monkeypatch)
         return check_ch(fam, *args)
 
     monkeypatch.setattr(colorful, "check_ch", counted)
-    monkeypatch.setattr(cli, "check_ch", counted)
     code, report, _ = invoke(capsys, "d2-dichotomy", "--input", path)
     assert code == report["exit_code"] == 0
     assert report["results"]["outcome"] == "lines"

@@ -247,8 +247,9 @@ def test_dichotomy_report_structure():
     fam = fixture_family("family_ch_d2.json")
     fam2 = ColoredFamily(2, fam.classes[:2])
     rep = dichotomy_report(fam2, f_budget=1, g_budget=4)
-    assert rep.successful
-    best = rep.successful[0]
+    successful = tuple(e for e in rep.entries if e.within_budgets)
+    assert successful
+    best = successful[0]
     assert best.pierce.size <= 1 or (best.cover and best.cover.size <= 4)
 
 

@@ -20,6 +20,7 @@ from hellykit.constructions import (
 from hellykit.errors import GenerationError, InputError
 from hellykit.geometry import (
     AffineFlat,
+    ColoredFamily,
     flat_crosses,
     polyhedra_intersect,
     polytope_from_vertices,
@@ -123,7 +124,7 @@ def test_simplex_construction_structure():
 
 def test_simplex_pre_shrink_family_also_has_ch():
     c = generate_simplex_family(2, 1, seed=0)
-    assert check_ch(c.pre_shrink_family).holds
+    assert check_ch(ColoredFamily(c.d, (*c.raw_classes, c.facets))).holds
 
 
 def test_simplex_cone_triples_are_empty_within_a_class():

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from conftest import FIXTURES, corpus_paths, count_calls, load_fixture
-from oracles import pairwise_candidate_lines, tau_greedy
+from oracles import list_scan_point_pool, pairwise_candidate_lines, tau_greedy
 from hellykit import hypergraphs
 from hellykit.budgets import SearchBudget
 from hellykit.constructions import generate_planar, generate_simplex_family
@@ -29,6 +29,7 @@ from hellykit.geometry import (
 )
 from hellykit.hypergraphs import (
     Hypergraph,
+    _candidate_point_pool,
     _line_candidates,
     build_cover_hypergraph,
     build_point_hypergraph,
@@ -272,6 +273,16 @@ def test_line_cover_matches_the_oracle_on_vertex_free_and_orphan_sets(fam):
     # the last three have one pool point, so every line is a fallback; the
     # second point is crossed by the first point's fallback line
     assert_cover_matches_oracle(fam)
+
+
+def test_point_pool_keeps_the_list_scan_order():
+    families = [random_polygon_family(seed) for seed in range(30)]
+    for path in sorted(FIXTURES.glob("family_*.json")) + corpus_paths():
+        fam, _ = family_from_doc(json.loads(path.read_text(encoding="utf-8")))
+        families.append(list(fam.all_sets()))
+    families += [[HALFPLANE, box((5, 5), (6, 7))], [LINE, HALFPLANE, box((0, 0), (1, 1))]]
+    for fam in families:
+        assert _candidate_point_pool(fam) == list_scan_point_pool(fam)
 
 
 def test_line_cover_of_an_empty_set_keeps_its_error():

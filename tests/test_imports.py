@@ -1,5 +1,6 @@
-"""Every name a hellykit module imports is used in that module, and
-importing the package loads nothing outside it and the standard library."""
+"""Every name a hellykit module imports is used in that module, importing
+the package loads nothing outside it and the standard library, and a CLI
+request loads only the package modules its subcommand runs."""
 
 from __future__ import annotations
 
@@ -62,3 +63,87 @@ def test_import_pulls_no_third_party_modules():
         m for m in loaded if m.partition(".")[0] not in sys.stdlib_module_names | {"hellykit"}
     ]
     assert foreign == []
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of `code` run in a fresh interpreter with the sources on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hellykit.'))))"
+
+
+def test_import_loads_no_submodule():
+    assert json.loads(run_python(f"import json, sys; import hellykit; {LOADED}")) == []
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+NOT_FOR_QUERIES = {"colorful", "constructions", "bounds", "projection", "instances"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("duality", "--input", "hypergraph_fano.json", "--b", "2"), NOT_FOR_QUERIES),
+        (("pierce", "--input", "corpus/four_grid_boxes.json"), NOT_FOR_QUERIES),
+        (("line-cover", "--input", "corpus/four_grid_boxes.json"), NOT_FOR_QUERIES),
+        (("check-ch", "--input", "family_ch_d2.json"), {"constructions", "instances"}),
+    ],
+    ids=["duality", "pierce", "line-cover", "check-ch"],
+)
+def test_a_request_loads_only_its_subcommand_modules(argv, absent):
+    # the report goes to stderr so that stdout holds only the module list
+    code = (
+        "import contextlib, json, sys\n"
+        "from hellykit.cli import main\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        f"{LOADED}\n"
+    )
+    command, flag, name, *rest = argv
+    loaded = json.loads(run_python(code, command, flag, str(FIXTURES / name), *rest))
+    assert "hellykit.cli" in loaded
+    assert sorted(m for m in loaded if m.removeprefix("hellykit.") in absent) == []
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    # the star import runs first, while every name is still unresolved
+    code = (
+        "import importlib, json\n"
+        "import hellykit\n"
+        "star = {}\n"
+        "exec('from hellykit import *', star)\n"
+        "wrong = []\n"
+        "for name in hellykit.__all__:\n"
+        "    value = getattr(hellykit, name)\n"
+        "    module = importlib.import_module(f'hellykit.{hellykit._MODULE_OF[name]}')\n"
+        "    home = value.__module__ if callable(value) else module.__name__\n"
+        "    if value is not getattr(module, name) or home != module.__name__:\n"
+        "        wrong.append(name)\n"
+        "    elif star.get(name) is not value:\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps([wrong, sorted(set(star) - {'__builtins__'}), hellykit.__all__]))\n"
+    )
+    wrong, star, names = json.loads(run_python(code))
+    assert wrong == []
+    assert star == names
+    assert len(names) == 82
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    code = (
+        "import hellykit\n"
+        "try:\n"
+        "    hellykit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_python(code) == "module 'hellykit' has no attribute 'no_such_name'\n"

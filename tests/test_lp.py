@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import poly_subset
 
 from hellykit import lp as lp_module
 from hellykit.colorful import separating_halfspaces, two_color_lemma
@@ -28,7 +29,6 @@ from hellykit.lp import (
     verify_point,
     verify_ray,
 )
-from hellykit.projection import poly_subset
 from hellykit.rationals import dot, rat, rat_str, solve_linear, vec
 
 

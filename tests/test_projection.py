@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+from oracles import poly_equal, poly_subset
+
 from hellykit.geometry import Halfspace, Polyhedron
-from hellykit.projection import (
-    affine_project,
-    eliminate_variable,
-    poly_equal,
-    poly_subset,
-    project_polyhedron,
-)
+from hellykit.projection import affine_project, eliminate_variable, project_polyhedron
 from hellykit.rationals import ZERO, rat, vec
 
 

@@ -7,10 +7,10 @@ import json
 import pytest
 
 from conftest import load_fixture
+from oracles import poly_equal
 from hellykit.errors import InputError
 from hellykit.geometry import AffineFlat, FarkasEntry, Point, Polyhedron
 from hellykit.hypergraphs import Hypergraph
-from hellykit.projection import poly_equal
 from hellykit.rationals import rat
 from hellykit.serialize import (
     SCHEMA_VERSION,
