@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -160,10 +159,9 @@ def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
         return _refutation(rep, log, checked=rep.checked)
     results = {"holds": True, "checked": rep.checked}
     if fam.rainbow_count <= _WITNESS_CAP:
-        ranges = [range(len(cls)) for cls in fam.classes]
         results["witnesses"] = [
             {"rainbow": list(combo), "point": point_to_json(point)}
-            for combo, point in zip(itertools.product(*ranges), rep.points)
+            for combo, point in zip(fam.picks(), rep.points)
         ]
         results["witnesses_included"] = True
     else:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import BoundFormulas, DEFAULT_FORMULAS
 from .budgets import DEFAULT_BUDGET, SearchBudget
@@ -108,8 +108,10 @@ class ChReport:
 
     holds = False cites the first failing selection as (class, set) index
     pairs together with the emptiness certificate of its joint system.
-    holds = True lists the verified common Point of every selection, in
-    sweep order.
+    `points` lists the verified common Point of every selection swept, in
+    sweep order: all of them when holds = True, those before the violation
+    otherwise.  A hinted selection whose hint verified keeps the hint as its
+    point; every other point is the LP's.
     """
 
     holds: bool
@@ -163,24 +165,45 @@ class SeparatingHalfspaces:
 # CH verification and the (d+1)-colored consequence
 
 
-def check_ch(fam: ColoredFamily, budget: SearchBudget = DEFAULT_BUDGET) -> ChReport:
+def check_ch(
+    fam: ColoredFamily,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    hints: Optional[Mapping] = None,
+) -> ChReport:
     """Decide the colorful Helly property by exhaustive rainbow enumeration.
 
     Selections are visited in lexicographic index order, so the cited
     violation is deterministic.  Raises ScaleError when the number of
     selections exceeds the rainbow budget.
+
+    `hints` maps a pick (one set index per class) to a candidate Point.  A
+    hinted selection is accepted when `Polyhedron.contains` verifies the
+    point in each of its sets; every other selection, a hinted one whose
+    point fails included, is decided by the LP.  Hints only ever accept
+    selections that do meet, so `holds`, the cited violation, its
+    certificate and `checked` do not depend on them; only `points` may.
+
+    The simplex construction hints its dyadic sweeps with two monotonicity
+    facts.  Halving the shrink offset only loosens the cuts, so a point of
+    a selection at one step lies in it at the next.  A facet-copy
+    selection's system is convex in (x, eta), so the midpoint of its points
+    at eta = 0 and at 2 * eta lies in it at eta.
     """
     total = fam.rainbow_count
     if total > budget.max_rainbow_tuples:
         raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, total)
+    hints = hints or {}
     points = []
-    ranges = [range(len(c)) for c in fam.classes]
-    for pick in itertools.product(*ranges):
+    for pick in fam.picks():
         sets = [fam.classes[k][i] for k, i in enumerate(pick)]
+        hint = hints.get(pick)
+        if hint is not None and all(s.contains(hint) for s in sets):
+            points.append(hint)
+            continue
         cert = polyhedra_intersect(sets)
         if not cert.feasible:
             rainbow = tuple((k, i) for k, i in enumerate(pick))
-            return ChReport(False, rainbow, cert, len(points) + 1)
+            return ChReport(False, rainbow, cert, len(points) + 1, tuple(points))
         points.append(cert.point)
     return ChReport(True, None, None, len(points), tuple(points))
 

@@ -34,6 +34,7 @@ from .geometry import (
     ColoredFamily,
     Halfspace,
     Hyperplane,
+    Point,
     Polyhedron,
     first_meeting,
     line_meets_relint,
@@ -49,7 +50,17 @@ _MAX_STEP_EXPONENT = 48
 def _dyadic_search(first_t: int, attempt, step_name: str, error: str):
     """(step, built) for the first step 1/2**t, t >= first_t, that `attempt`
     accepts.  `attempt(step)` returns (built, None) or (None, failure); when
-    every step fails, the last failure is reported with its step."""
+    every step fails, the last failure is reported with its step.
+
+    Steps are tried in halving order, so an `attempt` closure may carry what
+    it verified at the step before to the next one.  The simplex
+    construction does so with two monotonicity facts about its rainbow
+    selections: halving the shrink offset loosens every cut, so a point of a
+    selection at one step stays in it at the next; and a copy selection's
+    system is convex in (x, eta), so the midpoint of its points at eta = 0
+    and at the previous step 2 * eta lies in it at eta.  Carried points are
+    only hints to `check_ch`, which verifies each one exactly, so the steps
+    accepted and the failures cited are those of fresh sweeps."""
     for t in range(first_t, _MAX_STEP_EXPONENT + 1):
         step = rat(1, 2**t)
         built, failure = attempt(step)
@@ -218,7 +229,11 @@ def _segment(p: tuple, q: tuple) -> Polyhedron:
 def _check_planar_segments(
     triangles: Sequence[Polyhedron], segments: Sequence[Polyhedron]
 ) -> Optional[str]:
-    """First violated segment property, or None when all hold."""
+    """First violated segment property, or None when all hold.
+
+    Unlike the simplex sweeps, this scan carries nothing from one dyadic
+    step to the next: the segments' disjointness is not monotone in the
+    step, and the line kernel's pair tests yield no witness point."""
     for si, seg in enumerate(segments):
         for ti, tri in enumerate(triangles):
             if first_meeting([seg, tri], 2) is None:
@@ -371,6 +386,16 @@ def _centroid(points: Sequence[tuple]) -> tuple:
     return vscale(rat(1, len(points)), total)
 
 
+def _swept_points(fam: ColoredFamily, report) -> dict:
+    """Pick -> verified point for every selection `check_ch` swept, which
+    is every selection, or those before the violation."""
+    return dict(zip(fam.picks(), report.points))
+
+
+def _midpoint(p: Point, q: Point) -> Point:
+    return Point(vscale(rat(1, 2), vadd(p.coords, q.coords)))
+
+
 def _pair_cuts(simplex: Polyhedron, epsilon) -> list[Halfspace]:
     """One cut per facet pair; together they clear every (d-2)-face."""
     cuts = []
@@ -398,6 +423,17 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     magnitudes are the first values under which every rainbow selection
     still meets, no three sets of a cone class share a point, and each
     facet's copies are pairwise disjoint.
+
+    Each sweep hints `check_ch` with points verified at an earlier step.  A
+    shrink step gets the previous step's points: halving epsilon only
+    loosens the cuts, so they stay inside.  A copy step gets, for copy 0,
+    the accepted shrink sweep's point of the same selection (the sets are
+    the same), and for copy j >= 1 the midpoint of that point and the
+    selection's point at the previous step 2 * eta: the selection's system
+    is convex in (x, eta).  A step that fails only on a triple or an
+    overlap swept every selection, so the next step hints them all.  The
+    hints are verified exactly and the rest go to the LP, so epsilon, eta,
+    the family and every cited failure are those of unhinted sweeps.
     """
     if not 2 <= d <= 4:
         raise InputError("the simplex construction is built for 2 <= d <= 4")
@@ -430,13 +466,19 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
             f"{pre.violating_rainbow}"
         )
 
+    # pick -> point verified at the last shrink step
+    shrink_points: dict = {}
+
     def shrink(epsilon):
         cuts = _pair_cuts(simplex, epsilon)
         classes = tuple(
             tuple(cone.with_rows(ineqs=cuts) for cone in cls) for cls in raw_classes
         )
         shrunk = tuple(facet.with_rows(ineqs=cuts) for facet in facets)
-        report = check_ch(ColoredFamily(d, (*classes, shrunk)))
+        fam = ColoredFamily(d, (*classes, shrunk))
+        report = check_ch(fam, hints=shrink_points)
+        shrink_points.clear()
+        shrink_points.update(_swept_points(fam, report))
         if not report.holds:
             return None, f"rainbow selection {report.violating_rainbow} became empty"
         for ci, cls in enumerate(classes):
@@ -450,6 +492,23 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     )
 
     inward = [_inward_normal(facet, centroid) for facet in shrunk_facets]
+    # copy pick -> point verified at the last copy step, 2 * eta
+    copy_points: dict = {}
+
+    def copy_hints(fam: ColoredFamily) -> dict:
+        """Copy j of facet fi is shrunk facet fi at eta = 0, so the accepted
+        shrink sweep's point hints copy 0 and, averaged with the point at
+        2 * eta, copy j >= 1."""
+        hints = {}
+        for pick in fam.picks():
+            *cones, copy = pick
+            fi, j = divmod(copy, m)
+            at_zero = shrink_points[(*cones, fi)]
+            if j == 0:
+                hints[pick] = at_zero
+            elif pick in copy_points:
+                hints[pick] = _midpoint(at_zero, copy_points[pick])
+        return hints
 
     def copy_facets(eta):
         groups = tuple(
@@ -460,7 +519,10 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
             for fi in range(d + 1)
         )
         copies = tuple(itertools.chain.from_iterable(groups))
-        report = check_ch(ColoredFamily(d, (*shrunk_classes, copies)))
+        fam = ColoredFamily(d, (*shrunk_classes, copies))
+        report = check_ch(fam, hints=copy_hints(fam))
+        copy_points.clear()
+        copy_points.update(_swept_points(fam, report))
         if not report.holds:
             return None, f"rainbow selection {report.violating_rainbow} became empty"
         for fi, group in enumerate(groups):

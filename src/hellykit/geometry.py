@@ -282,6 +282,11 @@ class ColoredFamily:
     def rainbow_count(self) -> int:
         return prod(len(c) for c in self.classes)
 
+    def picks(self):
+        """Every rainbow pick (one set index per class) in lexicographic
+        order, the order in which `check_ch` sweeps them."""
+        return itertools.product(*(range(len(c)) for c in self.classes))
+
     def all_sets(self) -> list[Polyhedron]:
         return [s for cls in self.classes for s in cls]
 

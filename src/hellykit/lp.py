@@ -15,29 +15,32 @@ Problems are stated over free variables by default; `nonneg=True` constrains
 all variables to be >= 0 (used by the fractional transversal/matching LPs).
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
 tool.  It pivots fraction-free: each row enters as given, the inequality rows
-and then the equality rows, and is scaled to coprime Python ints (a stored
-polyhedron row already is); the rows share one integer denominator (the basis
-determinant), and rationals appear only when a point, ray or certificate is
-read out.  The tableau stores one column per variable and one artificial per
-row: a free variable's minus column and an inequality row's slack column are
-fixed multiples of stored ones (see `_Tableau`), read where the pivot rule
-needs them.  Pivots index the textbook tableau's columns, so the pivot
-sequence is that of the rational tableau, and the answers are too.  The
-point check (`verify_point`) reads the program, never the tableau, and runs
-in Python ints over the point's common denominator.  Polyhedra reach the
-solver through one builder, geometry.joint_lp, which fixes the row order and
-so the pivots and certificates.
+and then the equality rows, and is scaled to coprime Python ints unless it
+already is (a stored polyhedron row is, and enters with scale 1); the rows
+share one integer denominator (the basis determinant), and rationals appear
+only when a point, ray or certificate is read out.  The tableau stores one
+column per variable and one artificial per row: a free variable's minus
+column and an inequality row's slack column are fixed multiples of stored
+ones (see `_Tableau`), read where the pivot rule needs them.  Pivots index
+the textbook tableau's columns, so the pivot sequence is that of the rational
+tableau, and the answers are too.  The point check (`verify_point`) reads the
+program, never the tableau, and runs in Python ints over the point's common
+denominator.  Polyhedra reach the solver through one builder,
+geometry.joint_lp, which fixes the row order and so the pivots and
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, TheoremViolationError
 from .rationals import (
+    ONE,
     ZERO,
     Vec,
     common_denominator,
@@ -209,7 +212,10 @@ class _Tableau:
         self.rhs = n + m  # stored index of the rhs entry
         self.flip, self.scale, self.rows = [], [], []
         for i, (coeffs, rhs) in enumerate(chain(lp.leq, lp.eq)):
-            c, r, k = integer_row(coeffs, rhs)
+            if _is_coprime_int_row(coeffs, rhs):
+                c, r, k = coeffs, rhs, ONE
+            else:
+                c, r, k = integer_row(coeffs, rhs)
             sigma = -1 if r < 0 else 1
             row = [sigma * a for a in c] + [0] * (m + 1)
             row[n + i] = 1
@@ -327,6 +333,16 @@ class _Tableau:
             if v:
                 delta[b] = -v
         return self._structural(delta)
+
+
+def _is_coprime_int_row(coeffs, rhs) -> bool:
+    """Whether the row is already what `integer_row` makes of it (scale 1):
+    Python ints with no common factor, as every stored polyhedron row is."""
+    return (
+        type(rhs) is int
+        and all(type(a) is int for a in coeffs)
+        and gcd(*coeffs, rhs) == 1
+    )
 
 
 def _eliminate(other: list, row: list, f: int, p: int, den: int) -> list:

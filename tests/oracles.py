@@ -17,7 +17,8 @@ set.  `tau_greedy` is the former greedy transversal bound.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
 a list scan.  `poly_subset` and `poly_equal` compare polyhedra row by row
 with exact LPs, and `flat_family_from_doc` reads a family document as one
-uncolored list of sets.
+uncolored list of sets.  `point_in` is set membership in any dimension,
+apart from the package's integer point checks.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from hellykit.rationals import ONE, ZERO, dot, nullspace, rank, solve_linear, va
 from hellykit.serialize import family_from_doc
 
 
-def poly_rows(poly) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:
-    """Extract ((a1, a2), c) inequality rows of a planar set as Fractions."""
+def poly_rows(poly) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """Extract (a, c) inequality rows a . x <= c of a set as Fractions, each
+    equality row as two opposite ones."""
     rows = []
     for h in poly.inequalities:
         a = tuple(Fraction(str(x)) for x in h.normal)
@@ -55,6 +57,13 @@ def poly_rows(poly) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:
 
 def contains(rows, p) -> bool:
     return all(a[0] * p[0] + a[1] * p[1] <= c for a, c in rows)
+
+
+def point_in(poly, p) -> bool:
+    """Membership of p in a set of any dimension: plain Fraction sums over
+    `poly_rows`, with no integer scaling."""
+    xs = [Fraction(str(x)) for x in p]
+    return all(sum(a_i * x for a_i, x in zip(a, xs)) <= c for a, c in poly_rows(poly))
 
 
 def _line_meet(r1, r2):

@@ -24,7 +24,7 @@ from hellykit.colorful import (
     two_color_lemma,
 )
 from hellykit.errors import PreconditionError, ScaleError
-from hellykit.geometry import Polyhedron, flat_crosses, hyperplane_crosses, line_through
+from hellykit.geometry import Point, Polyhedron, flat_crosses, hyperplane_crosses, line_through
 from hellykit.hypergraphs import candidate_lines, piercing_number
 from hellykit.instances import random_fractional_instance, random_two_colored
 from hellykit.rationals import rat, rat_str, vec
@@ -52,6 +52,49 @@ def test_check_ch_refutes_disjoint_boxes():
     assert not rep.holds
     assert rep.violating_rainbow == ((0, 0), (1, 0))
     assert rep.certificate is not None and not rep.certificate.feasible
+
+
+def late_violation_family():
+    """Two rainbows: the first meets, the second is empty."""
+    a = box((0, 0), (2, 2))
+    return ColoredFamily(2, ((a,), (box((1, 1), (3, 3)), box((5, 5), (6, 6)))))
+
+
+def test_check_ch_lists_the_points_swept_before_a_violation():
+    rep = check_ch(late_violation_family())
+    assert not rep.holds
+    assert (rep.violating_rainbow, rep.checked) == (((0, 0), (1, 1)), 2)
+    (point,) = rep.points
+    assert box((1, 1), (2, 2)).contains(point)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [fixture_family("family_ch_d2.json"), late_violation_family()],
+    ids=["holds", "late-violation"],
+)
+def test_check_ch_sends_a_bogus_hint_to_the_lp(monkeypatch, fam):
+    plain = check_ch(fam)
+    far = Point(vec((100, 100)))
+    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+    hinted = check_ch(fam, hints={pick: far for pick in fam.picks()})
+    assert hinted == plain  # holds, violation, certificate, checked and points
+    assert len(lps) == plain.checked
+
+
+def test_check_ch_accepts_verified_hints_without_the_lp(monkeypatch):
+    fam = late_violation_family()
+    inside = Point(vec(("3/2", "3/2")))
+    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+    hinted = check_ch(fam, hints={(0, 0): inside})
+    assert len(lps) == 1  # the violating rainbow only
+    assert hinted.points == (inside,)
+    plain = check_ch(fam)
+    assert (hinted.violating_rainbow, hinted.certificate, hinted.checked) == (
+        plain.violating_rainbow,
+        plain.certificate,
+        plain.checked,
+    )
 
 
 def test_rainbow_budget_enforced():

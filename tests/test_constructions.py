@@ -7,7 +7,8 @@ import itertools
 
 import pytest
 
-from hellykit import constructions
+from conftest import count_calls
+from hellykit import colorful, constructions
 from hellykit.colorful import check_ch
 from hellykit.constructions import (
     generate_figure1,
@@ -28,6 +29,7 @@ from hellykit.geometry import (
 from hellykit.hypergraphs import line_cover_number, piercing_number
 from hellykit.rationals import ONE, rat, rat_str
 from hellykit.serialize import digest, family_to_doc, line_to_json
+from oracles import point_in
 
 
 def test_figure1_shape_and_ch():
@@ -297,3 +299,80 @@ def test_step_search_failure_messages_are_pinned(monkeypatch, max_exponent, buil
     with pytest.raises(GenerationError) as err:
         build()
     assert str(err.value) == message
+
+
+# -- witnesses carried across the simplex construction's dyadic steps --------
+
+
+def _simplex_build_log(monkeypatch, args, hinted):
+    """Build generate_simplex_family(*args), recording every dyadic step as
+    (step name, step, failure), every sweep as (family, report) and every
+    sweep LP; with hinted=False each sweep drops the hints it is given."""
+    steps, sweeps = [], []
+    real_search = constructions._dyadic_search
+
+    def search(first_t, attempt, step_name, error):
+        def logged(step):
+            built, failure = attempt(step)
+            steps.append((step_name, step, failure))
+            return built, failure
+
+        return real_search(first_t, logged, step_name, error)
+
+    def sweep(fam, hints=None):
+        report = check_ch(fam, hints=hints if hinted else None)
+        sweeps.append((fam, report))
+        return report
+
+    monkeypatch.setattr(constructions, "_dyadic_search", search)
+    monkeypatch.setattr(constructions, "check_ch", sweep)
+    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+    built = generate_simplex_family(*args)
+    monkeypatch.undo()
+    return built, steps, sweeps, len(lps)
+
+
+def _build_id(args) -> str:
+    return "-".join(map(str, args))
+
+
+@pytest.mark.parametrize(
+    "args", [(2, 1, 0), (2, 2, 0), (3, 1, 7002), (3, 2, 0)], ids=_build_id
+)
+def test_hinted_and_unhinted_simplex_builds_agree(monkeypatch, args):
+    built, steps, sweeps, lps = _simplex_build_log(monkeypatch, args, True)
+    plain, plain_steps, plain_sweeps, plain_lps = _simplex_build_log(
+        monkeypatch, args, False
+    )
+    assert (built.epsilon, built.eta) == (plain.epsilon, plain.eta)
+    assert built == plain
+    assert steps == plain_steps
+    assert [
+        (r.holds, r.violating_rainbow, r.certificate, r.checked) for _, r in sweeps
+    ] == [(r.holds, r.violating_rainbow, r.certificate, r.checked) for _, r in plain_sweeps]
+    assert lps < plain_lps
+
+
+def test_shrink_steps_of_seed_7002_fail_late_in_the_sweep(monkeypatch):
+    # the first three shrink steps cite the 4th, 12th and 12th of 16 rainbows
+    _, steps, sweeps, _ = _simplex_build_log(monkeypatch, (3, 1, 7002), True)
+    shrink = [failure for name, _, failure in steps if name == "shrink offset"]
+    assert shrink[:3] == [
+        "rainbow selection ((0, 0), (1, 0), (2, 3)) became empty",
+        "rainbow selection ((0, 1), (1, 0), (2, 3)) became empty",
+        "rainbow selection ((0, 1), (1, 0), (2, 3)) became empty",
+    ]
+    # sweeps[0] is the unshrunk family's; a failed sweep keeps the points
+    # swept before its violation
+    assert [r.checked for _, r in sweeps[1:4]] == [4, 12, 12]
+    assert [len(r.points) for _, r in sweeps[1:4]] == [3, 11, 11]
+
+
+@pytest.mark.parametrize("args", [(2, 2, 0), (3, 1, 7002), (3, 1, 7005)], ids=_build_id)
+def test_hinted_sweep_points_lie_in_their_rainbows(monkeypatch, args):
+    _, _, sweeps, _ = _simplex_build_log(monkeypatch, args, True)
+    assert len(sweeps) > 1
+    for fam, report in sweeps:
+        for pick, point in zip(fam.picks(), report.points):
+            sets = [fam.classes[k][i] for k, i in enumerate(pick)]
+            assert all(point_in(s, point.coords) for s in sets), pick

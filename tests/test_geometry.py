@@ -6,7 +6,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import chart_vertices, line_parameter_interval
 
@@ -45,7 +45,18 @@ from hellykit.instances import (
 )
 from hellykit.lp import Feasible, LinearProgram, lp_solve, verify_point
 from hellykit.projection import project_polyhedron
-from hellykit.rationals import ZERO, dot, normalize_row, rat, vadd, vec, vscale, vsub
+from hellykit.rationals import (
+    ZERO,
+    dot,
+    normalize_row,
+    nullspace,
+    rank,
+    rat,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+)
 from hellykit.serialize import family_from_doc, family_to_doc
 
 
@@ -395,6 +406,50 @@ def _assert_crossing_agrees(line, poly):
 def test_line_crossing_matches_interval_and_lp(data):
     poly = data.draw(polyhedra(data.draw(st.sampled_from([2, 3]))))
     _assert_crossing_agrees(data.draw(lines_against(poly)), poly)
+
+
+@st.composite
+def flats_against(draw, poly):
+    """k-flats with 2 <= k < d: free, through a vertex (tangency), or
+    parallel to a facet, on it or just off it; some huge coordinates."""
+    d = poly.dim
+    k = draw(st.integers(2, d - 1))
+    base = draw(points(d, COORD))
+    directions = draw(st.lists(points(d, COORD), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["free", "vertex", "parallel"]))
+    verts = vertices_of(poly)
+    if kind == "vertex" and verts:
+        base = draw(st.sampled_from(verts))
+    elif kind == "parallel" and poly.inequalities:
+        h = draw(st.sampled_from(poly.inequalities))
+        along = nullspace([h.normal], d)
+        directions = [
+            tuple(sum(c * v[i] for c, v in zip(coeffs, along)) for i in range(d))
+            for coeffs in draw(st.lists(points(d - 1), min_size=k, max_size=k))
+        ]
+        on_facet = [v for v in verts if dot(h.normal, v) == h.offset]
+        if on_facet:
+            base = draw(st.sampled_from(on_facet))
+        else:
+            t = (h.offset - dot(h.normal, base)) / dot(h.normal, h.normal)
+            base = tuple(x + t * n for x, n in zip(base, h.normal))
+        eps = draw(EPS)
+        base = tuple(x + eps * n for x, n in zip(base, h.normal))
+    assume(rank(directions) == k)
+    return AffineFlat(d, base, tuple(directions))
+
+
+@PROPERTY
+@given(st.data())
+def test_flat_crossing_matches_the_intersection_with_the_flat_rows(data):
+    # the oracle writes the flat as d - k equality rows in ambient space and
+    # asks polyhedra_intersect; flat_crosses solves in the flat's parameters
+    poly = data.draw(polyhedra(data.draw(st.sampled_from([3, 4]))))
+    flat = data.draw(flats_against(poly))
+    normals = nullspace(flat.directions, flat.dim)
+    rows = tuple(Hyperplane(n, dot(n, flat.base)) for n in normals)
+    on_flat = Polyhedron(flat.dim, (), rows)
+    assert flat_crosses(flat, poly) == polyhedra_intersect([poly, on_flat]).feasible
 
 
 TRIANGLE = polytope_from_vertices(2, [vec(p) for p in ((0, 0), (4, 0), (0, 4))])

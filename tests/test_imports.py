@@ -1,6 +1,8 @@
-"""Every name a hellykit module imports is used in that module, importing
-the package loads nothing outside it and the standard library, and a CLI
-request loads only the package modules its subcommand runs."""
+"""Every name a hellykit module imports is used in that module, every
+module-level definition is reached from the package (or named on a short
+list of test and benchmark helpers), importing the package loads nothing
+outside it and the standard library, and a CLI request loads only the
+package modules its subcommand runs."""
 
 from __future__ import annotations
 
@@ -40,6 +42,92 @@ def test_no_unused_imports(path):
 def test_guard_flags_an_unused_name():
     source = "import os\nfrom itertools import chain, product\nprint(chain)\n"
     assert unused_imports(source) == ["os (line 1)", "product (line 2)"]
+
+
+def top_level_definitions(tree: ast.Module) -> dict[str, int]:
+    """Functions, classes and assigned names a module defines at top level
+    (dunder names aside), with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    return {k: v for k, v in defined.items() if not (k.startswith("__") and k.endswith("__"))}
+
+
+def unreached_definitions(sources: dict[str, str], exported: dict[str, str]) -> list[str]:
+    """`module.name (line n)` for each top-level definition that nothing
+    reaches.  A definition is reached when the package exports it from its
+    module (`exported` maps name -> module), when its own module reads it,
+    when another module imports it from its module, or when any module
+    reads an attribute of that name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {
+        module: {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for module, tree in trees.items()
+    }
+    attributes = {
+        n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+    imported = {
+        (node.module.rpartition(".")[2], alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    return [
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in top_level_definitions(tree).items()
+        if exported.get(name) != module
+        and name not in reads[module]
+        and (module, name) not in imported
+        and name not in attributes
+    ]
+
+
+# Defined for the tests and the benchmark, which use all eight, and reached
+# from nothing in the package: the seeded instance generators, the name of
+# the rational backend and the hypergraph writer.
+UNREACHED_BY_DESIGN = [
+    "instances.random_ch_family",
+    "instances.random_ch_pair",
+    "instances.random_fractional_instance",
+    "instances.random_hypergraph",
+    "instances.random_polygon_family",
+    "instances.random_two_colored",
+    "rationals.RATIONAL_BACKEND",
+    "serialize.hypergraph_to_doc",
+]
+
+
+def test_every_module_level_definition_is_reached():
+    import hellykit
+
+    sources = {
+        p.stem: p.read_text(encoding="utf-8") for p in sorted((SRC / "hellykit").glob("*.py"))
+    }
+    found = unreached_definitions(sources, hellykit._MODULE_OF)
+    assert sorted(entry.partition(" ")[0] for entry in found) == UNREACHED_BY_DESIGN
+
+
+def test_guard_flags_an_unreached_definition():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef planted():\n    pass\n",
+        "b": "from .a import used\n\nLIMIT = 3\nused()\n",
+        "c": "import a\n\n\nclass Kept:\n    pass\n\n\nprint(a.LIMIT)\n",
+    }
+    assert unreached_definitions(sources, {"Kept": "c"}) == ["a.planted (line 5)"]
 
 
 def test_import_pulls_no_third_party_modules():

@@ -289,8 +289,8 @@ def _polygon_subsets():
         ),
         (
             lambda: generate_simplex_family(2, 1, 0),
-            36,
-            "dc841a5ab939ec565304751923cbd9173676ae4fa7605dbde3b9b1bbe937e611",
+            20,
+            "a467d4616a7a0dffa268917730a6b3575d4f989d881959f4a0e7f32305cf9da7",
         ),
         (
             _two_color_lemmas,
