@@ -169,6 +169,7 @@ def check_ch(
     fam: ColoredFamily,
     budget: SearchBudget = DEFAULT_BUDGET,
     hints: Optional[Mapping] = None,
+    decide=None,
 ) -> ChReport:
     """Decide the colorful Helly property by exhaustive rainbow enumeration.
 
@@ -188,7 +189,13 @@ def check_ch(
     a selection at one step lies in it at the next.  A facet-copy
     selection's system is convex in (x, eta), so the midpoint of its points
     at eta = 0 and at 2 * eta lies in it at eta.
+
+    `decide` certifies one selection's sets; None means
+    `polyhedra_intersect`, the primal tableau whose points and certificates
+    the reports show.  The construction passes `polyhedra_meet` (the
+    transposed Farkas system), whose verdicts are the same.
     """
+    decide = decide or polyhedra_intersect
     total = fam.rainbow_count
     if total > budget.max_rainbow_tuples:
         raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, total)
@@ -200,7 +207,7 @@ def check_ch(
         if hint is not None and all(s.contains(hint) for s in sets):
             points.append(hint)
             continue
-        cert = polyhedra_intersect(sets)
+        cert = decide(sets)
         if not cert.feasible:
             rainbow = tuple((k, i) for k, i in enumerate(pick))
             return ChReport(False, rainbow, cert, len(points) + 1, tuple(points))

@@ -39,6 +39,7 @@ from .geometry import (
     first_meeting,
     line_meets_relint,
     line_through,
+    polyhedra_meet,
     polytope_from_vertices,
 )
 from .lp import LinearProgram, Optimal, lp_solve
@@ -426,7 +427,9 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
 
     Each sweep hints `check_ch` with points verified at an earlier step.  A
     shrink step gets the previous step's points: halving epsilon only
-    loosens the cuts, so they stay inside.  A copy step gets, for copy 0,
+    loosens the cuts, so they stay inside.  The first shrink step gets the
+    unshrunk sweep's points; the cuts may remove some of them, and those
+    selections go to the LP.  A copy step gets, for copy 0,
     the accepted shrink sweep's point of the same selection (the sets are
     the same), and for copy j >= 1 the midpoint of that point and the
     selection's point at the previous step 2 * eta: the selection's system
@@ -434,6 +437,12 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     overlap swept every selection, so the next step hints them all.  The
     hints are verified exactly and the rest go to the LP, so epsilon, eta,
     the family and every cited failure are those of unhinted sweeps.
+
+    The sweeps and the triple and overlap checks read verdicts only, and the
+    sweep points only feed hints, so every one of their LPs is decided on
+    the transposed Farkas system (`polyhedra_meet`, through `check_ch`'s
+    `decide` and `first_meeting`): d + 1 tableau rows instead of one per
+    joint row.
     """
     if not 2 <= d <= 4:
         raise InputError("the simplex construction is built for 2 <= d <= 4")
@@ -459,15 +468,17 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
 
     facets = _simplex_facets(verts)
 
-    pre = check_ch(ColoredFamily(d, (*raw_classes, facets)))
+    pre_family = ColoredFamily(d, (*raw_classes, facets))
+    pre = check_ch(pre_family, decide=polyhedra_meet)
     if not pre.holds:
         raise TheoremViolationError(
             "a rainbow selection of the unshrunk construction is empty: "
             f"{pre.violating_rainbow}"
         )
 
-    # pick -> point verified at the last shrink step
-    shrink_points: dict = {}
+    # pick -> point verified at the last shrink step; the cuts only remove
+    # points, yet the unshrunk sweep's points often survive the first one
+    shrink_points = _swept_points(pre_family, pre)
 
     def shrink(epsilon):
         cuts = _pair_cuts(simplex, epsilon)
@@ -476,7 +487,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
         )
         shrunk = tuple(facet.with_rows(ineqs=cuts) for facet in facets)
         fam = ColoredFamily(d, (*classes, shrunk))
-        report = check_ch(fam, hints=shrink_points)
+        report = check_ch(fam, hints=shrink_points, decide=polyhedra_meet)
         shrink_points.clear()
         shrink_points.update(_swept_points(fam, report))
         if not report.holds:
@@ -520,7 +531,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
         )
         copies = tuple(itertools.chain.from_iterable(groups))
         fam = ColoredFamily(d, (*shrunk_classes, copies))
-        report = check_ch(fam, hints=copy_hints(fam))
+        report = check_ch(fam, hints=copy_hints(fam), decide=polyhedra_meet)
         copy_points.clear()
         copy_points.update(_swept_points(fam, report))
         if not report.holds:

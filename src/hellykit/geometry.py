@@ -32,8 +32,10 @@ when either set is line-shaped, its equality rows fixing a line (rank d - 1,
 consistent), as a segment's do: every common point lies on that cached
 carrier line, so the joint rows are tested there.  The LP still decides
 every pair in which neither set has a carrier (one-point sets, inconsistent
-equality rows, polygons and bodies), every r != 2, and every certified
-intersection (`polyhedra_intersect`).
+equality rows, polygons and bodies) and every r != 2, on the transposed
+Farkas system (`polyhedra_meet`), since only the verdict is read.  Certified
+intersections whose point or certificate a report shows
+(`polyhedra_intersect`) keep the primal tableau.
 
 `ColoredFamily` (polyhedra partitioned into color classes) lives here, next
 to `Polyhedron`, so that reading a family document loads no more than this
@@ -50,7 +52,14 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InputError, TheoremViolationError
-from .lp import Feasible, Infeasible, LinearProgram, aggregate_rows, lp_solve
+from .lp import (
+    Feasible,
+    Infeasible,
+    LinearProgram,
+    aggregate_rows,
+    decide_feasibility,
+    lp_solve,
+)
 from .rationals import (
     ONE,
     ZERO,
@@ -390,9 +399,27 @@ def polyhedra_intersect(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
     Feasible: returns a common point (verified against every input row).
     Infeasible: returns Farkas entries tagged with (set, row) provenance whose
     aggregate is 0 . x <= c with c < 0 (or 0 . x = c, c != 0 via equality rows).
+    The primal tableau decides, so the point and the certificate are the ones
+    every report has always shown.
     """
+    return _certified_intersection(sets, lp_solve)
+
+
+def polyhedra_meet(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
+    """`polyhedra_intersect` decided on the transposed Farkas system
+    (`lp.decide_feasibility`): d + 1 tableau rows however many rows the sets
+    have, a certificate on at most d + 1 rows, and a point that may differ
+    from the primal one.  For callers that read the verdict, or a point that
+    reaches no report; the answer is checked as `polyhedra_intersect`'s is."""
+    return _certified_intersection(sets, decide_feasibility)
+
+
+def _certified_intersection(sets: Sequence[Polyhedron], solve) -> IntersectionCertificate:
+    """The joint program of `sets` decided by `solve`, its point checked with
+    `Polyhedron.contains` on every set or its Farkas multipliers tagged with
+    their (set, row) provenance and checked again."""
     lp, prov_leq, prov_eq = joint_lp(sets)
-    out = lp_solve(lp)
+    out = solve(lp)
     if isinstance(out, Feasible):
         pt = Point(out.point)
         if not all(s.contains(out.point) for s in sets):
@@ -416,13 +443,13 @@ def polyhedra_intersect(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
 def _sets_meet(group: Sequence[Polyhedron]) -> bool:
     """Whether the sets share a point: for a pair with a line-shaped member,
     on the integer line kernel along that member's carrier line (the common
-    points lie on it), and by the LP otherwise."""
+    points lie on it), and by the transposed LP otherwise."""
     if len(group) == 2:
         a, b = group
         line = a._carrier_line if a._carrier_line is not None else b._carrier_line
         if line is not None:
             return _line_meets(line, a.intersected(b), False)
-    return polyhedra_intersect(group).feasible
+    return polyhedra_meet(group).feasible
 
 
 def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
@@ -434,8 +461,9 @@ def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
     ints by the line kernel on that set's carrier line.  The LP runs for
     every other tuple: pairs in which neither set has a carrier (one-point
     sets, inconsistent equality rows, sets of higher dimension), and every
-    r != 2.  Only indices are returned, so no point or certificate depends
-    on which path decided."""
+    r != 2.  It is the transposed Farkas system of `polyhedra_meet`, d + 1
+    tableau rows however many rows the tuple has.  Only indices are
+    returned, so no point or certificate depends on which path decided."""
     for combo in itertools.combinations(range(len(sets)), r):
         if _sets_meet([sets[i] for i in combo]):
             return combo

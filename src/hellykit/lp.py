@@ -28,6 +28,25 @@ program, never the tableau, and runs in Python ints over the point's common
 denominator.  Polyhedra reach the solver through one builder,
 geometry.joint_lp, which fixes the row order and so the pivots and
 certificates.
+
+A free-variable feasibility question {x : Ax <= b, Ex = f} can be decided in
+two forms, both on this tableau:
+
+  * primal (`lp_solve`): one tableau row per constraint row.  Every point or
+    certificate a report shows comes from this form (the public `check_ch`
+    and `polyhedra_intersect`, `check-ch` witnesses and violations,
+    `intersecting-class` points, piercing witnesses), so those bytes stay
+    what they have always been;
+  * transposed (`decide_feasibility`): the Farkas system y >= 0, yA' = 0,
+    yb' = -1 (each equality row split in two), with d + 1 rows however many
+    rows the question has.  Its certificate names at most d + 1 rows, and
+    when it is infeasible its own multipliers give a point of the question.
+    Both answers are checked on the question, like the primal ones.  It
+    serves callers that read only the verdict, or a point that reaches no
+    report: the simplex construction's dyadic sweeps, whose points only
+    hint the next step, and `geometry.first_meeting`, which returns indices.
+    Its point generally differs from the primal one, which is why the
+    report-facing callers keep the primal form.
 """
 
 from __future__ import annotations
@@ -99,11 +118,17 @@ LpOutcome = Union[Optimal, Feasible, Infeasible, Unbounded]
 
 def aggregate_rows(width: int, weighted_rows) -> tuple:
     """Sum mult * (coeffs, rhs) over (mult, (coeffs, rhs)) pairs: returns
-    (functional, constant), the one aggregation every Farkas check uses."""
-    functional = [ZERO] * width
-    constant = ZERO
+    (functional, constant), the one aggregation every Farkas check uses.
+
+    An integral multiplier enters as an int, so on int rows (stored
+    polyhedron rows, a transposed system) the sums stay Python ints; a
+    rational term makes its sum rational."""
+    functional = [0] * width
+    constant = 0
     for mult, (coeffs, rhs) in weighted_rows:
         if mult:
+            if mult.denominator == 1:
+                mult = mult.numerator
             for k, a in enumerate(coeffs):
                 if a:
                     functional[k] += mult * a
@@ -395,6 +420,50 @@ def _evict_artificials(t: _Tableau) -> None:
         if pivot_col is not None:
             t._pivot(i, pivot_col)
         # else: row is a redundant zero row; harmless to keep
+
+
+def _farkas_system(lp: LinearProgram) -> LinearProgram:
+    """The transposed program of a free-variable feasibility question
+    {x : Ax <= b, Ex = f}: y >= 0 over the columns (leq rows, eq rows, eq
+    rows negated), with the d + 1 equality rows yA' = 0 and yb' = -1."""
+    columns = (
+        *lp.leq,
+        *lp.eq,
+        *((tuple(-a for a in coeffs), -rhs) for coeffs, rhs in lp.eq),
+    )
+    rows = [(tuple(c[j] for c, _ in columns), 0) for j in range(lp.num_vars)]
+    rows.append((tuple(r for _, r in columns), -1))
+    return LinearProgram(len(columns), eq=tuple(rows), nonneg=True)
+
+
+def decide_feasibility(lp: LinearProgram) -> Union[Feasible, Infeasible]:
+    """Decide a free-variable feasibility question on its transposed Farkas
+    system (`_farkas_system`), whose tableau has d + 1 rows however many rows
+    the question has; the answer is certified on the question itself.
+
+    A feasible transposed program gives the Infeasible certificate: y on the
+    inequality rows and the difference of the two copies on each equality
+    row.  A basic y has at most d + 1 nonzero entries, so the certificate
+    names at most d + 1 rows (Helly's theorem for halfspaces made explicit).
+    An infeasible one has Farkas multipliers (u, w) with w > 0, so x = -u/w
+    satisfies every row.  The certificate passes `verify_farkas` and the point
+    `verify_point` on `lp` before either is returned."""
+    if lp.objective is not None or lp.nonneg:
+        raise InputError("the transposed form decides free-variable feasibility only")
+    out = lp_solve(_farkas_system(lp))
+    if isinstance(out, Feasible):
+        n_leq, n_eq = len(lp.leq), len(lp.eq)
+        y = _normalize_multipliers(list(out.point))
+        split = zip(y[n_leq : n_leq + n_eq], y[n_leq + n_eq :])
+        cert = Infeasible(tuple(y[:n_leq]), tuple(p - q for p, q in split))
+        if not verify_farkas(lp, cert):
+            raise TheoremViolationError("transposed Farkas certificate failed verification")
+        return cert
+    *u, w = out.eq_multipliers
+    point = tuple(rat(-a, w) for a in u)
+    if not verify_point(lp, point):
+        raise TheoremViolationError("transposed point failed verification")
+    return Feasible(point)
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:

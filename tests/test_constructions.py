@@ -8,7 +8,8 @@ import itertools
 import pytest
 
 from conftest import count_calls
-from hellykit import colorful, constructions
+from hellykit import constructions
+from hellykit import lp as lp_module
 from hellykit.colorful import check_ch
 from hellykit.constructions import (
     generate_figure1,
@@ -307,7 +308,8 @@ def test_step_search_failure_messages_are_pinned(monkeypatch, max_exponent, buil
 def _simplex_build_log(monkeypatch, args, hinted):
     """Build generate_simplex_family(*args), recording every dyadic step as
     (step name, step, failure), every sweep as (family, report) and every
-    sweep LP; with hinted=False each sweep drops the hints it is given."""
+    sweep LP, which the sweeps decide through `polyhedra_meet`; with
+    hinted=False each sweep drops the hints it is given."""
     steps, sweeps = [], []
     real_search = constructions._dyadic_search
 
@@ -319,14 +321,14 @@ def _simplex_build_log(monkeypatch, args, hinted):
 
         return real_search(first_t, logged, step_name, error)
 
-    def sweep(fam, hints=None):
-        report = check_ch(fam, hints=hints if hinted else None)
+    def sweep(fam, hints=None, decide=None):
+        report = check_ch(fam, hints=hints if hinted else None, decide=decide)
         sweeps.append((fam, report))
         return report
 
     monkeypatch.setattr(constructions, "_dyadic_search", search)
     monkeypatch.setattr(constructions, "check_ch", sweep)
-    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+    lps = count_calls(monkeypatch, constructions, "polyhedra_meet")
     built = generate_simplex_family(*args)
     monkeypatch.undo()
     return built, steps, sweeps, len(lps)
@@ -376,3 +378,29 @@ def test_hinted_sweep_points_lie_in_their_rainbows(monkeypatch, args):
         for pick, point in zip(fam.picks(), report.points):
             sets = [fam.classes[k][i] for k, i in enumerate(pick)]
             assert all(point_in(s, point.coords) for s in sets), pick
+
+
+def test_simplex_sweeps_solve_only_the_transposed_system(monkeypatch):
+    # every sweep LP has d + 1 = 4 equality rows and no inequality row, so
+    # a sweep that fell back to the primal form (one row per joint row) fails
+    programs, sweeping = [], [False]
+    real_sweep = constructions.check_ch
+
+    def sweep(*args, **kwargs):
+        sweeping[0] = True
+        try:
+            return real_sweep(*args, **kwargs)
+        finally:
+            sweeping[0] = False
+
+    class Recording(lp_module._Tableau):
+        def __init__(self, lp):
+            if sweeping[0]:
+                programs.append(lp)
+            super().__init__(lp)
+
+    monkeypatch.setattr(constructions, "check_ch", sweep)
+    monkeypatch.setattr(lp_module, "_Tableau", Recording)
+    generate_simplex_family(3, 1, 7000)
+    assert programs
+    assert {(len(lp.eq), len(lp.leq), lp.nonneg) for lp in programs} == {(4, 0, True)}

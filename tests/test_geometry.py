@@ -6,8 +6,9 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from conftest import PROPERTY, SMALL, points, polyhedra
 from oracles import chart_vertices, line_parameter_interval
 
 from hellykit.colorful import ColoredFamily
@@ -29,9 +30,11 @@ from hellykit.geometry import (
     first_meeting,
     flat_crosses,
     hyperplane_crosses,
+    joint_lp,
     line_meets_relint,
     line_through,
     polyhedra_intersect,
+    polyhedra_meet,
     polytope_from_vertices,
     verify_farkas_entries,
     vertices_of,
@@ -43,7 +46,14 @@ from hellykit.instances import (
     random_polygon_family,
     random_two_colored,
 )
-from hellykit.lp import Feasible, LinearProgram, lp_solve, verify_point
+from hellykit.lp import (
+    Feasible,
+    LinearProgram,
+    decide_feasibility,
+    lp_solve,
+    verify_farkas,
+    verify_point,
+)
 from hellykit.projection import project_polyhedron
 from hellykit.rationals import (
     ZERO,
@@ -329,36 +339,9 @@ def test_stored_rows_are_python_ints(build):
 # ---------------------------------------------------------------------------
 # integer line-crossing kernel against its two rational oracles
 
-PROPERTY = settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 HUGE = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
 COORD = st.one_of(SMALL, HUGE)
 EPS = st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9), Fraction(1, 7)])
-
-
-def points(d, elems=SMALL):
-    return st.tuples(*([elems] * d))
-
-
-@st.composite
-def polyhedra(draw, d):
-    """Hulls of 1..d+2 points (points and segments carry equality rows),
-    random halfspace systems (often unbounded or empty), or the whole space."""
-    kind = draw(st.sampled_from(["hull", "halfspaces", "whole"]))
-    if kind == "hull":
-        return polytope_from_vertices(d, draw(st.lists(points(d), min_size=1, max_size=d + 2)))
-    if kind == "whole":
-        return Polyhedron.whole_space(d)
-    normals = st.tuples(*([st.integers(-3, 3)] * d)).filter(any)
-    ineqs = draw(st.lists(st.builds(Halfspace, normals, SMALL), max_size=4))
-    eqs = draw(st.lists(st.builds(Hyperplane, normals, SMALL), max_size=1))
-    return Polyhedron(d, tuple(ineqs), tuple(eqs))
 
 
 def _orthogonal(n, w):
@@ -450,6 +433,32 @@ def test_flat_crossing_matches_the_intersection_with_the_flat_rows(data):
     rows = tuple(Hyperplane(n, dot(n, flat.base)) for n in normals)
     on_flat = Polyhedron(flat.dim, (), rows)
     assert flat_crosses(flat, poly) == polyhedra_intersect([poly, on_flat]).feasible
+
+
+# ---------------------------------------------------------------------------
+# the transposed Farkas decision against the primal tableau
+
+
+@PROPERTY
+@given(st.data())
+def test_transposed_decision_matches_the_primal_tableau(data):
+    # joint systems of 1-4 drawn sets: equality rows, empty, unbounded and
+    # one-point sets all occur among them
+    d = data.draw(st.sampled_from([2, 3]))
+    sets = data.draw(st.lists(polyhedra(d), min_size=1, max_size=4))
+    lp = joint_lp(sets)[0]
+    out = decide_feasibility(lp)
+    assert isinstance(out, Feasible) == isinstance(lp_solve(lp), Feasible)
+    if isinstance(out, Feasible):
+        assert verify_point(lp, out.point)
+        assert all(s.contains(out.point) for s in sets)
+    else:
+        assert verify_farkas(lp, out)
+        named = [m for m in (*out.leq_multipliers, *out.eq_multipliers) if m]
+        assert 0 < len(named) <= d + 1
+    cert = polyhedra_meet(sets)
+    assert cert.feasible == isinstance(out, Feasible)
+    assert cert.feasible or len(cert.farkas) <= d + 1
 
 
 TRIANGLE = polytope_from_vertices(2, [vec(p) for p in ((0, 0), (4, 0), (0, 4))])

@@ -10,8 +10,10 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import count_calls
 from oracles import poly_subset
 
+from hellykit import geometry
 from hellykit import lp as lp_module
 from hellykit.colorful import separating_halfspaces, two_color_lemma
 from hellykit.constructions import generate_planar, generate_simplex_family
@@ -109,6 +111,86 @@ def test_degenerate_rows_do_not_cycle():
     out = lp_solve(lp)
     assert isinstance(out, Optimal)
     assert out.point == (rat(4), rat(3))
+
+
+# ---------------------------------------------------------------------------
+# the transposed Farkas decision: lp_solve's verdict from d + 1 tableau rows
+
+
+@pytest.mark.parametrize(
+    "lp, feasible",
+    [
+        (LinearProgram(2, eq=(row((1, 0), "1/3"), row((0, 1), "2/7"))), True),
+        (LinearProgram(2, eq=(row((1, 1), 0), row((2, 2), 1))), False),
+        (LinearProgram(2, leq=(row((-1, 0), 0),)), True),
+        (LinearProgram(3), True),
+        (LinearProgram(2, leq=(row(("1/2", 1), "7/3"), row((-1, "1/4"), 0))), True),
+        (LinearProgram(1, leq=(row(("1/2",), 0), row((-1,), "-1/3"))), False),
+        # ten rows through or around (4, 3), jointly empty
+        (
+            LinearProgram(
+                2,
+                leq=tuple(row((k, 1), 4 * k + 3) for k in range(1, 9))
+                + (row((0, -1), -4), row((-1, 0), -4)),
+            ),
+            False,
+        ),
+        (
+            LinearProgram(
+                2, leq=(row((1, 0), 5), row((0, 1), 5)), eq=(row((1, -1), 0),)
+            ),
+            True,
+        ),
+    ],
+    ids=[
+        "one-point",
+        "inconsistent-equalities",
+        "unbounded",
+        "no-rows",
+        "rational-rows",
+        "rational-empty",
+        "ten-rows-empty",
+        "equality-and-rows",
+    ],
+)
+def test_transposed_decision_gives_the_tableau_verdict(lp, feasible):
+    out = lp_module.decide_feasibility(lp)
+    assert isinstance(out, Feasible) == feasible == isinstance(lp_solve(lp), Feasible)
+    if feasible:
+        assert verify_point(lp, out.point)
+    else:
+        assert verify_farkas(lp, out)
+        named = [m for m in (*out.leq_multipliers, *out.eq_multipliers) if m]
+        assert 0 < len(named) <= lp.num_vars + 1
+
+
+def test_transposed_decision_recovers_the_only_point():
+    lp = LinearProgram(2, eq=(row((1, 0), "1/3"), row((0, 1), "2/7")))
+    assert lp_module.decide_feasibility(lp) == Feasible((rat("1/3"), rat("2/7")))
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(1, leq=(row((1,), 3),), objective=vec((1,))),
+        LinearProgram(1, leq=(row((1,), 3),), nonneg=True),
+    ],
+    ids=["objective", "nonneg"],
+)
+def test_transposed_decision_takes_free_feasibility_questions_only(lp):
+    with pytest.raises(InputError):
+        lp_module.decide_feasibility(lp)
+
+
+@pytest.mark.parametrize("args", [(3, 1, 7000), (2, 2, 0)], ids=["3-1-7000", "2-2-0"])
+def test_construction_decisions_agree_in_both_forms(monkeypatch, args):
+    # every sweep and meeting LP of the build, decided again by the tableau
+    programs = count_calls(monkeypatch, geometry, "decide_feasibility")
+    generate_simplex_family(*args)
+    monkeypatch.undo()
+    verdicts = [isinstance(lp_module.decide_feasibility(lp), Feasible) for lp, in programs]
+    assert verdicts == [isinstance(lp_solve(lp), Feasible) for lp, in programs]
+    assert set(verdicts) == {True, False}
 
 
 def test_row_width_mismatch_is_an_input_error():
@@ -285,17 +367,17 @@ def _polygon_subsets():
         (
             lambda: generate_planar(2, 7),
             13,
-            "0b40227249a61acf376d2c476778371232d80b2a73273c1ecbe0ecedf521e20a",
+            "f291a5f3a91e473043063d19e2ca27d780f3fe4ad2b1de3d6c48229ab6621622",
         ),
         (
             lambda: generate_simplex_family(2, 1, 0),
-            20,
-            "a467d4616a7a0dffa268917730a6b3575d4f989d881959f4a0e7f32305cf9da7",
+            15,
+            "0dbdee40d7bc47b43a0c43a93eb7f99fac6fd25c2a8d615c91aedcc4f0738552",
         ),
         (
             _two_color_lemmas,
             442,
-            "16d4ada853467de55520b5606737c294bbbfb5cd7507775e77a1c6d2e32d0469",
+            "6cd7959eb738402397c2a18a6b8d9f4ecaf35e1b851c61dd71b3758c4d274723",
         ),
         (
             _repaired_separation,

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import PROPERTY, load_fixture, polyhedra
 from oracles import poly_equal
 from hellykit.errors import InputError
-from hellykit.geometry import AffineFlat, FarkasEntry, Point, Polyhedron
+from hellykit.geometry import AffineFlat, ColoredFamily, FarkasEntry, Point, Polyhedron
 from hellykit.hypergraphs import Hypergraph
 from hellykit.rationals import rat
 from hellykit.serialize import (
@@ -191,3 +193,16 @@ def test_canonical_digest_ignores_key_order_and_spacing():
 def test_digest_is_stable_across_runs():
     doc = load_fixture("family_ch_d2.json")
     assert digest(doc) == digest(json.loads(json.dumps(doc)))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_family_documents_round_trip_on_drawn_families(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    classes = data.draw(
+        st.lists(st.lists(polyhedra(d), min_size=1, max_size=3), min_size=1, max_size=2)
+    )
+    fam = ColoredFamily(d, tuple(map(tuple, classes)))
+    back, labels = family_from_doc(json.loads(canonical_dumps(family_to_doc(fam))))
+    assert back == fam
+    assert labels == [f"class {i + 1}" for i in range(len(classes))]
