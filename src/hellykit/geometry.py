@@ -9,11 +9,13 @@ hyperplanes) carry explicit equality rows.  Each row is stored as coprime
 Python ints, its only integer form, which the LP tableau and the line kernel
 read as stored; rationals stay at the API edge (offsets, points, flats).
 
-Vertex-list inputs are converted on ingestion by `polytope_from_vertices`:
-the affine hull is computed exactly, the facet system is enumerated inside a
-rational chart of the hull, and halfspaces are pulled back to ambient
-coordinates.  That one routine covers segments, polygons, and the small
-simplicial shapes (d <= 4) the constructions need.
+Vertex-list inputs are converted on ingestion by `polytope_from_vertices`,
+in Python ints: the points are scaled once to X / D, and each facet normal
+is the integer minors of the differences of the points spanning it.  A hull
+of lower dimension than the space runs the same facet search on the points'
+coordinates in a chart of its affine hull and pulls each facet back to
+ambient coordinates.  That one routine covers segments, polygons, and the
+small simplicial shapes (d <= 4) the constructions need.
 
 Whether a line meets a set, closed (`flat_crosses` with k = 1) or in its
 relative interior (`line_meets_relint`, as for a facet), is decided by one
@@ -66,15 +68,16 @@ from .rationals import (
     Vec,
     common_denominator,
     dot,
+    independent_rows,
     is_zero_vec,
     normalize_row,
     nullspace,
+    nullspace_ints,
     rank,
     rat,
     scaled_ints,
     solve_linear,
     solve_square_ints,
-    vadd,
     vec,
     vsub,
 )
@@ -241,7 +244,8 @@ class Polyhedron:
     def translated(self, t: Sequence) -> "Polyhedron":
         """The set shifted by t, worked out in ints: t is scaled once to T / D,
         and each stored row (n, c) becomes (D * n, D * c + n . T), which the
-        stored-row normaliser brings back to coprime ints."""
+        stored-row normaliser brings back to coprime ints.  The vertex hint
+        is shifted over one common denominator of t and its points."""
         tv = vec(t)
         if len(tv) != self.dim:
             raise DimensionError("translation/polyhedron dimension mismatch")
@@ -254,9 +258,13 @@ class Polyhedron:
 
         ineqs = tuple(Halfspace(*shifted(h)) for h in self.inequalities)
         eqs = tuple(Hyperplane(*shifted(h)) for h in self.equalities)
-        hint = None
-        if self.vertices_hint is not None:
-            hint = tuple(vadd(v, tv) for v in self.vertices_hint)
+        hint = self.vertices_hint
+        if hint is not None:
+            hden = common_denominator(itertools.chain(tv, *hint))
+            th = scaled_ints(tv, hden)
+            hint = tuple(
+                tuple(rat(x + y, hden) for x, y in zip(scaled_ints(v, hden), th)) for v in hint
+            )
         return Polyhedron(self.dim, ineqs, eqs, vertices_hint=hint)
 
 
@@ -613,64 +621,61 @@ def line_through(p: Sequence, q: Sequence) -> AffineFlat:
 
 
 def affine_hull(points: Sequence[Vec]):
-    """(base, basis, hull_equalities) of the affine hull of the points."""
+    """(base, basis, hull_equalities) of the affine hull of the points: the
+    basis is each difference p - base outside the span of those before it."""
     base = points[0]
-    d = len(base)
-    basis: list[Vec] = []
-    for p in points[1:]:
-        diff = vsub(p, base)
-        if is_zero_vec(diff):
-            continue
-        if rank(basis + [diff]) > len(basis):
-            basis.append(diff)
-    normals = nullspace(basis, d) if len(basis) < d else []
+    diffs = [vsub(p, base) for p in points[1:]]
+    basis = [diffs[i] for i in independent_rows(diffs)]
+    normals = nullspace(basis, len(base)) if len(basis) < len(base) else []
     eqs = tuple(Hyperplane(n, dot(n, base)) for n in normals)
     return base, basis, eqs
 
 
-def _chart_coords(base: Vec, basis: Sequence[Vec], p: Vec) -> Vec:
-    matrix = [[b[i] for b in basis] for i in range(len(base))]
-    u = solve_linear(matrix, vsub(p, base))
-    if u is None:
-        raise InputError("point outside the affine hull chart")
-    return u
+def _hull_facets(points: Sequence[Vec]) -> tuple[list, list]:
+    """(facets, is_vertex) of the hull of points spanning R^r, in Python ints.
 
-
-def _full_dim_facets(points: Sequence[Vec], r: int):
-    """Supporting halfspaces of conv(points) spanned by point subsets in R^r."""
-    facets = {}
-    for subset in itertools.combinations(range(len(points)), r):
-        pts = [points[i] for i in subset]
-        diffs = [vsub(p, pts[0]) for p in pts[1:]]
-        ns = nullspace(diffs, r)
-        if len(ns) != 1:
+    The points are scaled once to X / D.  Each r-subset of them, in
+    lexicographic order, that spans a hyperplane gives its normal as the
+    integer (r-1)-minors of the differences (`nullspace_ints`); it is a
+    facet, oriented outward and listed once, when every point lies on one
+    side.  A point is a vertex when the normals of the facets through it
+    have rank r.
+    """
+    den = common_denominator(x for p in points for x in p)
+    xs = [scaled_ints(p, den) for p in points]
+    r = len(xs[0])
+    facets: dict = {}
+    for subset in itertools.combinations(xs, r):
+        p0 = subset[0]
+        normals, _ = nullspace_ints([[a - b for a, b in zip(p, p0)] for p in subset[1:]], r)
+        if len(normals) != 1:
             continue  # subset does not span a hyperplane
-        normal = ns[0]
-        c = dot(normal, pts[0])
-        lo = hi = True
-        for p in points:
-            v = dot(normal, p)
-            if v > c:
-                hi = False
-            elif v < c:
-                lo = False
-            if not lo and not hi:
-                break
-        if hi:
-            h = Halfspace(normal, c)
-            facets[(h.normal, h.offset)] = h
-        if lo:
-            h = Halfspace(tuple(-v for v in normal), -c)
-            facets[(h.normal, h.offset)] = h
-    return list(facets.values())
+        (normal,) = normals
+        c = sum(map(mul, normal, p0))
+        values = [sum(map(mul, normal, p)) for p in xs]
+        if max(values) > c:
+            if min(values) < c:
+                continue
+            normal, c = [-v for v in normal], -c
+        h = Halfspace([den * v for v in normal], c)
+        facets.setdefault((h.normal, h.offset), h)
+    rows = list(facets.values())
+    is_vertex = [
+        rank([h.normal for h in rows if sum(map(mul, h.normal, p)) == h.offset * den]) == r
+        for p in xs
+    ]
+    return rows, is_vertex
 
 
 def polytope_from_vertices(dim: int, vertices: Sequence[Sequence]) -> Polyhedron:
     """Exact H-representation of a convex hull given by its vertex list.
 
-    Works in any dimension the toolkit actually uses (hull chart + supporting
-    hyperplane enumeration); intended for segments, planar polygons, and
-    simplicial shapes with at most a handful of vertices.
+    A full-dimensional hull takes its facets straight from `_hull_facets`.
+    A lower-dimensional one runs it on the points' coordinates in a chart of
+    the affine hull (base + span of the basis) and pulls each facet back to
+    ambient coordinates.  Intended for segments, planar polygons, and
+    simplicial shapes with at most a handful of vertices; the vertex hint
+    keeps the points that are vertices, in input order.
     """
     pts = [vec(v) for v in vertices]
     if not pts:
@@ -682,24 +687,24 @@ def polytope_from_vertices(dim: int, vertices: Sequence[Sequence]) -> Polyhedron
         if p not in uniq:
             uniq.append(p)
     base, basis, eqs = affine_hull(uniq)
-    r = len(basis)
-    if r == 0:
+    if not basis:
         return Polyhedron(dim, (), eqs, vertices_hint=tuple(uniq))
-    chart_pts = [_chart_coords(base, basis, p) for p in uniq]
-    chart_facets = _full_dim_facets(chart_pts, r)
-    ineqs = []
-    for h in chart_facets:
-        matrix = [list(b) for b in basis]
-        n = solve_linear(matrix, h.normal)
-        if n is None:  # cannot happen: basis rows are independent
-            raise TheoremViolationError("facet pullback failed")
-        ineqs.append(Halfspace(n, h.offset + dot(n, base)))
-    hull_vertices = []
-    for p, u in zip(uniq, chart_pts):
-        active = [h.normal for h in chart_facets if dot(h.normal, u) == h.offset]
-        if rank(active) == r:
-            hull_vertices.append(p)
-    return Polyhedron(dim, tuple(ineqs), eqs, vertices_hint=tuple(hull_vertices))
+    if len(basis) == dim:  # full-dimensional: no chart
+        ineqs, is_vertex = _hull_facets(uniq)
+    else:
+        matrix = [[b[i] for b in basis] for i in range(dim)]
+        chart = [solve_linear(matrix, vsub(p, base)) for p in uniq]
+        if None in chart:  # cannot happen: every point lies in the hull
+            raise InputError("point outside the affine hull chart")
+        chart_facets, is_vertex = _hull_facets(chart)
+        ineqs = []
+        for h in chart_facets:
+            n = solve_linear(basis, h.normal)
+            if n is None:  # cannot happen: basis rows are independent
+                raise TheoremViolationError("facet pullback failed")
+            ineqs.append(Halfspace(n, h.offset + dot(n, base)))
+    hint = tuple(p for p, keep in zip(uniq, is_vertex) if keep)
+    return Polyhedron(dim, tuple(ineqs), eqs, vertices_hint=hint)
 
 
 def vertices_of(poly: Polyhedron) -> list[Vec]:
@@ -717,13 +722,9 @@ def vertices_of(poly: Polyhedron) -> list[Vec]:
     """
     if poly.vertices_hint is not None:
         return list(poly.vertices_hint)
-    independent: list = []
-    dependent: list = []
-    for h in poly.equalities:
-        if rank([e.normal for e in independent] + [h.normal]) > len(independent):
-            independent.append(h)
-        else:
-            dependent.append(h)
+    picked = independent_rows([h.normal for h in poly.equalities])
+    independent = [poly.equalities[i] for i in picked]
+    dependent = [h for i, h in enumerate(poly.equalities) if i not in picked]
     rows = poly.inequalities
     found: dict = {}
     for subset in itertools.combinations(range(len(rows)), poly.dim - len(independent)):

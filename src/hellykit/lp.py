@@ -64,6 +64,7 @@ from .rationals import (
     Vec,
     common_denominator,
     dot,
+    eliminate,
     integer_row,
     is_zero_vec,
     rat,
@@ -276,10 +277,10 @@ class _Tableau:
         p = f * row[s]
         den = self.den
         self.rows = [
-            other if i == r else _eliminate(other, row, f * other[s], p, den)
+            other if i == r else eliminate(other, row, f * other[s], p, den)
             for i, other in enumerate(self.rows)
         ]
-        self.obj = _eliminate(self.obj, row, self._reduced_cost(c), p, den)
+        self.obj = eliminate(self.obj, row, self._reduced_cost(c), p, den)
         if p < 0:
             self.rows = [[-x for x in other] for other in self.rows]
             self.obj = [-x for x in self.obj]
@@ -368,16 +369,6 @@ def _is_coprime_int_row(coeffs, rhs) -> bool:
         and all(type(a) is int for a in coeffs)
         and gcd(*coeffs, rhs) == 1
     )
-
-
-def _eliminate(other: list, row: list, f: int, p: int, den: int) -> list:
-    """Bareiss update of `other`, whose entry in the pivot column is f, for a
-    pivot of value p on `row` over denominator den."""
-    if f:
-        return [(x * p - f * y) // den for x, y in zip(other, row)]
-    if p == den:
-        return other
-    return [x * p // den for x in other]
 
 
 def _phase_one(t: _Tableau, n_leq: int):

@@ -4,13 +4,18 @@ All decision paths in the toolkit run over exact rationals, carried as
 fractions.Fraction (reduced, positive denominator).  `rat` is the only
 constructor the rest of the code base calls.
 
-Vectors are plain tuples of rationals.  The linear algebra is textbook
-Gauss-Jordan elimination over rationals (each pivot row is divided by its
-pivot); sizes never exceed a few dozen rows.  `solve_square_ints` is its
-fraction-free counterpart for square integer systems, as vertex enumeration
-solves them.  `integer_row` turns a rational row into coprime Python ints plus
-its positive scale for the fraction-free LP tableau; `normalize_row` gives
-the ints alone, the form polyhedra store.
+Vectors are plain tuples of rationals.  The linear algebra is fraction-free:
+each input row is scaled once to Python ints, and `_reduce` runs Gauss-Jordan
+elimination with every row kept over the running pivot, so each update
+(`eliminate`, the LP tableau's too) divides exactly (Bareiss 1968, Edmonds
+1967).  The reduced row echelon form is unique, so `nullspace` and
+`solve_linear`, which build rationals from the final rows only, return what
+elimination over rationals returns; `rank` builds none.  `solve_square_ints`
+solves the square integer systems of vertex enumeration by forward
+elimination with the same update and back substitution.  Sizes never exceed
+a few dozen rows.  `integer_row` turns a rational row into coprime Python
+ints plus its positive scale for the fraction-free LP tableau;
+`normalize_row` gives the ints alone, the form polyhedra store.
 """
 
 from __future__ import annotations
@@ -137,65 +142,103 @@ def normalize_row(coeffs: Sequence, rhs) -> tuple:
     """(coeffs, rhs) scaled by a positive rational to coprime Python ints.
 
     The constraint's solution set is unchanged because the factor is positive.
+    A row of Python ints is only divided by its gcd.
     """
+    if type(rhs) is int and all(type(a) is int for a in coeffs):
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            return tuple(a // g for a in coeffs), rhs // g
+        return tuple(coeffs), rhs
     return integer_row(coeffs, rhs)[:2]
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra
+# dense exact linear algebra, fraction-free
 
 
-def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Row-reduce in place; returns (reduced rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def eliminate(other: list, row: list, f: int, p: int, den: int) -> list:
+    """Bareiss update of `other`, whose entry in the pivot column is f, for a
+    pivot of value p on `row` over denominator den (Bareiss 1968)."""
+    if f:
+        return [(x * p - f * y) // den for x, y in zip(other, row)]
+    if p == den:
+        return other
+    return [x * p // den for x in other]
+
+
+def _ints(values: Sequence) -> list[int]:
+    """The row `values` times its least common denominator, as Python ints."""
+    if all(type(x) is int for x in values):
+        return list(values)
+    return scaled_ints(values, common_denominator(values))
+
+
+def _reduce(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (pivots, den): the pivot columns and a nonzero int such that the
+    reduced row echelon form of the input is rows[i] / den, its first
+    len(pivots) rows nonzero.  Every row is kept over the running pivot den,
+    so each update divides exactly: the entries are minors of the input
+    (Edmonds 1967).  The pivot row is the first one at or below the current
+    one with a nonzero entry in the column.
+    """
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
+    den = 1
+    n = len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for k in range(r, n):
+            if rows[k][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rat(rows[r][c])  # a rational divisor keeps int rows exact
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(n):
+            if i != r:
+                rows[i] = eliminate(rows[i], top, rows[i][c], p, den)
+        den = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == n:
             break
-    return rows, pivots
+    return pivots, den
 
 
 def rank(vectors: Sequence[Sequence]) -> int:
-    rows = [list(v) for v in vectors]
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_reduce([_ints(v) for v in vectors])[0])
+
+
+def independent_rows(vectors: Sequence[Sequence]) -> list[int]:
+    """Indices of the vectors outside the span of the vectors before them,
+    in order: the pivot columns of the matrix with the vectors as columns."""
+    columns = [list(c) for c in zip(*(_ints(v) for v in vectors))]
+    return _reduce(columns)[0]
+
+
+def nullspace_ints(vectors: Sequence[Sequence], dim: int) -> tuple[list[list[int]], int]:
+    """(basis, den): `nullspace(vectors, dim)` is each basis vector / den,
+    where the basis vectors are Python ints and den is a nonzero int."""
+    rows = [_ints(v) for v in vectors]
+    pivots, den = _reduce(rows)
+    basis = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        x = [0] * dim
+        x[fc] = den
+        for row, pc in zip(rows, pivots):
+            x[pc] = -row[fc]
+        basis.append(x)
+    return basis, den
 
 
 def nullspace(vectors: Sequence[Sequence], dim: int) -> list[Vec]:
-    """Basis of {x : v . x = 0 for every v in vectors}, vectors in R^dim."""
-    rows = [list(v) for v in vectors if not is_zero_vec(v)]
-    if not rows:
-        return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
-    rows, pivots = _echelon(rows)
-    rows = rows[: len(pivots)]
-    free_cols = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        x = [ZERO] * dim
-        x[fc] = ONE
-        for rrow, pc in zip(rows, pivots):
-            x[pc] = -rrow[fc]
-        basis.append(tuple(x))
-    return basis
+    """Basis of {x : v . x = 0 for every v in vectors}, vectors in R^dim: one
+    vector per free column of the reduced row echelon form, 1 there."""
+    basis, den = nullspace_ints(vectors, dim)
+    return [tuple(rat(x, den) if x else ZERO for x in v) for v in basis]
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence):
@@ -206,16 +249,14 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence):
     if not matrix:
         return zero_vec(0)
     ncols = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = _echelon(rows)
-    for row in rows:
-        if is_zero_vec(row[:ncols]) and row[ncols] != 0:
-            return None
+    rows = [_ints((*row, b)) for row, b in zip(matrix, rhs)]
+    pivots, den = _reduce(rows)
+    if ncols in pivots:  # a pivot in the rhs column: inconsistent
+        return None
     x = [ZERO] * ncols
-    for rrow, pc in zip(rows, pivots):
-        if pc == ncols:  # pivot in the rhs column: inconsistent
-            return None
-        x[pc] = rrow[ncols]
+    for row, pc in zip(rows, pivots):
+        if row[ncols]:
+            x[pc] = rat(row[ncols], den)
     return tuple(x)
 
 
@@ -223,9 +264,11 @@ def solve_square_ints(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
     """(nums, den) with matrix . (nums / den) = rhs and den > 0, for a square
     matrix of Python ints, or None when the matrix is singular.
 
-    Fraction-free (Bareiss) elimination followed by back substitution: den is
-    |det(matrix)| and den * x is an integer vector by Cramer's rule, so every
-    division below is exact and no rational is built.
+    Forward elimination with the kernel's update, `eliminate`, on the rows
+    below each pivot only, then back substitution: den is |det(matrix)| and
+    den * x is an integer vector by Cramer's rule, so every division below is
+    exact and no rational is built.  Half the updates of a full reduction,
+    and it stops at the first column with no pivot.
     """
     n = len(matrix)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
@@ -236,12 +279,9 @@ def solve_square_ints(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
             return None
         rows[k], rows[pivot] = rows[pivot], rows[k]
         top = rows[k]
-        akk = top[k]
         for i in range(k + 1, n):
-            row = rows[i]
-            aik = row[k]
-            rows[i] = [(x * akk - aik * y) // prev for x, y in zip(row, top)]
-        prev = akk
+            rows[i] = eliminate(rows[i], top, rows[i][k], top[k], prev)
+        prev = top[k]
     det = prev
     nums = [0] * n
     for i in range(n - 1, -1, -1):

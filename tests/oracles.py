@@ -8,10 +8,16 @@ from the line arrangement spanned by the polygon edges, candidate lines
 from a dense integer half-grid, and the minima from exhaustive subset
 search over coverage signatures.
 
-`chart_vertices` is the package's former rational vertex enumeration, kept
-as the reference for the fraction-free `geometry.vertices_of`: it shares
-the rational Gauss-Jordan algebra of `hellykit.rationals`, not the integer
-solve under test.  `pairwise_candidate_lines` is the former candidate-line
+`fraction_rank`, `fraction_nullspace` and `fraction_solve_linear` are the
+package's former textbook Gauss-Jordan elimination over Fractions (each
+pivot row divided by its pivot), kept as the reference for the
+fraction-free kernel of `hellykit.rationals`.  `chart_polytope_from_vertices`
+is the former hull ingestion on that algebra: the affine hull, the points'
+coordinates in a rational chart of it, the supporting hyperplanes of the
+chart points, and each facet pulled back to ambient coordinates.
+`chart_vertices` is the former rational vertex enumeration, kept as the
+reference for the fraction-free `geometry.vertices_of`, on the same
+Fraction algebra.  `pairwise_candidate_lines` is the former candidate-line
 builder, one `line_through` per pool pair and one `flat_crosses` scan per
 set.  `tau_greedy` is the former greedy transversal bound.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
@@ -26,9 +32,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hellykit.errors import DimensionError
+from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
     AffineFlat,
+    Halfspace,
+    Hyperplane,
+    Polyhedron,
     flat_crosses,
     line_through,
     polyhedra_intersect,
@@ -36,7 +45,7 @@ from hellykit.geometry import (
 )
 from hellykit.hypergraphs import TransversalResult, _candidate_point_pool, _greedy_cover
 from hellykit.lp import Optimal, Unbounded, lp_solve
-from hellykit.rationals import ONE, ZERO, dot, nullspace, rank, solve_linear, vadd
+from hellykit.rationals import ONE, ZERO, dot, is_zero_vec, vadd, vec, vsub
 from hellykit.serialize import family_from_doc
 
 
@@ -200,6 +209,150 @@ def line_parameter_interval(line, poly):
     return (lo, hi)
 
 
+def _fraction_echelon(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Row-reduce in place over Fractions; returns (reduced rows, pivot
+    column indices)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = Fraction(rows[r][c])
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_rank(vectors) -> int:
+    _, pivots = _fraction_echelon([list(v) for v in vectors])
+    return len(pivots)
+
+
+def fraction_nullspace(vectors, dim: int) -> list[tuple]:
+    """Basis of {x : v . x = 0 for every v in vectors}, vectors in R^dim."""
+    rows = [list(v) for v in vectors if not is_zero_vec(v)]
+    if not rows:
+        return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
+    rows, pivots = _fraction_echelon(rows)
+    basis = []
+    for fc in (c for c in range(dim) if c not in pivots):
+        x = [ZERO] * dim
+        x[fc] = ONE
+        for rrow, pc in zip(rows, pivots):
+            x[pc] = -rrow[fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def fraction_solve_linear(matrix, rhs):
+    """One solution of matrix . x = rhs with free coordinates zero, or None
+    if inconsistent."""
+    if not matrix:
+        return ()
+    ncols = len(matrix[0])
+    rows, pivots = _fraction_echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    for row in rows:
+        if is_zero_vec(row[:ncols]) and row[ncols] != 0:
+            return None
+    x = [ZERO] * ncols
+    for rrow, pc in zip(rows, pivots):
+        if pc == ncols:
+            return None
+        x[pc] = rrow[ncols]
+    return tuple(x)
+
+
+def _chart_affine_hull(points):
+    """(base, basis, hull_equalities) of the affine hull of the points."""
+    base = points[0]
+    d = len(base)
+    basis: list = []
+    for p in points[1:]:
+        diff = vsub(p, base)
+        if is_zero_vec(diff):
+            continue
+        if fraction_rank(basis + [diff]) > len(basis):
+            basis.append(diff)
+    normals = fraction_nullspace(basis, d) if len(basis) < d else []
+    eqs = tuple(Hyperplane(n, dot(n, base)) for n in normals)
+    return base, basis, eqs
+
+
+def _chart_coords(base, basis, p):
+    matrix = [[b[i] for b in basis] for i in range(len(base))]
+    u = fraction_solve_linear(matrix, vsub(p, base))
+    if u is None:
+        raise InputError("point outside the affine hull chart")
+    return u
+
+
+def _full_dim_facets(points, r: int) -> list:
+    """Supporting halfspaces of conv(points) spanned by point subsets in R^r."""
+    facets = {}
+    for subset in itertools.combinations(range(len(points)), r):
+        pts = [points[i] for i in subset]
+        ns = fraction_nullspace([vsub(p, pts[0]) for p in pts[1:]], r)
+        if len(ns) != 1:
+            continue
+        normal = ns[0]
+        c = dot(normal, pts[0])
+        values = [dot(normal, p) for p in points]
+        if all(v <= c for v in values):
+            h = Halfspace(normal, c)
+            facets[(h.normal, h.offset)] = h
+        if all(v >= c for v in values):
+            h = Halfspace(tuple(-v for v in normal), -c)
+            facets[(h.normal, h.offset)] = h
+    return list(facets.values())
+
+
+def chart_polytope_from_vertices(dim: int, vertices) -> Polyhedron:
+    """The convex hull of a vertex list as a Polyhedron, built inside a
+    rational chart of its affine hull; the vertex hint keeps the points
+    where the active chart facets have full rank."""
+    pts = [vec(v) for v in vertices]
+    if not pts:
+        raise InputError("vertex list is empty")
+    if any(len(p) != dim for p in pts):
+        raise DimensionError("vertex width mismatch")
+    uniq: list = []
+    for p in pts:
+        if p not in uniq:
+            uniq.append(p)
+    base, basis, eqs = _chart_affine_hull(uniq)
+    r = len(basis)
+    if r == 0:
+        return Polyhedron(dim, (), eqs, vertices_hint=tuple(uniq))
+    chart_pts = [_chart_coords(base, basis, p) for p in uniq]
+    chart_facets = _full_dim_facets(chart_pts, r)
+    ineqs = []
+    for h in chart_facets:
+        n = fraction_solve_linear([list(b) for b in basis], h.normal)
+        ineqs.append(Halfspace(n, h.offset + dot(n, base)))
+    hull_vertices = []
+    for p, u in zip(uniq, chart_pts):
+        active = [h.normal for h in chart_facets if dot(h.normal, u) == h.offset]
+        if fraction_rank(active) == r:
+            hull_vertices.append(p)
+    return Polyhedron(dim, tuple(ineqs), eqs, vertices_hint=tuple(hull_vertices))
+
+
 def chart_vertices(poly) -> list[tuple]:
     """All vertices of a polyhedron, in `vertices_of` order, ignoring any
     vertex hint: r-subsets of inequality rows solved inside a rational chart
@@ -208,10 +361,10 @@ def chart_vertices(poly) -> list[tuple]:
     if poly.equalities:
         normals = [list(h.normal) for h in poly.equalities]
         offsets = [h.offset for h in poly.equalities]
-        base = solve_linear(normals, offsets)
+        base = fraction_solve_linear(normals, offsets)
         if base is None:
             return []
-        basis = nullspace([h.normal for h in poly.equalities], d)
+        basis = fraction_nullspace([h.normal for h in poly.equalities], d)
     else:
         base = tuple(ZERO for _ in range(d))
         basis = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
@@ -225,9 +378,9 @@ def chart_vertices(poly) -> list[tuple]:
     found: list[tuple] = []
     for subset in itertools.combinations(range(len(rows)), r):
         mat = [list(rows[i][0]) for i in subset]
-        if rank(mat) != r:
+        if fraction_rank(mat) != r:
             continue
-        u = solve_linear(mat, [rows[i][1] for i in subset])
+        u = fraction_solve_linear(mat, [rows[i][1] for i in subset])
         if u is None:
             continue
         if all(dot(c, u) <= b for c, b in rows):

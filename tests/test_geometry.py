@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from conftest import PROPERTY, SMALL, points, polyhedra
-from oracles import chart_vertices, line_parameter_interval
+from conftest import PROPERTY, SMALL, count_calls, points, polyhedra
+from oracles import chart_polytope_from_vertices, chart_vertices, line_parameter_interval
 
+from hellykit import constructions, instances
 from hellykit.colorful import ColoredFamily
 from hellykit.constructions import (
     _centroid,
@@ -19,6 +20,7 @@ from hellykit.constructions import (
     _simplex_vertices,
     generate_planar,
     generate_simplex_family,
+    max_simplex_facets_crossed,
 )
 from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
@@ -178,6 +180,72 @@ def test_polytope_from_vertices_segment():
     assert seg.contains(vec((1, 1)))
     assert not seg.contains(vec((1, 0)))
     assert sorted(vertices_of(seg)) == [(rat(0), rat(0)), (rat(2), rat(2))]
+
+
+def assert_hull_matches_the_chart(dim, verts):
+    """The integer hull ingestion equals the rational chart reference row for
+    row, the vertex hint included (`Polyhedron.__eq__` ignores the hint)."""
+    got = polytope_from_vertices(dim, verts)
+    want = chart_polytope_from_vertices(dim, verts)
+    assert (got.inequalities, got.equalities) == (want.inequalities, want.equalities)
+    assert got.vertices_hint == want.vertices_hint
+    assert all(type(x) is Fraction for v in got.vertices_hint for x in v)
+
+
+@st.composite
+def vertex_lists(draw):
+    """(d, points) for d = 1..4: 1..d+2 drawn points, then repeats of drawn
+    points and points on the line through two of them, in shuffled order."""
+    d = draw(st.integers(1, 4))
+    pts = draw(st.lists(points(d), min_size=1, max_size=d + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        if draw(st.booleans()):
+            pts.append(p)
+        else:
+            t = draw(SMALL)
+            pts.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    return d, draw(st.permutations(pts))
+
+
+@PROPERTY
+@given(vertex_lists())
+def test_polytope_from_vertices_matches_the_chart_reference(case):
+    assert_hull_matches_the_chart(*case)
+
+
+def test_polytope_from_vertices_matches_the_chart_on_degenerate_lists():
+    for dim, verts in [
+        (1, [(3,), (3,)]),
+        (1, [("1/2",), (-2,), (0,)]),
+        (2, [(1, 1), (2, 2), (3, 3), (2, 2)]),
+        (2, [(0, 0), (4, 0), (0, 4), (1, 1), (2, 2)]),
+        (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), ("1/2", "1/2", 0)]),
+        (4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        (4, [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)]),
+    ]:
+        assert_hull_matches_the_chart(dim, [vec(v) for v in verts])
+
+
+def test_polytope_from_vertices_matches_the_chart_on_the_benchmark_families(monkeypatch):
+    """Every hull ingested by the builds of the sweep and cover families on
+    the sub-seeds of benchmark seed 7: planar and simplex constructions, the
+    facet-crossing simplices and the fractional instances."""
+    modules = (constructions, instances)
+    calls = [count_calls(monkeypatch, m, "polytope_from_vertices") for m in modules]
+    for s in (7000, 7001, 7002):
+        generate_planar(3, s)
+        generate_planar(2, s)
+        generate_planar(3, s + 500)
+        generate_simplex_family(2, 1, s)
+        generate_simplex_family(3, 1, s)
+        random_fractional_instance(s)
+    max_simplex_facets_crossed(3)
+    max_simplex_facets_crossed(4)
+    recorded = [args for found in calls for args in found]
+    assert {len(verts[0]) for _, verts in recorded} == {2, 3, 4}
+    for dim, verts in recorded:
+        assert_hull_matches_the_chart(dim, verts)
 
 
 def test_vertices_of_a_box_without_hint():

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fraction_nullspace, fraction_rank, fraction_solve_linear
 
 from hellykit.errors import InputError
 from hellykit.rationals import (
     ZERO,
     dot,
+    independent_rows,
     integer_row,
     nullspace,
+    nullspace_ints,
     normalize_row,
     rank,
     rat,
@@ -71,6 +76,16 @@ def test_dense_algebra_is_exact_on_int_input():
     assert x == (rat(2, 3), rat(1, 21)) and exact(x)
 
 
+def test_normalize_row_divides_int_rows_by_their_gcd():
+    assert normalize_row((4, -6), 10) == ((2, -3), 5)
+    assert normalize_row([3, 0], -2) == ((3, 0), -2)
+    assert normalize_row((0, 0), 0) == ((0, 0), 0)
+    assert normalize_row((-2, 4), 0) == ((-1, 2), 0)
+    for ints in ((4, -6, 10), (3, 0, -2), (0, 0, 0), (-2, 4, 0)):
+        *coeffs, rhs = ints
+        assert normalize_row(coeffs, rhs) == integer_row(vec(coeffs), rat(rhs))[:2]
+
+
 def test_integer_row_returns_python_ints_and_the_scale():
     ints, rhs, scale = integer_row(vec((rat(2, 3), rat(-4, 3))), rat(2))
     assert (ints, rhs, scale) == ((1, -2), 3, rat(3, 2))
@@ -109,12 +124,12 @@ def square_systems(draw):
 def test_solve_square_ints_matches_solve_linear(system):
     matrix, rhs = system
     got = solve_square_ints(matrix, rhs)
-    if rank(matrix) < len(matrix):
+    if fraction_rank(matrix) < len(matrix):
         assert got is None
         return
     nums, den = got
     assert den > 0 and all(type(x) is int for x in (*nums, den))
-    assert tuple(rat(x, den) for x in nums) == solve_linear(matrix, rhs)
+    assert tuple(rat(x, den) for x in nums) == fraction_solve_linear(matrix, rhs)
 
 
 def test_solve_square_ints_hand_cases():
@@ -122,3 +137,80 @@ def test_solve_square_ints_hand_cases():
     assert solve_square_ints([[0, 1], [1, 0]], [5, -2]) == ((-2, 5), 1)
     assert solve_square_ints([[1, 1], [2, 2]], [1, 3]) is None
     assert solve_square_ints([], []) == ((), 1)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the reference Fraction elimination
+
+ENTRIES = st.integers(-3, 3) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    """(ncols, rows) of mixed int and Fraction entries, with zero rows,
+    duplicate rows and combinations of two rows mixed in."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return ncols, draw(st.permutations(rows))
+
+
+def _all_fractions(vectors) -> bool:
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices(), st.data())
+def test_dense_algebra_matches_the_fraction_reference(system, data):
+    ncols, rows = system
+    assert rank(rows) == fraction_rank(rows)
+    basis = nullspace(rows, ncols)
+    assert basis == fraction_nullspace(rows, ncols) and _all_fractions(basis)
+    ints, den = nullspace_ints(rows, ncols)
+    assert [tuple(rat(x, den) for x in v) for v in ints] == basis
+    picked = independent_rows(rows)
+    assert len(picked) == rank(rows)
+    for i in range(len(rows)):
+        assert rank([rows[j] for j in picked if j <= i]) == rank(rows[: i + 1])
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        rhs = [dot(row, x) for row in rows]  # consistent
+    else:
+        rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    got = solve_linear(rows, rhs)
+    assert got == fraction_solve_linear(rows, rhs)
+    if got is not None:
+        assert _all_fractions([got])
+        assert all(dot(row, got) == b for row, b in zip(rows, rhs))
+
+
+def test_dense_algebra_on_empty_and_inconsistent_inputs():
+    cases = [
+        ([], 3, []),
+        ([()], 0, [0]),
+        ([(), ()], 0, [1, 0]),
+        ([(0, 0)], 2, [0]),
+        ([(0, 0)], 2, [5]),
+        ([(1, 1), (2, 2)], 2, [1, 3]),
+        ([(1, Fraction(1, 2)), (2, 1)], 2, [1, 2]),
+    ]
+    for rows, dim, rhs in cases:
+        assert rank(rows) == fraction_rank(rows)
+        assert nullspace(rows, dim) == fraction_nullspace(rows, dim)
+        assert solve_linear(rows, rhs) == fraction_solve_linear(rows, rhs)
+    assert nullspace([], 2) == [(rat(1), ZERO), (ZERO, rat(1))]
+    assert solve_linear([], []) == ()
+    assert solve_linear([[]], [1]) is None
+    assert solve_linear([(0, 0)], [5]) is None
+    assert solve_linear([(1, 1), (2, 2)], [1, 3]) is None
+    assert independent_rows([]) == []
+    assert independent_rows([(0, 0), (1, 2), (2, 4), (0, 1)]) == [1, 3]
