@@ -53,6 +53,7 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     IntersectionCertificate,
+    LastPointDecider,
     Point,
     Polyhedron,
     flat_crosses,
@@ -111,7 +112,9 @@ class ChReport:
     `points` lists the verified common Point of every selection swept, in
     sweep order: all of them when holds = True, those before the violation
     otherwise.  A hinted selection whose hint verified keeps the hint as its
-    point; every other point is the LP's.
+    point.  Under a `LastPointDecider` a selection may keep a verified point
+    of an earlier selection that lies in all of its sets; every other point
+    is the LP's.
     """
 
     holds: bool
@@ -193,7 +196,11 @@ def check_ch(
     `decide` certifies one selection's sets; None means
     `polyhedra_intersect`, the primal tableau whose points and certificates
     the reports show.  The construction passes `polyhedra_meet` (the
-    transposed Farkas system), whose verdicts are the same.
+    transposed Farkas system), whose verdicts are the same.  Callers that
+    read only `holds`, the violation and its certificate pass
+    `LastPointDecider(polyhedra_intersect)`, which accepts a selection
+    containing the last point it verified without an LP: such a selection's
+    point in `points` is a verified point of an earlier selection.
     """
     decide = decide or polyhedra_intersect
     total = fam.rainbow_count
@@ -215,6 +222,12 @@ def check_ch(
     return ChReport(True, None, None, len(points), tuple(points))
 
 
+def _ch_verdict(fam: ColoredFamily, budget: SearchBudget = DEFAULT_BUDGET) -> ChReport:
+    """`check_ch` for a caller that reads only `holds`, the violation and its
+    certificate: the primal decider, reusing the last verified point."""
+    return check_ch(fam, budget, decide=LastPointDecider(polyhedra_intersect))
+
+
 def intersecting_class(
     fam: ColoredFamily,
     report: Optional[ChReport] = None,
@@ -224,13 +237,14 @@ def intersecting_class(
 
     Existence is a theorem, so exhausting all classes without success raises
     TheoremViolationError.  The first intersecting class (lowest index) is
-    returned with a verified common point.
+    returned with a verified common point.  Without a `report` the sweep
+    reads only the verdict, so it reuses points (`LastPointDecider`).
     """
     if fam.num_classes != fam.dim + 1:
         raise PreconditionError(
             f"need dim+1 = {fam.dim + 1} classes, got {fam.num_classes}"
         )
-    rep = report if report is not None else check_ch(fam, budget)
+    rep = report if report is not None else _ch_verdict(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "family lacks the colorful Helly property",
@@ -384,8 +398,8 @@ def two_color_lemma(
 ) -> DichotomyOutcome:
     """Point in all of A, or at most d hyperplanes crossing every B.
 
-    Requires every A-member to meet every B-member (verified pairwise unless
-    the caller vouches via pairs_checked).  When A has no common point, a
+    Requires every A-member to meet every B-member (verified pairwise through
+    a `LastPointDecider`, unless the caller vouches via pairs_checked).  When A has no common point, a
     minimal empty witness inside A yields separating halfspaces; every
     B-member meets each witness set, so it cannot avoid the boundaries of
     the first w-1 halfspaces without landing in their empty intersection.
@@ -399,10 +413,11 @@ def two_color_lemma(
         pair_total = len(a_sets) * len(b_sets)
         if pair_total > budget.max_rainbow_tuples:
             raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, pair_total)
+        meets = LastPointDecider(polyhedra_intersect)
         for (i, a), (j, b) in itertools.product(
             enumerate(a_sets), enumerate(b_sets)
         ):
-            if not polyhedra_intersect([a, b]).feasible:
+            if not meets([a, b]).feasible:
                 raise PreconditionError(
                     f"sets A[{i}] and B[{j}] do not meet", witness=(i, j)
                 )
@@ -436,11 +451,12 @@ def theorem_main_d2(
     common point, each application contributes at most two bounding lines
     (crossing the opposite class), and their union crosses every set of the
     family.  The cover is re-verified before emission.  A `report` from
-    check_ch on the same family stands in for the cross-pair sweep.
+    check_ch on the same family stands in for the cross-pair sweep, which
+    otherwise reads only the verdict (`LastPointDecider`).
     """
     if fam.dim != 2 or fam.num_classes != 2:
         raise PreconditionError("expected two classes in the plane")
-    rep = report if report is not None else check_ch(fam, budget)
+    rep = report if report is not None else _ch_verdict(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "some pair of differently colored sets is disjoint",
@@ -491,7 +507,7 @@ def generic_line_class(
         )
     if fam.dim < 2:
         raise DimensionError("need ambient dimension at least 2")
-    rep = check_ch(fam, budget)
+    rep = _ch_verdict(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "family lacks the colorful Helly property",
@@ -508,7 +524,7 @@ def generic_line_class(
             tuple(tuple(affine_project(cls, nu)) for cls in fam.classes),
         )
         try:
-            down_rep = check_ch(down, budget)
+            down_rep = _ch_verdict(down, budget)
             if not down_rep.holds:
                 failures.append((nu, "projected family lost CH"))
                 continue

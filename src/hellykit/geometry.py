@@ -448,6 +448,33 @@ def _certified_intersection(sets: Sequence[Polyhedron], solve) -> IntersectionCe
     return cert
 
 
+class LastPointDecider:
+    """A decider such as `polyhedra_intersect` that first tries the last point
+    it verified.
+
+    A call tests that point with `Polyhedron.contains` on every set of the new
+    selection and, when it lies in all of them, returns it without an LP;
+    otherwise the wrapped decider runs, and a feasible answer's point becomes
+    the new last point.  Only a selection that does meet is ever accepted
+    without the LP, so verdicts and certificates are the wrapped decider's;
+    a feasible answer's point may be that of an earlier selection.  One
+    instance serves one sweep: sweeps visit neighbouring selections in turn,
+    and these often share a point."""
+
+    def __init__(self, decide):
+        self.decide = decide
+        self.last = None
+
+    def __call__(self, sets: Sequence[Polyhedron]) -> IntersectionCertificate:
+        last = self.last
+        if last is not None and all(s.contains(last) for s in sets):
+            return IntersectionCertificate(last)
+        cert = self.decide(sets)
+        if cert.feasible:
+            self.last = cert.point
+        return cert
+
+
 def _sets_meet(group: Sequence[Polyhedron]) -> bool:
     """Whether the sets share a point: for a pair with a line-shaped member,
     on the integer line kernel along that member's carrier line (the common

@@ -8,6 +8,9 @@ Exact quantities:
     nu_b    maximum b-matching (edge subset using no vertex more than b times).
 
 Every duality report asserts the sandwich nu_b / b <= nu* = tau* <= tau.
+The tau* and nu* programs are stated on Python-int rows and objectives,
+which enter the LP tableau as they are; a duality report solves nu* once
+and bounds its nu_b search with that value.
 
 The geometric builders turn a family of convex sets into hypergraphs whose
 transversals are piercing numbers (vertices = points witnessing maximal
@@ -273,13 +276,8 @@ def tau_star(h: Hypergraph) -> FractionalResult:
     if not h.edges:
         raise InputError("tau* needs at least one edge")
     n = h.vertex_count
-    rows = []
-    for e in h.edges:
-        coeffs = tuple(-ONE if v in e else ZERO for v in range(n))
-        rows.append((coeffs, -ONE))
-    lp = LinearProgram(
-        n, leq=tuple(rows), objective=tuple(ONE for _ in range(n)), maximize=False, nonneg=True
-    )
+    rows = tuple((tuple(-int(v in e) for v in range(n)), -1) for e in h.edges)
+    lp = LinearProgram(n, leq=rows, objective=(1,) * n, maximize=False, nonneg=True)
     out = lp_solve(lp)
     if not isinstance(out, Optimal):
         raise TheoremViolationError("tau* LP must have an optimum")
@@ -290,13 +288,10 @@ def nu_star(h: Hypergraph) -> FractionalResult:
     if not h.edges:
         raise InputError("nu* needs at least one edge")
     m = len(h.edges)
-    rows = []
-    for v in range(h.vertex_count):
-        coeffs = tuple(ONE if v in e else ZERO for e in h.edges)
-        rows.append((coeffs, ONE))
-    lp = LinearProgram(
-        m, leq=tuple(rows), objective=tuple(ONE for _ in range(m)), maximize=True, nonneg=True
+    rows = tuple(
+        (tuple(int(v in e) for e in h.edges), 1) for v in range(h.vertex_count)
     )
+    lp = LinearProgram(m, leq=rows, objective=(1,) * m, maximize=True, nonneg=True)
     out = lp_solve(lp)
     if not isinstance(out, Optimal):
         raise TheoremViolationError("nu* LP must have an optimum")
@@ -309,6 +304,13 @@ def nu_b(h: Hypergraph, b: int) -> int:
         raise InputError("b must be a positive integer")
     if not h.edges:
         return 0
+    return _nu_b(h, b, nu_star(h).value)
+
+
+def _nu_b(h: Hypergraph, b: int, nu_star_value) -> int:
+    """`nu_b` of a hypergraph with edges whose nu* is `nu_star_value`; the
+    search stops at the duality bound floor(b * nu*)."""
+    ub = floor_rat(rat(b) * nu_star_value)
     edges = list(h.edges)
     m = len(edges)
     caps = [b] * h.vertex_count
@@ -319,7 +321,6 @@ def nu_b(h: Hypergraph, b: int) -> int:
             for v in e:
                 caps[v] -= 1
             best += 1
-    ub = floor_rat(rat(b) * nu_star(h).value)
     caps = [b] * h.vertex_count
     best_found = best
 
@@ -362,7 +363,9 @@ def duality_report(
     except ScaleError as exc:
         t = None
         note = str(exc)
-    nb = nu_b(h, b)
+    if b < 1:
+        raise InputError("b must be a positive integer")
+    nb = _nu_b(h, b, ns.value)
     ok = rat(nb, b) <= ns.value and (t is None or ts.value <= rat(t.size))
     if not ok:
         raise TheoremViolationError("duality sandwich nu_b/b <= nu* = tau* <= tau failed")

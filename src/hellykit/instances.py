@@ -14,7 +14,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .colorful import check_ch
+from .colorful import _ch_verdict
 from .errors import GenerationError
 from .geometry import (
     ColoredFamily,
@@ -164,7 +164,7 @@ def random_ch_pair(seed: int) -> ColoredFamily:
             )
             classes = (first, second)
         fam = ColoredFamily(2, classes)
-        if check_ch(fam).holds:
+        if _ch_verdict(fam).holds:
             return fam
     raise GenerationError("colorful pair generation failed")
 
@@ -268,7 +268,7 @@ def random_ch_family(seed: int, dim: int) -> ColoredFamily:
                 classes.append((_affine_image(big, m, minv, t),))
             classes = tuple(classes)
         fam = ColoredFamily(dim, classes)
-        if check_ch(fam).holds:
+        if _ch_verdict(fam).holds:
             return fam
     raise GenerationError("colorful family generation failed")
 

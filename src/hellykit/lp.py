@@ -16,7 +16,8 @@ all variables to be >= 0 (used by the fractional transversal/matching LPs).
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
 tool.  It pivots fraction-free: each row enters as given, the inequality rows
 and then the equality rows, and is scaled to coprime Python ints unless it
-already is (a stored polyhedron row is, and enters with scale 1); the rows
+already is (a stored polyhedron row is, as are the 0/1 rows of the tau* and
+nu* programs, and enters with scale 1); the rows
 share one integer denominator (the basis determinant), and rationals appear
 only when a point, ray or certificate is read out.  The tableau stores one
 column per variable and one artificial per row: a free variable's minus
@@ -36,7 +37,13 @@ two forms, both on this tableau:
     certificate a report shows comes from this form (the public `check_ch`
     and `polyhedra_intersect`, `check-ch` witnesses and violations,
     `intersecting-class` points, piercing witnesses), so those bytes stay
-    what they have always been;
+    what they have always been.  The verdict-only colorful sweeps keep it
+    too, behind `geometry.LastPointDecider`, which solves no LP for a
+    selection containing the last point it verified: `intersecting_class`
+    and `theorem_main_d2` without a report, both sweeps of
+    `generic_line_class`, the generators `random_ch_family` and
+    `random_ch_pair`, and `two_color_lemma`'s A x B pairs.  A violation's
+    certificate is therefore the one the public `check_ch` cites;
   * transposed (`decide_feasibility`): the Farkas system y >= 0, yA' = 0,
     yb' = -1 (each equality row split in two), with d + 1 rows however many
     rows the question has.  Its certificate names at most d + 1 rows, and

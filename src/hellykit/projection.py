@@ -113,7 +113,10 @@ def project_polyhedron(poly: Polyhedron, direction: Sequence) -> Polyhedron:
 
     def transform(normal, offset):
         coeffs = [normal[i] for i in range(d) if i != j]
-        coeffs.append(dot(normal, nu))
+        t = dot(normal, nu)
+        # an integral t entry stays an int, so int rows stay int rows through
+        # the elimination and the redundancy LPs
+        coeffs.append(t.numerator if t.denominator == 1 else t)
         return tuple(coeffs), offset
 
     for h in poly.inequalities:

@@ -20,6 +20,9 @@ reference for the fraction-free `geometry.vertices_of`, on the same
 Fraction algebra.  `pairwise_candidate_lines` is the former candidate-line
 builder, one `line_through` per pool pair and one `flat_crosses` scan per
 set.  `tau_greedy` is the former greedy transversal bound.
+`fraction_tau_star` and `fraction_nu_star` are the former tau* and nu*
+programs, stated on `Fraction` 0/1 rows and objectives, kept as the
+reference for the int-row programs of `hellykit.hypergraphs`.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
 a list scan.  `poly_subset` and `poly_equal` compare polyhedra row by row
 with exact LPs, and `flat_family_from_doc` reads a family document as one
@@ -43,8 +46,13 @@ from hellykit.geometry import (
     polyhedra_intersect,
     vertices_of,
 )
-from hellykit.hypergraphs import TransversalResult, _candidate_point_pool, _greedy_cover
-from hellykit.lp import Optimal, Unbounded, lp_solve
+from hellykit.hypergraphs import (
+    FractionalResult,
+    TransversalResult,
+    _candidate_point_pool,
+    _greedy_cover,
+)
+from hellykit.lp import LinearProgram, Optimal, Unbounded, lp_solve
 from hellykit.rationals import ONE, ZERO, dot, is_zero_vec, vadd, vec, vsub
 from hellykit.serialize import family_from_doc
 
@@ -399,6 +407,33 @@ def tau_greedy(h) -> TransversalResult:
     witness = tuple(sorted(_greedy_cover(list(h.edges))))
     assert all(e & set(witness) for e in h.edges)
     return TransversalResult(len(witness), witness, exact=False)
+
+
+def fraction_tau_star(h) -> FractionalResult:
+    n = h.vertex_count
+    rows = tuple(
+        (tuple(-ONE if v in e else ZERO for v in range(n)), -ONE) for e in h.edges
+    )
+    lp = LinearProgram(
+        n, leq=rows, objective=tuple(ONE for _ in range(n)), maximize=False, nonneg=True
+    )
+    out = lp_solve(lp)
+    assert isinstance(out, Optimal)
+    return FractionalResult(out.value, out.point)
+
+
+def fraction_nu_star(h) -> FractionalResult:
+    m = len(h.edges)
+    rows = tuple(
+        (tuple(ONE if v in e else ZERO for e in h.edges), ONE)
+        for v in range(h.vertex_count)
+    )
+    lp = LinearProgram(
+        m, leq=rows, objective=tuple(ONE for _ in range(m)), maximize=True, nonneg=True
+    )
+    out = lp_solve(lp)
+    assert isinstance(out, Optimal)
+    return FractionalResult(out.value, out.point)
 
 
 def pairwise_candidate_lines(fam) -> list:

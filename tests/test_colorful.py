@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from conftest import count_calls, load_fixture
+from oracles import point_in
 from hellykit import colorful, hypergraphs
 from hellykit.budgets import SearchBudget
 from hellykit.colorful import (
@@ -24,11 +25,30 @@ from hellykit.colorful import (
     two_color_lemma,
 )
 from hellykit.errors import PreconditionError, ScaleError
-from hellykit.geometry import Point, Polyhedron, flat_crosses, hyperplane_crosses, line_through
+from hellykit.geometry import (
+    LastPointDecider,
+    Point,
+    Polyhedron,
+    flat_crosses,
+    hyperplane_crosses,
+    line_through,
+    polyhedra_intersect,
+)
 from hellykit.hypergraphs import candidate_lines, piercing_number
-from hellykit.instances import random_fractional_instance, random_two_colored
+from hellykit.instances import (
+    random_ch_family,
+    random_ch_pair,
+    random_fractional_instance,
+    random_two_colored,
+)
 from hellykit.rationals import rat, rat_str, vec
-from hellykit.serialize import digest, family_from_doc, point_to_json, vec_to_json
+from hellykit.serialize import (
+    digest,
+    family_from_doc,
+    line_to_json,
+    point_to_json,
+    vec_to_json,
+)
 
 
 def box(lo, hi):
@@ -95,6 +115,53 @@ def test_check_ch_accepts_verified_hints_without_the_lp(monkeypatch):
         plain.certificate,
         plain.checked,
     )
+
+
+def _far_set_appended(fam):
+    """`fam` with a far box added last to class 1: the selections through it
+    are empty, and come after feasible ones."""
+    far = box((1000, 1000), (1001, 1001))
+    classes = list(fam.classes)
+    classes[1] = classes[1] + (far,)
+    return ColoredFamily(fam.dim, tuple(classes))
+
+
+def _sweep_inputs():
+    fams = [random_ch_family(s, d) for d in (2, 3) for s in range(6)]
+    fams += [random_ch_pair(s) for s in range(8)]
+    fams += [_far_set_appended(random_ch_pair(s)) for s in range(4)]
+    return fams + [late_violation_family()]
+
+
+def test_last_point_decider_sweeps_like_the_plain_sweep(monkeypatch):
+    saved = 0
+    for fam in _sweep_inputs():
+        plain = check_ch(fam)
+        lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+        reused = check_ch(fam, decide=LastPointDecider(colorful.polyhedra_intersect))
+        monkeypatch.undo()
+        assert (reused.holds, reused.violating_rainbow, reused.checked) == (
+            plain.holds,
+            plain.violating_rainbow,
+            plain.checked,
+        )
+        assert reused.certificate == plain.certificate
+        assert len(reused.points) == len(plain.points)
+        for pick, point in zip(fam.picks(), reused.points):
+            assert all(point_in(fam.classes[k][i], point.coords) for k, i in enumerate(pick))
+        saved += plain.checked - len(lps)
+    assert saved > 0
+
+
+def test_last_point_decider_sends_a_stale_point_to_the_lp(monkeypatch):
+    fam = fixture_family("family_ch_d2.json")
+    sets = [cls[0] for cls in fam.classes]
+    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
+    meets = LastPointDecider(colorful.polyhedra_intersect)
+    meets.last = Point(vec((100, 100)))
+    assert meets(sets) == polyhedra_intersect(sets)
+    assert len(lps) == 1
+    assert meets.last == polyhedra_intersect(sets).point
 
 
 def test_rainbow_budget_enforced():
@@ -183,6 +250,21 @@ def test_generic_line_class_crosses_whole_class():
     assert line.k == 1
     for s in fam2.classes[k]:
         assert flat_crosses(line, s)
+
+
+def test_generic_line_class_outputs_are_pinned():
+    # digest taken before the projection kept an integral t column as an int
+    docs = []
+    for seed in (7, 19):
+        for r in range(24):
+            s = seed * 1000 + r
+            for d in (2, 3):
+                fam = random_ch_family(s, d)
+                k, line = generic_line_class(ColoredFamily(d, fam.classes[:d]), seed=s)
+                docs.append([s, d, k, line_to_json(line)])
+    assert digest(docs) == (
+        "49c82de9881e2d43f7308da9d8ed27ad8a05c285fa28d18f63c1d316969fe5e7"
+    )
 
 
 def test_fractional_search_meets_a_target():

@@ -15,7 +15,13 @@ import json
 import pytest
 
 from conftest import FIXTURES, corpus_paths, count_calls, load_fixture
-from oracles import list_scan_point_pool, pairwise_candidate_lines, tau_greedy
+from oracles import (
+    fraction_nu_star,
+    fraction_tau_star,
+    list_scan_point_pool,
+    pairwise_candidate_lines,
+    tau_greedy,
+)
 from hellykit import hypergraphs
 from hellykit.budgets import SearchBudget
 from hellykit.constructions import generate_planar, generate_simplex_family
@@ -44,7 +50,7 @@ from hellykit.hypergraphs import (
     tau_star,
     transversal_points,
 )
-from hellykit.instances import random_polygon_family
+from hellykit.instances import random_hypergraph, random_polygon_family
 from hellykit.rationals import ONE, ZERO, rat, vec
 from hellykit.serialize import family_from_doc, hypergraph_from_doc
 
@@ -106,6 +112,38 @@ def test_duality_report_sandwich():
     assert rep.tau_star_result.value == rat(3, 2)
     assert rep.tau_result.size == 2
     assert rep.sandwich_ok
+
+
+HYPERGRAPH_SEEDS = range(60)
+
+
+def test_fractional_programs_match_their_fraction_row_references():
+    for seed in HYPERGRAPH_SEEDS:
+        h = random_hypergraph(seed)
+        for got, ref in ((tau_star(h), fraction_tau_star(h)), (nu_star(h), fraction_nu_star(h))):
+            assert repr(got) == repr(ref)  # value and weights, types included
+
+
+def test_fractional_programs_are_stated_on_int_rows(monkeypatch):
+    programs = count_calls(monkeypatch, hypergraphs, "lp_solve")
+    h = fano()
+    tau_star(h)
+    nu_star(h)
+    assert len(programs) == 2
+    for (lp,) in programs:
+        entries = [*lp.objective, *(x for c, r in lp.leq for x in (*c, r))]
+        assert all(type(x) is int for x in entries)
+
+
+def test_duality_report_solves_nu_star_once(monkeypatch):
+    for seed in range(12):
+        h = random_hypergraph(seed)
+        for b in (1, 2, 3):
+            solves = count_calls(monkeypatch, hypergraphs, "nu_star")
+            rep = duality_report(h, b)
+            assert len(solves) == 1
+            monkeypatch.undo()
+            assert rep.nu_b_value == nu_b(h, b)
 
 
 def test_greedy_upper_bound_never_beats_exact():

@@ -15,6 +15,7 @@ from hellykit.instances import (
     random_two_colored,
 )
 from hellykit.rationals import rat
+from hellykit.serialize import digest, family_to_doc
 
 
 def test_random_hypergraph_shape_and_determinism():
@@ -63,6 +64,15 @@ def test_random_ch_family_has_dim_plus_one_classes():
             assert fam.dim == dim
             assert fam.num_classes == dim + 1
             assert check_ch(fam).holds
+
+
+def test_colorful_families_are_pinned():
+    # digest taken when each draw's CH check solved every rainbow by LP
+    docs = [family_to_doc(random_ch_family(s, d)) for s in range(40) for d in (2, 3)]
+    docs += [family_to_doc(random_ch_pair(s)) for s in range(40)]
+    assert digest(docs) == (
+        "dd356d33ad72a0972345556b10d589e5f761f7d28118d12c5a47fb6f366bf6ae"
+    )
 
 
 def test_random_fractional_instance_alpha_is_exact():

@@ -375,9 +375,11 @@ def _polygon_subsets():
             "0dbdee40d7bc47b43a0c43a93eb7f99fac6fd25c2a8d615c91aedcc4f0738552",
         ),
         (
+            # the A x B pair sweep solves no LP for a pair containing the
+            # last point it verified (`LastPointDecider`)
             _two_color_lemmas,
-            442,
-            "6cd7959eb738402397c2a18a6b8d9f4ecaf35e1b851c61dd71b3758c4d274723",
+            400,
+            "20df2016ec76efb5f308e3f8cdc123c6db8c7d5c9aaf842523e14e4bb097829c",
         ),
         (
             _repaired_separation,
