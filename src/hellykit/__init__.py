@@ -41,6 +41,7 @@ _EXPORTS = {
         "dichotomy_report",
         "fractional_two_color_search",
         "generic_line_class",
+        "helly_witness",
         "intersecting_class",
         "theorem_main_d2",
         "two_color_lemma",

@@ -40,6 +40,7 @@ from .geometry import (
     first_meeting,
     flat_crosses,
     hyperplane_crosses,
+    polyhedra_intersect,
     verify_farkas_entries,
 )
 from .hypergraphs import (
@@ -159,10 +160,13 @@ def _cmd_check_ch(family, request: dict, budget: SearchBudget) -> Outcome:
         return _refutation(rep, log, checked=rep.checked)
     results = {"holds": True, "checked": rep.checked}
     if fam.rainbow_count <= _WITNESS_CAP:
-        results["witnesses"] = [
-            {"rainbow": list(combo), "point": point_to_json(point)}
-            for combo, point in zip(fam.picks(), rep.points)
-        ]
+        # each witness is the primal tableau's point of its selection, as
+        # reports have always shown; the sweep's points may differ
+        results["witnesses"] = []
+        for pick in fam.picks():
+            sets = [fam.classes[k][i] for k, i in enumerate(pick)]
+            point = polyhedra_intersect(sets).point
+            results["witnesses"].append({"rainbow": list(pick), "point": point_to_json(point)})
         results["witnesses_included"] = True
     else:
         results["witnesses_included"] = False

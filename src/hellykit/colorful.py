@@ -53,13 +53,14 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     IntersectionCertificate,
-    LastPointDecider,
     Point,
     Polyhedron,
     flat_crosses,
     hyperplane_crosses,
     hyperplane_to_flat,
     polyhedra_intersect,
+    polyhedra_meet,
+    sets_meet,
 )
 from .hypergraphs import (
     TransversalResult,
@@ -109,12 +110,11 @@ class ChReport:
 
     holds = False cites the first failing selection as (class, set) index
     pairs together with the emptiness certificate of its joint system.
-    `points` lists the verified common Point of every selection swept, in
+    `points` lists a verified common Point of every selection swept, in
     sweep order: all of them when holds = True, those before the violation
-    otherwise.  A hinted selection whose hint verified keeps the hint as its
-    point.  Under a `LastPointDecider` a selection may keep a verified point
-    of an earlier selection that lies in all of its sets; every other point
-    is the LP's.
+    otherwise.  Each is the selection's hint, the point of the selection
+    before it, or the transposed LP's point (`polyhedra_meet`), whichever
+    `check_ch` verified first, so it need not be the primal tableau's.
     """
 
     holds: bool
@@ -172,7 +172,6 @@ def check_ch(
     fam: ColoredFamily,
     budget: SearchBudget = DEFAULT_BUDGET,
     hints: Optional[Mapping] = None,
-    decide=None,
 ) -> ChReport:
     """Decide the colorful Helly property by exhaustive rainbow enumeration.
 
@@ -180,29 +179,23 @@ def check_ch(
     violation is deterministic.  Raises ScaleError when the number of
     selections exceeds the rainbow budget.
 
-    `hints` maps a pick (one set index per class) to a candidate Point.  A
-    hinted selection is accepted when `Polyhedron.contains` verifies the
-    point in each of its sets; every other selection, a hinted one whose
-    point fails included, is decided by the LP.  Hints only ever accept
-    selections that do meet, so `holds`, the cited violation, its
-    certificate and `checked` do not depend on them; only `points` may.
+    Each selection is accepted on the first of three points that
+    `Polyhedron.contains` verifies in all of its sets: its hint, the point
+    of the selection swept before it (neighbouring selections often share
+    one), or the point of its joint system decided on the transposed Farkas
+    system (`polyhedra_meet`).  A selection that system refutes is solved
+    once more by `polyhedra_intersect`, whose primal certificate is the one
+    cited.  Only selections that do meet are ever accepted without the LP,
+    so `holds`, the violation, its certificate and `checked` depend on
+    neither the hints nor the reused points; only `points` may.
 
-    The simplex construction hints its dyadic sweeps with two monotonicity
+    `hints` maps a pick (one set index per class) to a candidate Point.  The
+    simplex construction hints its dyadic sweeps with two monotonicity
     facts.  Halving the shrink offset only loosens the cuts, so a point of
     a selection at one step lies in it at the next.  A facet-copy
     selection's system is convex in (x, eta), so the midpoint of its points
     at eta = 0 and at 2 * eta lies in it at eta.
-
-    `decide` certifies one selection's sets; None means
-    `polyhedra_intersect`, the primal tableau whose points and certificates
-    the reports show.  The construction passes `polyhedra_meet` (the
-    transposed Farkas system), whose verdicts are the same.  Callers that
-    read only `holds`, the violation and its certificate pass
-    `LastPointDecider(polyhedra_intersect)`, which accepts a selection
-    containing the last point it verified without an LP: such a selection's
-    point in `points` is a verified point of an earlier selection.
     """
-    decide = decide or polyhedra_intersect
     total = fam.rainbow_count
     if total > budget.max_rainbow_tuples:
         raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, total)
@@ -210,22 +203,17 @@ def check_ch(
     points = []
     for pick in fam.picks():
         sets = [fam.classes[k][i] for k, i in enumerate(pick)]
-        hint = hints.get(pick)
-        if hint is not None and all(s.contains(hint) for s in sets):
-            points.append(hint)
-            continue
-        cert = decide(sets)
-        if not cert.feasible:
+        for point in (hints.get(pick), points[-1] if points else None):
+            if point is not None and all(s.contains(point) for s in sets):
+                break
+        else:
+            point = polyhedra_meet(sets).point
+        if point is None:
             rainbow = tuple((k, i) for k, i in enumerate(pick))
+            cert = polyhedra_intersect(sets)
             return ChReport(False, rainbow, cert, len(points) + 1, tuple(points))
-        points.append(cert.point)
+        points.append(point)
     return ChReport(True, None, None, len(points), tuple(points))
-
-
-def _ch_verdict(fam: ColoredFamily, budget: SearchBudget = DEFAULT_BUDGET) -> ChReport:
-    """`check_ch` for a caller that reads only `holds`, the violation and its
-    certificate: the primal decider, reusing the last verified point."""
-    return check_ch(fam, budget, decide=LastPointDecider(polyhedra_intersect))
 
 
 def intersecting_class(
@@ -237,14 +225,14 @@ def intersecting_class(
 
     Existence is a theorem, so exhausting all classes without success raises
     TheoremViolationError.  The first intersecting class (lowest index) is
-    returned with a verified common point.  Without a `report` the sweep
-    reads only the verdict, so it reuses points (`LastPointDecider`).
+    returned with a verified common point.  A `report` from check_ch on the
+    same family stands in for the sweep.
     """
     if fam.num_classes != fam.dim + 1:
         raise PreconditionError(
             f"need dim+1 = {fam.dim + 1} classes, got {fam.num_classes}"
         )
-    rep = report if report is not None else _ch_verdict(fam, budget)
+    rep = report if report is not None else check_ch(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "family lacks the colorful Helly property",
@@ -371,12 +359,18 @@ def helly_witness(sets: Sequence[Polyhedron]) -> list[int]:
     cert = polyhedra_intersect(sets)
     if cert.feasible:
         raise PreconditionError("the sets share a point", witness=cert.point)
+    return _minimal_empty(sets)
+
+
+def _minimal_empty(sets: Sequence[Polyhedron]) -> list[int]:
+    """`helly_witness` for sets already known to have no common point: the
+    single-removal trials read verdicts only (`sets_meet`)."""
     keep = list(range(len(sets)))
     for idx in range(len(sets) - 1, -1, -1):
         if len(keep) == 1:
             break
         trial = [t for t in keep if t != idx]
-        if not polyhedra_intersect([sets[t] for t in trial]).feasible:
+        if not sets_meet([sets[t] for t in trial]):
             keep = trial
     if len(keep) > sets[0].dim + 1:
         raise TheoremViolationError(
@@ -398,33 +392,29 @@ def two_color_lemma(
 ) -> DichotomyOutcome:
     """Point in all of A, or at most d hyperplanes crossing every B.
 
-    Requires every A-member to meet every B-member (verified pairwise through
-    a `LastPointDecider`, unless the caller vouches via pairs_checked).  When A has no common point, a
-    minimal empty witness inside A yields separating halfspaces; every
-    B-member meets each witness set, so it cannot avoid the boundaries of
-    the first w-1 halfspaces without landing in their empty intersection.
+    Requires every A-member to meet every B-member (verified by `check_ch` on
+    the two-class family (A, B), unless the caller vouches via
+    pairs_checked).  When A has no common point, a minimal empty witness
+    inside A yields separating halfspaces; every B-member meets each witness
+    set, so it cannot avoid the boundaries of the first w-1 halfspaces
+    without landing in their empty intersection.
     The returned cover is verified set by set.
     """
     a_sets, b_sets = list(a_sets), list(b_sets)
     if not a_sets:
         raise InputError("class A is empty")
     d = a_sets[0].dim
-    if not pairs_checked:
-        pair_total = len(a_sets) * len(b_sets)
-        if pair_total > budget.max_rainbow_tuples:
-            raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, pair_total)
-        meets = LastPointDecider(polyhedra_intersect)
-        for (i, a), (j, b) in itertools.product(
-            enumerate(a_sets), enumerate(b_sets)
-        ):
-            if not meets([a, b]).feasible:
-                raise PreconditionError(
-                    f"sets A[{i}] and B[{j}] do not meet", witness=(i, j)
-                )
+    if b_sets and not pairs_checked:
+        rep = check_ch(ColoredFamily(d, (a_sets, b_sets)), budget)
+        if not rep.holds:
+            (_, i), (_, j) = rep.violating_rainbow
+            raise PreconditionError(
+                f"sets A[{i}] and B[{j}] do not meet", witness=(i, j)
+            )
     cert = polyhedra_intersect(a_sets)
     if cert.feasible:
         return PiercedClass(0, (cert.point,))
-    witness = helly_witness(a_sets)
+    witness = _minimal_empty(a_sets)
     sep = separating_halfspaces([a_sets[i] for i in witness])
     bounding = [
         Hyperplane(h.normal, h.offset) for h in sep.halfspaces[: len(witness) - 1]
@@ -451,12 +441,11 @@ def theorem_main_d2(
     common point, each application contributes at most two bounding lines
     (crossing the opposite class), and their union crosses every set of the
     family.  The cover is re-verified before emission.  A `report` from
-    check_ch on the same family stands in for the cross-pair sweep, which
-    otherwise reads only the verdict (`LastPointDecider`).
+    check_ch on the same family stands in for the cross-pair sweep.
     """
     if fam.dim != 2 or fam.num_classes != 2:
         raise PreconditionError("expected two classes in the plane")
-    rep = report if report is not None else _ch_verdict(fam, budget)
+    rep = report if report is not None else check_ch(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "some pair of differently colored sets is disjoint",
@@ -507,7 +496,7 @@ def generic_line_class(
         )
     if fam.dim < 2:
         raise DimensionError("need ambient dimension at least 2")
-    rep = _ch_verdict(fam, budget)
+    rep = check_ch(fam, budget)
     if not rep.holds:
         raise PreconditionError(
             "family lacks the colorful Helly property",
@@ -524,7 +513,7 @@ def generic_line_class(
             tuple(tuple(affine_project(cls, nu)) for cls in fam.classes),
         )
         try:
-            down_rep = _ch_verdict(down, budget)
+            down_rep = check_ch(down, budget)
             if not down_rep.holds:
                 failures.append((nu, "projected family lost CH"))
                 continue
@@ -614,11 +603,7 @@ def fractional_two_color_search(
     pair_total = len(a_sets) * len(b_sets)
     if pair_total > budget.max_rainbow_tuples:
         raise ScaleError("max_rainbow_tuples", budget.max_rainbow_tuples, pair_total)
-    pair_count = sum(
-        1
-        for a, b in itertools.product(a_sets, b_sets)
-        if polyhedra_intersect([a, b]).feasible
-    )
+    pair_count = sum(sets_meet([a, b]) for a, b in itertools.product(a_sets, b_sets))
     pair_target = alpha * pair_total
     if pair_count < pair_target:
         raise PreconditionError(

@@ -39,7 +39,6 @@ from .geometry import (
     first_meeting,
     line_meets_relint,
     line_through,
-    polyhedra_meet,
     polytope_from_vertices,
 )
 from .lp import LinearProgram, Optimal, lp_solve
@@ -438,11 +437,13 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     hints are verified exactly and the rest go to the LP, so epsilon, eta,
     the family and every cited failure are those of unhinted sweeps.
 
-    The sweeps and the triple and overlap checks read verdicts only, and the
-    sweep points only feed hints, so every one of their LPs is decided on
-    the transposed Farkas system (`polyhedra_meet`, through `check_ch`'s
-    `decide` and `first_meeting`): d + 1 tableau rows instead of one per
-    joint row.
+    A selection that no hint covers may still contain the point `check_ch`
+    verified for the selection swept before it.  The sweeps and the triple
+    and overlap checks read verdicts only, and the sweep points only feed
+    hints, so their LPs are decided on the transposed Farkas system
+    (`polyhedra_meet`, inside `check_ch` and `first_meeting`): d + 1 tableau
+    rows instead of one per joint row.  The one primal program is the
+    certificate `check_ch` cites for a step's refuted selection.
     """
     if not 2 <= d <= 4:
         raise InputError("the simplex construction is built for 2 <= d <= 4")
@@ -469,7 +470,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
     facets = _simplex_facets(verts)
 
     pre_family = ColoredFamily(d, (*raw_classes, facets))
-    pre = check_ch(pre_family, decide=polyhedra_meet)
+    pre = check_ch(pre_family)
     if not pre.holds:
         raise TheoremViolationError(
             "a rainbow selection of the unshrunk construction is empty: "
@@ -487,7 +488,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
         )
         shrunk = tuple(facet.with_rows(ineqs=cuts) for facet in facets)
         fam = ColoredFamily(d, (*classes, shrunk))
-        report = check_ch(fam, hints=shrink_points, decide=polyhedra_meet)
+        report = check_ch(fam, hints=shrink_points)
         shrink_points.clear()
         shrink_points.update(_swept_points(fam, report))
         if not report.holds:
@@ -531,7 +532,7 @@ def generate_simplex_family(d: int, f: int, seed: int = 0) -> SimplexConstructio
         )
         copies = tuple(itertools.chain.from_iterable(groups))
         fam = ColoredFamily(d, (*shrunk_classes, copies))
-        report = check_ch(fam, hints=copy_hints(fam), decide=polyhedra_meet)
+        report = check_ch(fam, hints=copy_hints(fam))
         copy_points.clear()
         copy_points.update(_swept_points(fam, report))
         if not report.holds:

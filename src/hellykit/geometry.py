@@ -29,15 +29,15 @@ Line covers run the same closed test from pool-point slacks instead (see
 fraction-free square solve, and rationals are built for accepted vertices
 only.
 
-The same kernel decides whether two sets meet (`first_meeting` with r = 2)
-when either set is line-shaped, its equality rows fixing a line (rank d - 1,
-consistent), as a segment's do: every common point lies on that cached
-carrier line, so the joint rows are tested there.  The LP still decides
-every pair in which neither set has a carrier (one-point sets, inconsistent
-equality rows, polygons and bodies) and every r != 2, on the transposed
-Farkas system (`polyhedra_meet`), since only the verdict is read.  Certified
-intersections whose point or certificate a report shows
-(`polyhedra_intersect`) keep the primal tableau.
+The same kernel decides whether two sets meet (`sets_meet`, and so
+`first_meeting` with r = 2) when either set is line-shaped, its equality
+rows fixing a line (rank d - 1, consistent), as a segment's do: every common
+point lies on that cached carrier line, so the joint rows are tested there.
+The LP still decides every pair in which neither set has a carrier
+(one-point sets, inconsistent equality rows, polygons and bodies) and every
+larger group, on the transposed Farkas system (`polyhedra_meet`), since only
+the verdict is read.  `polyhedra_intersect` keeps the primal tableau and
+serves only callers that return its point or certificate.
 
 `ColoredFamily` (polyhedra partitioned into color classes) lives here, next
 to `Polyhedron`, so that reading a family document loads no more than this
@@ -148,8 +148,11 @@ class Polyhedron:
     dim: int
     inequalities: tuple = ()
     equalities: tuple = ()
-    # vertex list remembered from a V-representation ingestion; audit only,
-    # ignored for equality so H-equal polyhedra compare equal
+    # vertex list remembered from a V-representation ingestion, ignored for
+    # equality so H-equal polyhedra compare equal.  `vertices_of` returns it
+    # without checking it against the rows, which is why
+    # `serialize.polyhedron_from_json` does not read a document's `vertices`
+    # back: an edited list would become the set's vertices unverified.
     vertices_hint: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -448,37 +451,11 @@ def _certified_intersection(sets: Sequence[Polyhedron], solve) -> IntersectionCe
     return cert
 
 
-class LastPointDecider:
-    """A decider such as `polyhedra_intersect` that first tries the last point
-    it verified.
-
-    A call tests that point with `Polyhedron.contains` on every set of the new
-    selection and, when it lies in all of them, returns it without an LP;
-    otherwise the wrapped decider runs, and a feasible answer's point becomes
-    the new last point.  Only a selection that does meet is ever accepted
-    without the LP, so verdicts and certificates are the wrapped decider's;
-    a feasible answer's point may be that of an earlier selection.  One
-    instance serves one sweep: sweeps visit neighbouring selections in turn,
-    and these often share a point."""
-
-    def __init__(self, decide):
-        self.decide = decide
-        self.last = None
-
-    def __call__(self, sets: Sequence[Polyhedron]) -> IntersectionCertificate:
-        last = self.last
-        if last is not None and all(s.contains(last) for s in sets):
-            return IntersectionCertificate(last)
-        cert = self.decide(sets)
-        if cert.feasible:
-            self.last = cert.point
-        return cert
-
-
-def _sets_meet(group: Sequence[Polyhedron]) -> bool:
-    """Whether the sets share a point: for a pair with a line-shaped member,
-    on the integer line kernel along that member's carrier line (the common
-    points lie on it), and by the transposed LP otherwise."""
+def sets_meet(group: Sequence[Polyhedron]) -> bool:
+    """Whether the sets share a point, for callers that read only the
+    verdict: for a pair with a line-shaped member, on the integer line kernel
+    along that member's carrier line (the common points lie on it), and by
+    the transposed LP (`polyhedra_meet`) otherwise."""
     if len(group) == 2:
         a, b = group
         line = a._carrier_line if a._carrier_line is not None else b._carrier_line
@@ -500,7 +477,7 @@ def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
     tableau rows however many rows the tuple has.  Only indices are
     returned, so no point or certificate depends on which path decided."""
     for combo in itertools.combinations(range(len(sets)), r):
-        if _sets_meet([sets[i] for i in combo]):
+        if sets_meet([sets[i] for i in combo]):
             return combo
     return None
 

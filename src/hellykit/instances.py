@@ -14,7 +14,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .colorful import _ch_verdict
+from .colorful import check_ch
 from .errors import GenerationError
 from .geometry import (
     ColoredFamily,
@@ -22,8 +22,8 @@ from .geometry import (
     Hyperplane,
     Polyhedron,
     first_meeting,
-    polyhedra_intersect,
     polytope_from_vertices,
+    sets_meet,
 )
 from .hypergraphs import Hypergraph
 from .rationals import ONE, ZERO, dot, is_zero_vec, rat, vadd
@@ -91,7 +91,7 @@ def random_two_colored(seed: int, dim: int) -> tuple[list, list]:
                 degenerate = True
                 break
             a_sets.append(Polyhedron(dim, (Halfspace(normal, rat(-1)),)))
-        if degenerate or polyhedra_intersect(a_sets).feasible:
+        if degenerate or sets_meet(a_sets):
             continue
         b_sets = []
         for _ in range(rng.randint(2, 4)):
@@ -164,7 +164,7 @@ def random_ch_pair(seed: int) -> ColoredFamily:
             )
             classes = (first, second)
         fam = ColoredFamily(2, classes)
-        if _ch_verdict(fam).holds:
+        if check_ch(fam).holds:
             return fam
     raise GenerationError("colorful pair generation failed")
 
@@ -268,7 +268,7 @@ def random_ch_family(seed: int, dim: int) -> ColoredFamily:
                 classes.append((_affine_image(big, m, minv, t),))
             classes = tuple(classes)
         fam = ColoredFamily(dim, classes)
-        if _ch_verdict(fam).holds:
+        if check_ch(fam).holds:
             return fam
     raise GenerationError("colorful family generation failed")
 

@@ -31,29 +31,21 @@ geometry.joint_lp, which fixes the row order and so the pivots and
 certificates.
 
 A free-variable feasibility question {x : Ax <= b, Ex = f} can be decided in
-two forms, both on this tableau:
+two forms, both on this tableau, and the rule for choosing is: primal where
+a point or certificate is returned, transposed for verdicts.
 
-  * primal (`lp_solve`): one tableau row per constraint row.  Every point or
-    certificate a report shows comes from this form (the public `check_ch`
-    and `polyhedra_intersect`, `check-ch` witnesses and violations,
-    `intersecting-class` points, piercing witnesses), so those bytes stay
-    what they have always been.  The verdict-only colorful sweeps keep it
-    too, behind `geometry.LastPointDecider`, which solves no LP for a
-    selection containing the last point it verified: `intersecting_class`
-    and `theorem_main_d2` without a report, both sweeps of
-    `generic_line_class`, the generators `random_ch_family` and
-    `random_ch_pair`, and `two_color_lemma`'s A x B pairs.  A violation's
-    certificate is therefore the one the public `check_ch` cites;
+  * primal (`lp_solve`): one tableau row per constraint row.  A caller that
+    returns the point or the Farkas certificate uses this form
+    (`geometry.polyhedra_intersect`), so the bytes of every report stay
+    what they have always been;
   * transposed (`decide_feasibility`): the Farkas system y >= 0, yA' = 0,
     yb' = -1 (each equality row split in two), with d + 1 rows however many
     rows the question has.  Its certificate names at most d + 1 rows, and
     when it is infeasible its own multipliers give a point of the question.
-    Both answers are checked on the question, like the primal ones.  It
-    serves callers that read only the verdict, or a point that reaches no
-    report: the simplex construction's dyadic sweeps, whose points only
-    hint the next step, and `geometry.first_meeting`, which returns indices.
-    Its point generally differs from the primal one, which is why the
-    report-facing callers keep the primal form.
+    Both answers are checked on the question, like the primal ones.  A
+    caller that reads only the verdict, or a point that reaches no report,
+    uses this form (`geometry.polyhedra_meet` and `geometry.sets_meet`).
+    Its point and certificate generally differ from the primal ones.
 """
 
 from __future__ import annotations

@@ -24,9 +24,11 @@ set.  `tau_greedy` is the former greedy transversal bound.
 programs, stated on `Fraction` 0/1 rows and objectives, kept as the
 reference for the int-row programs of `hellykit.hypergraphs`.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
-a list scan.  `poly_subset` and `poly_equal` compare polyhedra row by row
-with exact LPs, and `flat_family_from_doc` reads a family document as one
-uncolored list of sets.  `point_in` is set membership in any dimension,
+a list scan.  `primal_check_ch` is the former rainbow sweep, every
+selection decided by the primal `polyhedra_intersect`.  `poly_subset` and
+`poly_equal` compare polyhedra row by row with exact LPs, and
+`flat_family_from_doc` reads a family document as one uncolored list of
+sets.  `point_in` is set membership in any dimension,
 apart from the package's integer point checks.
 """
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hellykit.colorful import ChReport
 from hellykit.errors import DimensionError, InputError
 from hellykit.geometry import (
     AffineFlat,
@@ -480,6 +483,19 @@ def list_scan_point_pool(fam) -> list[tuple]:
             if cert.feasible:
                 add(cert.point.coords)
     return pool
+
+
+def primal_check_ch(fam) -> ChReport:
+    """The rainbow sweep with every selection decided by the primal tableau,
+    in `ColoredFamily.picks` order; the reference for `colorful.check_ch`."""
+    points = []
+    for pick in fam.picks():
+        cert = polyhedra_intersect([fam.classes[k][i] for k, i in enumerate(pick)])
+        if not cert.feasible:
+            rainbow = tuple(enumerate(pick))
+            return ChReport(False, rainbow, cert, len(points) + 1, tuple(points))
+        points.append(cert.point)
+    return ChReport(True, None, None, len(points), tuple(points))
 
 
 def poly_subset(p, q) -> bool:

@@ -60,7 +60,9 @@ def test_check_ch_holds_and_refutes(capsys):
 
 
 def test_check_ch_lists_the_witnesses_of_its_own_sweep(capsys, monkeypatch):
-    # one LP per rainbow selection: the witness list reuses the sweep's points
+    # one primal LP per rainbow selection, for its witness point: the sweep
+    # itself decides on the transposed system, which `geometry.lp_solve`
+    # does not see, and the report bytes stay pinned
     from hellykit import geometry
 
     solves = []

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from conftest import count_calls, load_fixture
-from oracles import point_in
+from oracles import point_in, primal_check_ch
 from hellykit import colorful, hypergraphs
 from hellykit.budgets import SearchBudget
 from hellykit.colorful import (
@@ -20,13 +20,14 @@ from hellykit.colorful import (
     dichotomy_report,
     fractional_two_color_search,
     generic_line_class,
+    helly_witness,
     intersecting_class,
     theorem_main_d2,
     two_color_lemma,
 )
+from hellykit.constructions import generate_simplex_family
 from hellykit.errors import PreconditionError, ScaleError
 from hellykit.geometry import (
-    LastPointDecider,
     Point,
     Polyhedron,
     flat_crosses,
@@ -94,12 +95,13 @@ def test_check_ch_lists_the_points_swept_before_a_violation():
     ids=["holds", "late-violation"],
 )
 def test_check_ch_sends_a_bogus_hint_to_the_lp(monkeypatch, fam):
+    lps = count_calls(monkeypatch, colorful, "polyhedra_meet")
     plain = check_ch(fam)
+    plain_lps = len(lps)
     far = Point(vec((100, 100)))
-    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
     hinted = check_ch(fam, hints={pick: far for pick in fam.picks()})
     assert hinted == plain  # holds, violation, certificate, checked and points
-    assert len(lps) == plain.checked
+    assert len(lps) == 2 * plain_lps > 0
 
 
 def test_check_ch_accepts_verified_hints_without_the_lp(monkeypatch):
@@ -133,35 +135,28 @@ def _sweep_inputs():
     return fams + [late_violation_family()]
 
 
-def test_last_point_decider_sweeps_like_the_plain_sweep(monkeypatch):
+def _simplex_families():
+    return [generate_simplex_family(*args).family for args in ((2, 1, 0), (3, 1, 7002))]
+
+
+def test_check_ch_matches_the_primal_sweep(monkeypatch):
     saved = 0
-    for fam in _sweep_inputs():
-        plain = check_ch(fam)
-        lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
-        reused = check_ch(fam, decide=LastPointDecider(colorful.polyhedra_intersect))
+    for fam in _sweep_inputs() + _simplex_families():
+        ref = primal_check_ch(fam)
+        lps = count_calls(monkeypatch, colorful, "polyhedra_meet")
+        rep = check_ch(fam)
         monkeypatch.undo()
-        assert (reused.holds, reused.violating_rainbow, reused.checked) == (
-            plain.holds,
-            plain.violating_rainbow,
-            plain.checked,
+        assert (rep.holds, rep.violating_rainbow, rep.certificate, rep.checked) == (
+            ref.holds,
+            ref.violating_rainbow,
+            ref.certificate,
+            ref.checked,
         )
-        assert reused.certificate == plain.certificate
-        assert len(reused.points) == len(plain.points)
-        for pick, point in zip(fam.picks(), reused.points):
+        assert len(rep.points) == len(ref.points)
+        for pick, point in zip(fam.picks(), rep.points):
             assert all(point_in(fam.classes[k][i], point.coords) for k, i in enumerate(pick))
-        saved += plain.checked - len(lps)
+        saved += ref.checked - len(lps)
     assert saved > 0
-
-
-def test_last_point_decider_sends_a_stale_point_to_the_lp(monkeypatch):
-    fam = fixture_family("family_ch_d2.json")
-    sets = [cls[0] for cls in fam.classes]
-    lps = count_calls(monkeypatch, colorful, "polyhedra_intersect")
-    meets = LastPointDecider(colorful.polyhedra_intersect)
-    meets.last = Point(vec((100, 100)))
-    assert meets(sets) == polyhedra_intersect(sets)
-    assert len(lps) == 1
-    assert meets.last == polyhedra_intersect(sets).point
 
 
 def test_rainbow_budget_enforced():
@@ -227,6 +222,36 @@ def test_two_color_lemma_requires_meeting_pairs():
     b = [box((20, 20), (21, 21))]
     with pytest.raises(PreconditionError):
         two_color_lemma(a, b)
+
+
+def test_two_color_lemma_cites_the_first_disjoint_pair():
+    # pairs are checked in (A index, B index) order; A[0] meets both B sets
+    a = [box((0, 0), (1, 1)), box((10, 10), (11, 11))]
+    b = [box((0, 0), (2, 2)), box((-1, -1), (12, 12))]
+    with pytest.raises(PreconditionError) as err:
+        two_color_lemma(a, b)
+    assert str(err.value) == "sets A[1] and B[0] do not meet"
+    assert err.value.witness == (1, 0)
+    with pytest.raises(ScaleError) as err:
+        two_color_lemma(a, b, SearchBudget(max_rainbow_tuples=3))
+    assert (err.value.budget_name, err.value.limit, err.value.actual) == (
+        "max_rainbow_tuples",
+        3,
+        4,
+    )
+
+
+def test_helly_witness_is_minimal_and_refuses_meeting_sets():
+    a, _ = random_two_colored(5, 2)
+    keep = helly_witness(a)
+    assert 2 <= len(keep) <= 3
+    assert not polyhedra_intersect([a[i] for i in keep]).feasible
+    for drop in keep:
+        assert polyhedra_intersect([a[i] for i in keep if i != drop]).feasible
+    meeting = [box((0, 0), (2, 2)), box((1, 1), (3, 3))]
+    with pytest.raises(PreconditionError) as err:
+        helly_witness(meeting)
+    assert all(point_in(s, err.value.witness.coords) for s in meeting)
 
 
 def test_theorem_main_d2_on_fixture():

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from conftest import count_calls
-from hellykit import constructions
+from hellykit import colorful, constructions
 from hellykit import lp as lp_module
 from hellykit.colorful import check_ch
 from hellykit.constructions import (
@@ -321,14 +321,14 @@ def _simplex_build_log(monkeypatch, args, hinted):
 
         return real_search(first_t, logged, step_name, error)
 
-    def sweep(fam, hints=None, decide=None):
-        report = check_ch(fam, hints=hints if hinted else None, decide=decide)
+    def sweep(fam, hints=None):
+        report = check_ch(fam, hints=hints if hinted else None)
         sweeps.append((fam, report))
         return report
 
     monkeypatch.setattr(constructions, "_dyadic_search", search)
     monkeypatch.setattr(constructions, "check_ch", sweep)
-    lps = count_calls(monkeypatch, constructions, "polyhedra_meet")
+    lps = count_calls(monkeypatch, colorful, "polyhedra_meet")
     built = generate_simplex_family(*args)
     monkeypatch.undo()
     return built, steps, sweeps, len(lps)
@@ -381,26 +381,37 @@ def test_hinted_sweep_points_lie_in_their_rainbows(monkeypatch, args):
 
 
 def test_simplex_sweeps_solve_only_the_transposed_system(monkeypatch):
-    # every sweep LP has d + 1 = 4 equality rows and no inequality row, so
-    # a sweep that fell back to the primal form (one row per joint row) fails
-    programs, sweeping = [], [False]
+    # every transposed sweep LP has d + 1 = 4 equality rows and no inequality
+    # row; the one program in the primal form (one row per joint row) a sweep
+    # may solve is the certificate of its violation, after the verdict
+    transposed = (4, 0, True)
+    sweeps, current = [], [None]
     real_sweep = constructions.check_ch
 
     def sweep(*args, **kwargs):
-        sweeping[0] = True
+        current[0] = []
         try:
-            return real_sweep(*args, **kwargs)
+            report = real_sweep(*args, **kwargs)
         finally:
-            sweeping[0] = False
+            programs, current[0] = current[0], None
+        sweeps.append((report.holds, [(len(lp.eq), len(lp.leq), lp.nonneg) for lp in programs]))
+        return report
 
     class Recording(lp_module._Tableau):
         def __init__(self, lp):
-            if sweeping[0]:
-                programs.append(lp)
+            if current[0] is not None:
+                current[0].append(lp)
             super().__init__(lp)
 
     monkeypatch.setattr(constructions, "check_ch", sweep)
     monkeypatch.setattr(lp_module, "_Tableau", Recording)
-    generate_simplex_family(3, 1, 7000)
-    assert programs
-    assert {(len(lp.eq), len(lp.leq), lp.nonneg) for lp in programs} == {(4, 0, True)}
+    for args in ((3, 1, 7000), (3, 1, 7002)):
+        sweeps.clear()
+        generate_simplex_family(*args)
+        assert any(shapes for _, shapes in sweeps)
+        for holds, shapes in sweeps:
+            if holds:
+                assert set(shapes) <= {transposed}
+            else:
+                assert set(shapes[:-1]) <= {transposed} and shapes[-1] != transposed
+    assert sum(not holds for holds, _ in sweeps) >= 3  # seed 7002's shrink steps

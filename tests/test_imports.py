@@ -223,7 +223,7 @@ def test_every_public_name_resolves_to_its_defining_module():
     wrong, star, names = json.loads(run_python(code))
     assert wrong == []
     assert star == names
-    assert len(names) == 82
+    assert len(names) == 83
 
 
 def test_an_unknown_attribute_raises_attribute_error():

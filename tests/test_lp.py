@@ -370,16 +370,18 @@ def _polygon_subsets():
             "f291a5f3a91e473043063d19e2ca27d780f3fe4ad2b1de3d6c48229ab6621622",
         ),
         (
+            # two refuted shrink sweeps, each certified once more by the
+            # primal tableau after its transposed verdict
             lambda: generate_simplex_family(2, 1, 0),
-            15,
-            "0dbdee40d7bc47b43a0c43a93eb7f99fac6fd25c2a8d615c91aedcc4f0738552",
+            17,
+            "153dccc54375e2406884738bf093ee2383102df8bc528e1508fc313d81b317fd",
         ),
         (
-            # the A x B pair sweep solves no LP for a pair containing the
-            # last point it verified (`LastPointDecider`)
+            # the A x B pairs are a `check_ch` sweep (transposed, reusing
+            # the last verified point) and the witness trials are verdicts
             _two_color_lemmas,
-            400,
-            "20df2016ec76efb5f308e3f8cdc123c6db8c7d5c9aaf842523e14e4bb097829c",
+            339,
+            "76477f090046fb609199e1600819630323ad39df2652c2a4469f6211caa4fb89",
         ),
         (
             _repaired_separation,
