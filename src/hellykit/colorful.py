@@ -66,7 +66,7 @@ from .hypergraphs import (
     TransversalResult,
     _as_line,
     _line_candidates,
-    candidate_planes,
+    _plane_candidates,
     line_cover_number,
     maximal_intersecting_subfamilies,
     piercing_number,
@@ -583,10 +583,12 @@ def fractional_two_color_search(
     Requires at least alpha*|A|*|B| meeting pairs (counted exactly).  The
     point candidates are the witness points of maximal intersecting
     subfamilies of A; hyperplane candidates pass through vertices of the
-    input sets.  In the plane they are lines, and each one's covered B sets
-    are read from the edges of `hypergraphs._line_candidates` (an empty set
-    is crossed by no line); only the winner is built and converted to a
-    Hyperplane.  In R^3 they are planes, tested by `hyperplane_crosses`.
+    input sets.  Each one's covered B sets are read from the edges of
+    `hypergraphs._line_candidates` in the plane, where only the winning line
+    is built and converted to a Hyperplane, and of
+    `hypergraphs._plane_candidates` in R^3.  There vertex signs decide each
+    bounded set against a candidate, and rows or the LP decide every other
+    set; an empty set is crossed by no candidate.
     The first candidate covering the most B sets wins.
     Failing both coverage targets contradicts the dichotomy, so it raises
     TheoremViolationError.
@@ -631,18 +633,12 @@ def fractional_two_color_search(
     live_sets = [a_sets[i] for i in live_a] + [b_sets[j] for j in live_b]
     best_hyperplane, hyperplane_covered = None, ()
     if live_sets:
-        if d == 2:
-            candidates, edges = _line_candidates(live_sets)
-            covered = [[] for _ in candidates]
-            for pos, j in enumerate(live_b, len(live_a)):
-                for k in edges[pos]:
-                    covered[k].append(j)
-        else:
-            candidates = candidate_planes(live_sets)
-            covered = [
-                [j for j, b in enumerate(b_sets) if hyperplane_crosses(c, b)]
-                for c in candidates
-            ]
+        builder = _line_candidates if d == 2 else _plane_candidates
+        candidates, edges = builder(live_sets)
+        covered = [[] for _ in candidates]
+        for pos, j in enumerate(live_b, len(live_a)):
+            for k in edges[pos]:
+                covered[k].append(j)
         best = max(range(len(candidates)), key=lambda k: len(covered[k]))
         if covered[best]:
             hyperplane_covered = tuple(covered[best])

@@ -22,12 +22,17 @@ relative interior (`line_meets_relint`, as for a facet), is decided by one
 integer line kernel on the stored rows: each line caches its integer form
 once, and parameter bounds, each marked strict or closed, are compared by
 cross-multiplication, so no rational is built and no LP is solved per test.
-Line covers run the same closed test from pool-point slacks instead (see
-`hypergraphs`).
+Line and plane covers decide crossings without this kernel (see
+`hypergraphs`): vertex signs decide bounded sets against hyperplane
+candidates, and rows or the LP decide everything else.  `flat_crosses` and
+`hyperplane_crosses` stay on the rows and the LP, independent of that
+screen.
 
 `vertices_of` enumerates vertices in ints too: each candidate vertex is one
 fraction-free square solve, and rationals are built for accepted vertices
-only.
+only.  Each set does this once, on first use: `Polyhedron._vertex_frame`
+keeps the vertex list, each vertex in integer form, and an exact `bounded`
+flag decided in ints from the rows (`_recession_trivial`).
 
 The same kernel decides whether two sets meet (`sets_meet`, and so
 `first_meeting` with r = 2) when either set is line-shaped, its equality
@@ -51,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, InputError, TheoremViolationError
 from .lp import (
@@ -143,6 +148,19 @@ class Hyperplane:
         return dot(self.normal, x) == self.offset
 
 
+class VertexFrame(NamedTuple):
+    """A set's vertices, kept once per set by `Polyhedron._vertex_frame`.
+
+    `scaled` holds each vertex as (X, D), ints X and the least D > 0 with
+    vertex = X / D.  `bounded` is True when the set has a vertex and its
+    rows' recession cone is {0}: the set is then the hull of its vertices.
+    """
+
+    vertices: tuple
+    scaled: tuple
+    bounded: bool
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     dim: int
@@ -227,6 +245,20 @@ class Polyhedron:
         if base is None:
             return None
         return AffineFlat.line(base, directions[0])
+
+    @cached_property
+    def _vertex_frame(self) -> "VertexFrame":
+        """The set's vertex list, worked out once on first use: the hint if
+        there is one, else `_enumerate_vertices`, together with each vertex
+        in integer form and the exact `bounded` flag (see `VertexFrame`)."""
+        if self.vertices_hint is None:
+            scaled = _enumerate_vertices(self)
+            verts = tuple(tuple(rat(x, den) for x in xs) for xs, den in scaled)
+        else:
+            verts = tuple(self.vertices_hint)
+            dens = map(common_denominator, verts)
+            scaled = tuple((tuple(scaled_ints(v, den)), den) for v, den in zip(verts, dens))
+        return VertexFrame(verts, scaled, bool(verts) and _recession_trivial(self))
 
     # -- derived polyhedra -----------------------------------------------------
 
@@ -714,18 +746,27 @@ def polytope_from_vertices(dim: int, vertices: Sequence[Sequence]) -> Polyhedron
 def vertices_of(poly: Polyhedron) -> list[Vec]:
     """All vertices of a (possibly lower-dimensional) bounded polyhedron.
 
+    The set's vertex hint if it has one, else the enumeration of
+    `_enumerate_vertices`.  The list is worked out once per set, on first
+    use, and kept in `Polyhedron._vertex_frame`; each call returns a fresh
+    copy of it.  Inconsistent equality rows leave no vertex; unbounded
+    polyhedra return whatever vertices exist (possibly none).  Desk scale
+    only.
+    """
+    return list(poly._vertex_frame.vertices)
+
+
+def _enumerate_vertices(poly: Polyhedron) -> tuple:
+    """The vertices of `poly` from its rows, each as (X, D): ints X and the
+    least D > 0 with vertex = X / D, listed once in order of discovery.
+
     A vertex is the unique solution of an independent subset E of the
     equality rows (chosen once) together with r = d - |E| inequality rows.
     Each r-subset of inequality rows, in lexicographic order, gives a square
     integer system [E; N_sub] x = [f; c_sub], solved fraction-free by
     `solve_square_ints` as x = X / D; the point is a vertex when every other
-    row holds at it, tested as n . X <= c * D (or =) in ints.  Rationals are
-    built for accepted vertices only, each listed once in order of discovery.
-    Inconsistent equality rows leave no vertex; unbounded polyhedra return
-    whatever vertices exist (possibly none).  Desk scale only.
+    row holds at it, tested as n . X <= c * D (or =) in ints.
     """
-    if poly.vertices_hint is not None:
-        return list(poly.vertices_hint)
     picked = independent_rows([h.normal for h in poly.equalities])
     independent = [poly.equalities[i] for i in picked]
     dependent = [h for i, h in enumerate(poly.equalities) if i not in picked]
@@ -743,7 +784,32 @@ def vertices_of(poly: Polyhedron) -> list[Vec]:
             if i not in subset
         ) and all(sum(map(mul, h.normal, xs)) == h.offset * den for h in dependent):
             g = gcd(den, *xs)
-            key = (den // g, *(x // g for x in xs))
-            if key not in found:
-                found[key] = tuple(rat(x, den) for x in xs)
-    return list(found.values())
+            found.setdefault((tuple(x // g for x in xs), den // g))
+    return tuple(found)
+
+
+def _recession_trivial(poly: Polyhedron) -> bool:
+    """Whether the rows' recession cone {y : N y <= 0, E y = 0} is {0}, in
+    ints; for a nonempty set, whether it is bounded.
+
+    The cone holds no line exactly when the rows have rank d.  A cone with no
+    line is {0} exactly when it has no extreme ray, and every extreme ray is
+    spanned by the nullspace of d - 1 rows: so the cone is {0} exactly when
+    no y spanning such a 1-dimensional nullspace has y or -y in it.  In the
+    plane those y are the n-perpendiculars of the row normals n.
+    """
+    d = poly.dim
+    ineqs = [h.normal for h in poly.inequalities]
+    eqs = [h.normal for h in poly.equalities]
+    if d == 0:
+        return True
+    if nullspace_ints(ineqs + eqs, d)[0]:
+        return False
+    for rows in itertools.combinations(ineqs + eqs, d - 1):
+        ys, _ = nullspace_ints(rows, d)
+        if len(ys) != 1 or any(sum(map(mul, n, ys[0])) for n in eqs):
+            continue
+        values = [sum(map(mul, n, ys[0])) for n in ineqs]
+        if max(values, default=0) <= 0 or min(values, default=0) >= 0:
+            return False
+    return True

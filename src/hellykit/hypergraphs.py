@@ -17,13 +17,22 @@ transversals are piercing numbers (vertices = points witnessing maximal
 intersecting subfamilies) or flat-cover numbers (vertices = candidate lines
 or planes drawn from a finite candidate pool).
 
-Line covers skip the generic builder.  `_line_candidates` scales each pool
-point once to integers, computes its slack against every row of every set
-once, and decides whether the line through two pool points crosses a set
-from the two points' slacks alone, in Python ints: no dot product per test,
-and no line is built.  Only a witness line is ever built, by `_as_line`.
-Plane covers still test each (plane, set) pair with `hyperplane_crosses`
-through `build_cover_hypergraph`, which carries the planes as its payload.
+Line covers in the plane and plane covers in R^3 skip the generic builder
+and share one rule: vertex signs decide bounded sets against hyperplane
+candidates, and rows or the LP decide everything else.  Each pool point is
+scaled once to integers X / D, and each candidate hyperplane (a line in the
+plane, a plane in R^3) gets two bitmasks over the pool, the points on its
+closed nonnegative and nonpositive sides.  A bounded set is the hull of its
+vertices, all of them pool points, so it is crossed exactly when its vertex
+mask meets both (`_vertex_masks`, `_crossings`).  The zero mask of a kept
+candidate also marks every pool pair or triple on it, which deduplicates
+the candidates in order of first appearance.  A set with no vertex or an
+unbounded one is decided on its rows: by the slacks of the two pool points
+against every row, in Python ints (`_slack_crossings`), for a line, and by
+`hyperplane_crosses` for a plane.  Lines in R^3 are not hyperplanes and
+take the slack path for every set.  Only a witness line is ever built, by
+`_as_line`.  `build_cover_hypergraph` tests every (candidate, set) pair
+with a given predicate; it is the oracle of both.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ from .geometry import (
     flat_crosses,
     hyperplane_crosses,
     line_through,
-    nullspace,
     polyhedra_intersect,
     vertices_of,
 )
@@ -54,11 +62,9 @@ from .rationals import (
     ZERO,
     ceil_rat,
     common_denominator,
-    dot,
     floor_rat,
     rat,
     scaled_ints,
-    vsub,
 )
 
 
@@ -113,7 +119,9 @@ def _reduce_for_tau(edges: Sequence[frozenset]):
 
     Returns (forced_vertices, reduced_edges).  Steps: duplicate and superset
     edges dropped, singleton edges forced, dominated vertices removed (u goes
-    if some v lies in every edge containing u).
+    if some v lies in every edge containing u).  A vertex's profile, the
+    edges containing it, is an int bitmask over edge positions, so profile a
+    lies strictly inside profile b when `a & b == a and a != b`.
     """
     forced: set[int] = set()
     current = list(dict.fromkeys(edges))
@@ -135,24 +143,24 @@ def _reduce_for_tau(edges: Sequence[frozenset]):
                 forced.update(e)
             current = [e for e in current if not (e & forced)]
             continue
-        profiles: dict[int, set[int]] = {}
+        profiles: dict[int, int] = {}
         for idx, e in enumerate(current):
+            bit = 1 << idx
             for v in e:
-                profiles.setdefault(v, set()).add(idx)
+                profiles[v] = profiles.get(v, 0) | bit
         # vertices with identical incidence are interchangeable: keep the
         # smallest id, then test dominance across distinct profiles only
-        rep: dict[frozenset, int] = {}
+        rep: dict[int, int] = {}
         dropped = set()
         for v in sorted(profiles):
-            sig = frozenset(profiles[v])
+            sig = profiles[v]
             if sig in rep:
                 dropped.add(v)
             else:
                 rep[sig] = v
-        sigs = list(rep)
-        for a in sigs:
-            for b in sigs:
-                if a is not b and a < b:
+        for a in rep:
+            for b in rep:
+                if a & b == a and a != b:
                     dropped.add(rep[a])
                     break
         if dropped:
@@ -486,6 +494,85 @@ def _candidate_point_pool(fam: Sequence[Polyhedron]) -> list[tuple]:
     return list(pool)
 
 
+def _scaled_pool(fam: Sequence[Polyhedron], pool: Sequence[tuple]) -> list[tuple]:
+    """Each pool point as (X, D), ints X and the least D > 0 with
+    point = X / D: a vertex's form is read from its set's vertex frame, and
+    any other point is scaled here.  The forms are distinct, as the points
+    are, so they index the pool too."""
+    forms: dict = {}
+    for s in fam:
+        frame = s._vertex_frame
+        forms.update(zip(frame.vertices, frame.scaled))
+    out = []
+    for p in pool:
+        form = forms.get(p)
+        if form is None:
+            den = common_denominator(p)
+            form = (tuple(scaled_ints(p, den)), den)
+        out.append(form)
+    return out
+
+
+def _bits(mask: int):
+    """The positions of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sign_masks(row: Sequence[int], homogeneous: Sequence[tuple]) -> tuple:
+    """(nonneg, nonpos): bitmasks over pool points, given in homogeneous
+    integer form (X_k, D_k) with D_k > 0, of the closed sides of the
+    hyperplane n . x = c with row = (n, -c) scaled by any positive factor,
+    in the plane or in R^3.  Bit k is set in nonneg when
+    n . X_k - c * D_k >= 0, and in nonpos when it is <= 0; their meet is
+    the points on the hyperplane."""
+    if len(row) == 3:
+        a, b, c = row
+        values = [a * x + b * y + c * w for x, y, w in homogeneous]
+    else:
+        a, b, c, e = row
+        values = [a * x + b * y + c * z + e * w for x, y, z, w in homogeneous]
+    nonneg = nonpos = 0
+    bit = 1
+    for value in values:
+        if value >= 0:
+            nonneg |= bit
+        if value <= 0:
+            nonpos |= bit
+        bit <<= 1
+    return nonneg, nonpos
+
+
+def _vertex_masks(fam: Sequence[Polyhedron], scaled: Sequence) -> list:
+    """For each set, the bitmask of the pool indices of its vertices when it
+    is bounded, and None for a set with no vertex or an unbounded one; a
+    vertex is found in the pool by its (X, D) form (`_scaled_pool`).
+
+    A bounded set is the hull of its vertices, so it meets a hyperplane
+    exactly when its vertices do not all lie strictly on one side: with
+    sign masks (nonneg, nonpos), when `mask & nonneg and mask & nonpos`.
+    The rows decide the sets with no mask."""
+    index = {form: i for i, form in enumerate(scaled)}
+    masks = []
+    for s in fam:
+        frame = s._vertex_frame
+        mask = None
+        if frame.bounded:
+            mask = 0
+            for form in frame.scaled:
+                mask |= 1 << index[form]
+        masks.append(mask)
+    return masks
+
+
+def _crossings(vmask: int, masks: Sequence) -> list[int]:
+    """Indices of the candidates, given by their sign masks, that cross the
+    bounded set with vertex mask `vmask`."""
+    return [k for k, (nonneg, nonpos) in enumerate(masks) if vmask & nonneg and vmask & nonpos]
+
+
 def _slacks_meet(sp: tuple, sq: tuple, dp: int, dq: int) -> bool:
     """Whether the line through pool points p = X_p / dp and q = X_q / dq
     meets a set, from their integer slacks c * D - n . X against its rows:
@@ -532,36 +619,41 @@ def _slacks_meet(sp: tuple, sq: tuple, dp: int, dq: int) -> bool:
     return hn * ld >= ln * hd
 
 
-def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
-    """(candidates, edges): the candidate lines of `fam`, and for each set the
-    frozenset of candidates crossing it.
+def _planar_lines(homogeneous: Sequence[tuple]) -> tuple[list, list]:
+    """(pairs, masks) for pool points in the plane, in homogeneous form
+    (x, y, D): the first pool pair (i, j) spanning each distinct line, in
+    pair order, and that line's sign masks.  The line through p and q is
+    the cross product p x q, as a row (n, -c) scaled by D_p * D_q.  The zero
+    mask of a kept line holds every pool point on it, so every pair of those
+    points is marked as spanning a kept line and skipped."""
+    pairs, masks = [], []
+    spanned = [0] * len(homogeneous)  # bit j of spanned[i]: (i, j) is on a kept line
+    for (i, p), (j, q) in itertools.combinations(enumerate(homogeneous), 2):
+        if spanned[i] >> j & 1:
+            continue
+        row = (
+            p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0],
+        )
+        nonneg, nonpos = _sign_masks(row, homogeneous)
+        on_line = nonneg & nonpos
+        for k in _bits(on_line):
+            spanned[k] |= on_line
+        pairs.append((i, j))
+        masks.append((nonneg, nonpos))
+    return pairs, masks
 
-    Candidates come in `candidate_lines` order: one per distinct line through
-    two pool points, as the first pool pair (p, q) spanning it, then one axis
-    line per set that no earlier candidate crosses, as an AffineFlat.
-    `_as_line` turns a candidate into its line, so no flat is built for a
-    pool line nobody asks for.
 
-    Each pool point is scaled once to X / D, and its slack c * D - n . X
-    against every row of every set is computed once; a pool line crosses a
-    set when p or q lies in it, and otherwise as `_slacks_meet` decides.
-    Pool lines are deduplicated by an integer key, the primitive direction v
-    and the perpendicular-foot numerators (v . v) X_p - (X_p . v) v over
-    D_p (v . v), reduced: the canonical line of `line_through`.  Fallback
-    lines are tested against every set with `flat_crosses`.
-    """
-    if not fam:
-        raise InputError("empty family")
-    d = fam[0].dim
-    pool = _candidate_point_pool(fam)
-    if d < 2 and len(pool) > 1:  # the error `line_through` raises on a pool pair
-        raise InputError("flat dimension k must satisfy 0 <= k < dim")
-    dens = [common_denominator(p) for p in pool]
-    ints = [scaled_ints(p, den) for p, den in zip(pool, dens)]
+def _distinct_lines(scaled: Sequence) -> list[tuple]:
+    """The first pool pair (i, j) spanning each distinct line, in pair order,
+    for pool points in any dimension.  Lines are deduplicated by an integer
+    key, the primitive direction v and the perpendicular-foot numerators
+    (v . v) X_p - (X_p . v) v over D_p (v . v), reduced: the canonical line
+    of `line_through`."""
     pairs = []
     seen = set()
-    for (i, p), (j, q) in itertools.combinations(enumerate(ints), 2):
-        dp, dq = dens[i], dens[j]
+    for (i, (p, dp)), (j, (q, dq)) in itertools.combinations(enumerate(scaled), 2):
         diff = [y * dp - x * dq for x, y in zip(p, q)]
         g = gcd(*diff)
         if next(x for x in diff if x) < 0:
@@ -575,25 +667,67 @@ def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
         if key not in seen:
             seen.add(key)
             pairs.append((i, j))
-    edges = []
-    for s in fam:
-        slacks = [
-            (
-                tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.inequalities),
-                tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.equalities),
-            )
-            for x, den in zip(ints, dens)
-        ]
-        inside = [min(si, default=0) >= 0 and not any(se) for si, se in slacks]
-        edges.append(
-            [
-                k
-                for k, (i, j) in enumerate(pairs)
-                if inside[i]
-                or inside[j]
-                or _slacks_meet(slacks[i], slacks[j], dens[i], dens[j])
-            ]
+    return pairs
+
+
+def _slack_crossings(s: Polyhedron, pairs: Sequence, scaled: Sequence) -> list[int]:
+    """Indices of the pool lines, given by their pairs, that cross s, from
+    each pool point's slacks c * D - n . X against the rows of s, computed
+    once: a line crosses s when p or q lies in it, and otherwise as
+    `_slacks_meet` decides."""
+    slacks = [
+        (
+            tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.inequalities),
+            tuple(h.offset * den - sum(map(mul, h.normal, x)) for h in s.equalities),
         )
+        for x, den in scaled
+    ]
+    inside = [min(si, default=0) >= 0 and not any(se) for si, se in slacks]
+    return [
+        k
+        for k, (i, j) in enumerate(pairs)
+        if inside[i]
+        or inside[j]
+        or _slacks_meet(slacks[i], slacks[j], scaled[i][1], scaled[j][1])
+    ]
+
+
+def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
+    """(candidates, edges): the candidate lines of `fam`, and for each set the
+    frozenset of candidates crossing it.
+
+    Candidates come in `candidate_lines` order: one per distinct line through
+    two pool points, as the first pool pair (p, q) spanning it, then one axis
+    line per set that no earlier candidate crosses, as an AffineFlat.
+    `_as_line` turns a candidate into its line, so no flat is built for a
+    pool line nobody asks for.
+
+    Each pool point is scaled once to X / D.  In the plane a line is a
+    hyperplane: each pool line gets its sign masks (`_planar_lines`), which
+    also deduplicate the pool lines, and the vertex signs decide each
+    bounded set (`_vertex_masks`).  The rows decide everything else: sets
+    with no vertex or unbounded ones, and every set when d > 2, where pool
+    lines are deduplicated by `_distinct_lines`.  There each pool point's
+    slacks against the set's rows are computed once, and a line crosses the
+    set when p or q lies in it, and otherwise as `_slacks_meet` decides.
+    Fallback lines are tested against every set with `flat_crosses`.
+    """
+    if not fam:
+        raise InputError("empty family")
+    d = fam[0].dim
+    pool = _candidate_point_pool(fam)
+    if d < 2 and len(pool) > 1:  # the error `line_through` raises on a pool pair
+        raise InputError("flat dimension k must satisfy 0 <= k < dim")
+    scaled = _scaled_pool(fam, pool)
+    if d == 2:
+        pairs, masks = _planar_lines([(*x, den) for x, den in scaled])
+        vmasks = _vertex_masks(fam, scaled)
+    else:
+        pairs, vmasks = _distinct_lines(scaled), [None] * len(fam)
+    edges = [
+        _slack_crossings(s, pairs, scaled) if vmask is None else _crossings(vmask, masks)
+        for s, vmask in zip(fam, vmasks)
+    ]
     candidates: list = [(pool[i], pool[j]) for i, j in pairs]
     axis = tuple(ONE if i == 0 else ZERO for i in range(d))
     for s, edge in zip(fam, edges):
@@ -631,44 +765,98 @@ def line_cover_number(
     is complete, so the value is the true line-cover number; tangency counts
     as crossing because all sets are closed.  In R^3 the value is exact over
     the candidate pool (see the construction verifiers for the a-priori
-    lower-bound argument).  `tau` runs on the edges of `_line_candidates`;
-    the witness indexes `candidate_lines(fam)`, and no line is built.
+    lower-bound argument).  `tau` runs on the edges of `_line_candidates`,
+    decided by vertex signs for bounded planar sets and on the rows for the
+    rest; the witness indexes `candidate_lines(fam)`, and no line is built.
     """
     candidates, edges = _line_candidates(fam)
     return tau(Hypergraph(len(candidates), edges), budget)
 
 
-def candidate_planes(fam: Sequence[Polyhedron]) -> list[Hyperplane]:
-    """Planes through affinely independent pool point triples (ambient R^3)."""
+def _plane_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
+    """(planes, edges): the candidate planes of `fam` (ambient R^3), and for
+    each set the frozenset of planes crossing it.
+
+    One plane per distinct plane through three pool points, as the first
+    pool triple spanning it: its normal is the integer cross product of the
+    scaled differences of the triple.  A kept plane's zero mask holds every
+    pool point on it, so every triple of those points is skipped.  Then one
+    plane x_0 = const per set that no earlier plane crosses.  Vertex signs
+    decide each bounded set (`_vertex_masks`), and `hyperplane_crosses`, the
+    LP, decides sets with no vertex and unbounded ones.
+    """
     if not fam:
         raise InputError("empty family")
     if fam[0].dim != 3:
         raise InputError("candidate planes are generated in R^3 only")
     pool = _candidate_point_pool(fam)
-    planes: dict = {}
-    for a, b, c in itertools.combinations(pool, 3):
-        ns = nullspace([vsub(b, a), vsub(c, a)], 3)
-        if len(ns) != 1:
+    scaled = _scaled_pool(fam, pool)
+    homogeneous = [(*x, den) for x, den in scaled]
+    vmasks = _vertex_masks(fam, scaled)
+    planes, masks = [], []
+    spanned: dict = {}  # (i, j) -> bitmask of the k with (i, j, k) on a kept plane
+
+    def keep(h):
+        masks.append(_sign_masks((*h.normal, -h.offset), homogeneous))
+        planes.append(h)
+        return masks[-1]
+
+    for (i, (a, da)), (j, (b, db)), (k, (c, dc)) in itertools.combinations(
+        enumerate(scaled), 3
+    ):
+        if spanned.get((i, j), 0) >> k & 1:
             continue
-        h = Hyperplane(ns[0], dot(ns[0], a))
-        planes.setdefault((h.normal, h.offset), h)
-    out = list(planes.values())
-    for s in fam:
-        if any(hyperplane_crosses(h, s) for h in out):
+        u = [y * da - x * db for x, y in zip(a, b)]
+        v = [y * da - x * dc for x, y in zip(a, c)]
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        if not any(normal):
+            continue  # the triple is collinear
+        nonneg, nonpos = keep(Hyperplane(tuple(da * x for x in normal), sum(map(mul, normal, a))))
+        on_plane = nonneg & nonpos
+        for pair in itertools.combinations(_bits(on_plane), 2):
+            spanned[pair] = spanned.get(pair, 0) | on_plane
+    edges = [
+        [k for k, h in enumerate(planes) if hyperplane_crosses(h, s)]
+        if vmask is None
+        else _crossings(vmask, masks)
+        for s, vmask in zip(fam, vmasks)
+    ]
+    for s, edge in zip(fam, edges):
+        if edge:
             continue
         base = s.feasible_point()
         if base is None:
             raise InputError("cannot cover an empty set with planes")
-        out.append(Hyperplane((ONE, ZERO, ZERO), base[0]))
-    return out
+        h = Hyperplane((ONE, ZERO, ZERO), base[0])
+        nonneg, nonpos = keep(h)
+        for t, vmask, e in zip(fam, vmasks, edges):
+            if hyperplane_crosses(h, t) if vmask is None else vmask & nonneg and vmask & nonpos:
+                e.append(len(planes) - 1)
+    return planes, tuple(frozenset(e) for e in edges)
+
+
+def candidate_planes(fam: Sequence[Polyhedron]) -> list[Hyperplane]:
+    """Planes through affinely independent pool point triples (ambient R^3),
+    one per distinct plane in order of first appearance, plus one plane
+    x_0 = const per set that no earlier plane crosses: vertex signs decide
+    whether a plane crosses a bounded set, and the LP decides the rest.
+    Built from `_plane_candidates`."""
+    return _plane_candidates(fam)[0]
 
 
 def plane_cover_number(
     fam: Sequence[Polyhedron], budget: SearchBudget = DEFAULT_BUDGET
 ) -> TransversalResult:
-    """Minimum candidate planes crossing every set (d = 3 dichotomy probe)."""
-    h = build_cover_hypergraph(fam, candidate_planes(fam), hyperplane_crosses)
-    return tau(h, budget)
+    """Minimum candidate planes crossing every set (d = 3 dichotomy probe),
+    exact over the candidate pool.  `tau` runs on the edges of
+    `_plane_candidates`, decided by vertex signs for bounded sets and by the
+    LP for the rest; the witness indexes `candidate_planes(fam)`."""
+    planes, edges = _plane_candidates(fam)
+    return tau(Hypergraph(len(planes), edges), budget)
 
 
 def build_cover_hypergraph(
@@ -678,9 +866,10 @@ def build_cover_hypergraph(
 
     `crosses(candidate, set)` decides crossing; None means `flat_crosses`,
     looked up at call time so a rebound (for example traced) predicate is used.
-    One call per (candidate, set) pair.  `plane_cover_number` builds its
-    hypergraph here; line covers do not (see `_line_candidates`), so they
-    carry no payload, and this builder with `flat_crosses` is their oracle.
+    One call per (candidate, set) pair.  Line and plane covers do not build
+    their hypergraphs here (see `_line_candidates` and `_plane_candidates`),
+    so they carry no payload; this builder with `flat_crosses`, or with
+    `hyperplane_crosses` for planes, is their oracle.
     """
     crosses = crosses or flat_crosses
     edges = []

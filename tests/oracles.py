@@ -19,7 +19,12 @@ chart points, and each facet pulled back to ambient coordinates.
 reference for the fraction-free `geometry.vertices_of`, on the same
 Fraction algebra.  `pairwise_candidate_lines` is the former candidate-line
 builder, one `line_through` per pool pair and one `flat_crosses` scan per
-set.  `tau_greedy` is the former greedy transversal bound.
+set; `nullspace_candidate_planes` is the former candidate-plane builder,
+one `fraction_nullspace` per pool triple and `hyperplane_crosses` for its
+fallback scan.  `frozenset_reduce_for_tau` is the former tau reduction,
+vertex profiles kept as frozensets.  `tau_greedy` is the former greedy
+transversal bound.  `lp_bounded` decides boundedness by LPs, max +-x_i over
+the set.
 `fraction_tau_star` and `fraction_nu_star` are the former tau* and nu*
 programs, stated on `Fraction` 0/1 rows and objectives, kept as the
 reference for the int-row programs of `hellykit.hypergraphs`.
@@ -45,6 +50,7 @@ from hellykit.geometry import (
     Hyperplane,
     Polyhedron,
     flat_crosses,
+    hyperplane_crosses,
     line_through,
     polyhedra_intersect,
     vertices_of,
@@ -404,6 +410,53 @@ def chart_vertices(poly) -> list[tuple]:
     return found
 
 
+def frozenset_reduce_for_tau(edges):
+    """`hypergraphs._reduce_for_tau` with each vertex's profile kept as a
+    frozenset of edge positions and dominance tested by `<`."""
+    forced: set[int] = set()
+    current = list(dict.fromkeys(edges))
+    changed = True
+    while changed:
+        changed = False
+        current = list(dict.fromkeys(current))
+        minimal = []
+        for e in current:
+            if any(o < e for o in current):
+                changed = True
+                continue
+            minimal.append(e)
+        current = minimal
+        singletons = [e for e in current if len(e) == 1]
+        if singletons:
+            changed = True
+            for e in singletons:
+                forced.update(e)
+            current = [e for e in current if not (e & forced)]
+            continue
+        profiles: dict[int, set[int]] = {}
+        for idx, e in enumerate(current):
+            for v in e:
+                profiles.setdefault(v, set()).add(idx)
+        rep: dict[frozenset, int] = {}
+        dropped = set()
+        for v in sorted(profiles):
+            sig = frozenset(profiles[v])
+            if sig in rep:
+                dropped.add(v)
+            else:
+                rep[sig] = v
+        sigs = list(rep)
+        for a in sigs:
+            for b in sigs:
+                if a is not b and a < b:
+                    dropped.add(rep[a])
+                    break
+        if dropped:
+            changed = True
+            current = [frozenset(e - dropped) for e in current]
+    return forced, current
+
+
 def tau_greedy(h) -> TransversalResult:
     """Greedy upper bound on tau, labeled non-optimal: repeatedly take the
     vertex in the most uncovered edges, the smallest on ties."""
@@ -457,6 +510,42 @@ def pairwise_candidate_lines(fam) -> list:
             raise AssertionError("an empty set has no fallback line")
         out.append(AffineFlat.line(base, tuple(ONE if i == 0 else ZERO for i in range(d))))
     return out
+
+
+def nullspace_candidate_planes(fam) -> list:
+    """Candidate planes in `candidate_planes` order: the plane of every
+    affinely independent pool triple, its normal a `fraction_nullspace`
+    vector, deduplicated by value in order of first appearance, then a plane
+    x_0 = const through each set that no earlier plane crosses, by
+    `hyperplane_crosses`."""
+    planes: dict = {}
+    for a, b, c in itertools.combinations(_candidate_point_pool(fam), 3):
+        ns = fraction_nullspace([vsub(b, a), vsub(c, a)], 3)
+        if len(ns) != 1:
+            continue
+        h = Hyperplane(ns[0], dot(ns[0], a))
+        planes.setdefault((h.normal, h.offset), h)
+    out = list(planes.values())
+    for s in fam:
+        if any(hyperplane_crosses(h, s) for h in out):
+            continue
+        base = s.feasible_point()
+        if base is None:
+            raise AssertionError("an empty set has no fallback plane")
+        out.append(Hyperplane((ONE, ZERO, ZERO), base[0]))
+    return out
+
+
+def lp_bounded(poly) -> bool:
+    """Whether a nonempty set is bounded: max x_i and max -x_i over it are
+    finite for every coordinate i, each decided by an exact LP."""
+    d = poly.dim
+    for i in range(d):
+        for sign in (ONE, -ONE):
+            objective = tuple(sign if j == i else ZERO for j in range(d))
+            if isinstance(lp_solve(poly.feasibility_lp(objective)), Unbounded):
+                return False
+    return True
 
 
 def list_scan_point_pool(fam) -> list[tuple]:

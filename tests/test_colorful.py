@@ -28,12 +28,15 @@ from hellykit.colorful import (
 from hellykit.constructions import generate_simplex_family
 from hellykit.errors import PreconditionError, ScaleError
 from hellykit.geometry import (
+    Halfspace,
+    Hyperplane,
     Point,
     Polyhedron,
     flat_crosses,
     hyperplane_crosses,
     line_through,
     polyhedra_intersect,
+    polytope_from_vertices,
 )
 from hellykit.hypergraphs import candidate_lines, piercing_number
 from hellykit.instances import (
@@ -312,6 +315,24 @@ def test_fractional_search_rejects_low_alpha_claim():
     b = [box((0, 0), (1, 1))]
     with pytest.raises(PreconditionError):
         fractional_two_color_search(a, b, rat(1))
+
+
+def tetrahedron(x, y, z):
+    return polytope_from_vertices(
+        3, [vec((x, y, z)), vec((x + 2, y, z)), vec((x, y + 2, z)), vec((x, y, z + 2))]
+    )
+
+
+def test_fractional_search_in_space_is_pinned():
+    # B holds a far tetrahedron and a vertex-free halfspace; the winning plane
+    # crosses all three B sets
+    a = [tetrahedron(0, 0, 0), tetrahedron(1, 0, 0), tetrahedron(0, 1, 1)]
+    b = [tetrahedron(1, 1, 0), tetrahedron(5, 5, 5), Polyhedron(3, (Halfspace((1, 1, 1), 1),))]
+    rep = fractional_two_color_search(a, b, rat(1, 2))
+    assert (rep.pair_count, rep.point_covered) == (5, (0, 1))
+    assert rep.best_hyperplane == Hyperplane((0, 1, -1), 0)
+    assert rep.hyperplane_covered == (0, 1, 2)
+    assert all(hyperplane_crosses(rep.best_hyperplane, b[j]) for j in rep.hyperplane_covered)
 
 
 FRACTIONAL_SEEDS = range(10)

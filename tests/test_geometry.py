@@ -9,9 +9,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from conftest import PROPERTY, SMALL, count_calls, points, polyhedra
-from oracles import chart_polytope_from_vertices, chart_vertices, line_parameter_interval
+from oracles import (
+    chart_polytope_from_vertices,
+    chart_vertices,
+    line_parameter_interval,
+    lp_bounded,
+)
 
-from hellykit import constructions, instances
+from hellykit import constructions, geometry, instances
 from hellykit.colorful import ColoredFamily
 from hellykit.constructions import (
     _centroid,
@@ -59,6 +64,7 @@ from hellykit.lp import (
 from hellykit.projection import project_polyhedron
 from hellykit.rationals import (
     ZERO,
+    common_denominator,
     dot,
     normalize_row,
     nullspace,
@@ -799,6 +805,31 @@ def test_first_meeting_pairs_match_the_lp_on_random_sets(pair):
 @given(st.data())
 def test_vertices_of_matches_the_chart_oracle(data):
     assert_vertices_match_the_chart(data.draw(polyhedra(data.draw(st.sampled_from([2, 3, 4])))))
+
+
+def test_vertices_of_an_unhinted_set_is_enumerated_once(monkeypatch):
+    # the vertex frame keeps the list; each call returns a fresh copy of it
+    poly = Polyhedron(2, box((0, 0), (1, 1)).inequalities + (Halfspace((2, 1), 2),))
+    solves = count_calls(monkeypatch, geometry, "solve_square_ints")
+    first = vertices_of(poly)
+    assert first == chart_vertices(poly) and solves
+    enumerated = len(solves)
+    first.append(vec((9, 9)))
+    second = vertices_of(poly)
+    assert second is not first
+    assert second == chart_vertices(poly)
+    assert len(solves) == enumerated
+
+
+@PROPERTY
+@given(st.data())
+def test_bounded_flag_matches_the_lp_oracle(data):
+    poly = data.draw(polyhedra(data.draw(st.sampled_from([2, 3]))))
+    frame = poly._vertex_frame
+    assert frame.bounded == (poly.feasible_point() is not None and lp_bounded(poly))
+    for v, (xs, den) in zip(frame.vertices, frame.scaled, strict=True):
+        assert den == common_denominator(v)
+        assert v == tuple(rat(x, den) for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, corpus_paths, count_calls, load_fixture
+from conftest import FIXTURES, PROPERTY, corpus_paths, count_calls, load_fixture, polyhedra
 from oracles import (
     fraction_nu_star,
     fraction_tau_star,
+    frozenset_reduce_for_tau,
     list_scan_point_pool,
+    nullspace_candidate_planes,
     pairwise_candidate_lines,
     tau_greedy,
 )
@@ -31,21 +35,25 @@ from hellykit.geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
+    hyperplane_crosses,
     polytope_from_vertices,
 )
 from hellykit.hypergraphs import (
     Hypergraph,
     _candidate_point_pool,
     _line_candidates,
+    _plane_candidates,
     build_cover_hypergraph,
     build_point_hypergraph,
     candidate_lines,
+    candidate_planes,
     duality_report,
     line_cover_number,
     maximal_intersecting_subfamilies,
     nu_b,
     nu_star,
     piercing_number,
+    plane_cover_number,
     tau,
     tau_star,
     transversal_points,
@@ -260,6 +268,9 @@ LINE = Polyhedron(2, (), (Hyperplane((1, -2), 1),))
 PLANE = Polyhedron(3, (), (Hyperplane((2, 0, -1), 5),))
 POINT = polytope_from_vertices(2, [vec(("1/3", 2))])
 EMPTY = box((1, 1), (0, 0))
+WEDGE = Polyhedron(2, (Halfspace((1, 0), 0), Halfspace((0, 1), 0)))
+RAY = Polyhedron(2, (Halfspace((-1, 0), -1),), (Hyperplane((1, -1), 0),))
+OPEN_POLYGON = Polyhedron(2, (Halfspace((0, -1), 0), Halfspace((-1, 0), 0), Halfspace((1, -1), 1)))
 
 
 def assert_cover_matches_oracle(fam):
@@ -304,12 +315,27 @@ def test_line_cover_matches_the_oracle_on_fixture_families():
         [HALFPLANE],
         [LINE],
         [POINT, POINT],
+        [WEDGE, box((2, -5), (3, -4))],
+        [RAY, box((-3, 4), (-2, 6))],
+        [box((4, -1), (5, 3)), OPEN_POLYGON],
     ],
-    ids=["halfplane-box", "line-halfplane-box", "plane-segment", "halfplane", "line", "points"],
+    ids=[
+        "halfplane-box",
+        "line-halfplane-box",
+        "plane-segment",
+        "halfplane",
+        "line",
+        "points",
+        "wedge-box",
+        "ray-box",
+        "box-open-polygon",
+    ],
 )
 def test_line_cover_matches_the_oracle_on_vertex_free_and_orphan_sets(fam):
-    # the last three have one pool point, so every line is a fallback; the
-    # second point is crossed by the first point's fallback line
+    # halfplane, line and points have one pool point, so every line is a
+    # fallback; the second point is crossed by the first point's fallback
+    # line.  The wedge, ray and open polygon are pointed but unbounded, so
+    # their vertex signs must not decide a miss.
     assert_cover_matches_oracle(fam)
 
 
@@ -347,3 +373,72 @@ def test_line_cover_tests_only_fallback_lines_with_flat_crosses(monkeypatch):
     assert line_cover_number(fam).witness == (0,)
     assert through == []
     assert crosses == [(fallback, POINT), (fallback, POINT)]
+
+
+# ---------------------------------------------------------------------------
+# plane covers, against the hyperplane_crosses oracle
+
+
+def simplex_cover_classes(seed):
+    """The cone classes and the facet class of the (3, 1, seed) simplex
+    family, each as one uncolored list of sets."""
+    c = generate_simplex_family(3, 1, seed)
+    return [list(cls) for cls in c.cone_classes] + [list(c.family.classes[-1])]
+
+
+def assert_plane_cover_matches_oracle(fam):
+    """The candidates equal the nullspace builder's, and the edges of the
+    sign-mask kernel equal `hyperplane_crosses` on every (plane, set) pair."""
+    planes = candidate_planes(fam)
+    assert planes == nullspace_candidate_planes(fam)
+    oracle = build_cover_hypergraph(fam, planes, hyperplane_crosses)
+    assert _plane_candidates(fam) == (planes, oracle.edges)
+    result = plane_cover_number(fam)
+    assert result == tau(oracle)
+    return planes, result
+
+
+# (seed, class) -> (candidate planes, cover size, witness)
+SIMPLEX_PLANE_COVERS = {
+    (0, 0): (3374, 1, (0,)),
+    (0, 1): (2346, 1, (1,)),
+    (0, 2): (1083, 1, (54,)),
+    (7000, 0): (2625, 1, (0,)),
+    (7000, 1): (3401, 1, (1,)),
+    (7000, 2): (1082, 1, (55,)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7000])
+def test_plane_cover_matches_the_oracle_on_simplex_classes(seed):
+    for k, fam in enumerate(simplex_cover_classes(seed)):
+        planes, result = assert_plane_cover_matches_oracle(fam)
+        assert (len(planes), result.size, result.witness) == SIMPLEX_PLANE_COVERS[seed, k]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(polyhedra(3), min_size=1, max_size=3))
+def test_plane_cover_matches_the_oracle_on_drawn_polyhedra(fam):
+    # hulls, and halfspace systems that are often unbounded, vertex-free or
+    # empty; an empty set is crossed by no plane and has no fallback
+    if any(s.feasible_point() is None for s in fam):
+        with pytest.raises(InputError, match="^cannot cover an empty set with planes$"):
+            candidate_planes(fam)
+        with pytest.raises(InputError, match="^cannot cover an empty set with planes$"):
+            plane_cover_number(fam)
+        return
+    assert_plane_cover_matches_oracle(fam)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists over at most 7 vertices, repeats and supersets included."""
+    n = draw(st.integers(1, 7))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1)
+    return draw(st.lists(edge, max_size=9))
+
+
+@PROPERTY
+@given(edge_lists())
+def test_tau_reduction_matches_the_frozenset_profiles(edges):
+    assert hypergraphs._reduce_for_tau(edges) == frozenset_reduce_for_tau(edges)
