@@ -877,8 +877,8 @@ _ERROR_EXITS = {
 
 def _error_outcome(exc: Exception) -> Outcome:
     """Results of a failed request: the message, the budget a ScaleError
-    names, the witness a PreconditionError or GenerationError carries, and
-    `refuted` for a TheoremViolationError."""
+    names, the witness a PreconditionError carries, and `refuted` for a
+    TheoremViolationError."""
     results = {"error": str(exc)}
     if isinstance(exc, ScaleError):
         results.update(budget=exc.budget_name, limit=exc.limit, actual=exc.actual)
@@ -982,7 +982,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=int)
     p.add_argument("--f", type=int)
-    with_input("generic-line", "one class crossed by a line via generic projection")
+    with_input("generic-line", "one class crossed by a line along a seeded direction")
     with_input("recheck", "re-validate a previously emitted report")
     return parser
 

@@ -16,8 +16,9 @@ constructive at desk scale:
 * theorem_main_d2 runs the two-colored step twice in the plane: one class
   is pierced by a single point, or at most four verified lines cross
   everything;
-* generic_line_class projects d classes in R^d along a seeded direction and
-  lifts the downstairs common point to a line crossing one class;
+* generic_line_class finds, for a seeded direction nu, the lowest of d
+  classes in R^d crossed by one line parallel to nu, from one lifted linear
+  system per class (no shadow is built);
 * fractional_two_color_search scans finite candidate pools for the point or
   hyperplane promised when only an alpha fraction of the pairs meet;
 * dichotomy_report measures which class splits admit a (points, k-flats)
@@ -34,13 +35,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from operator import mul
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .bounds import BoundFormulas, DEFAULT_FORMULAS
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .errors import (
     DimensionError,
-    GenerationError,
     InputError,
     PreconditionError,
     ScaleError,
@@ -73,7 +74,6 @@ from .hypergraphs import (
     plane_cover_number,
 )
 from .lp import Infeasible, Optimal, aggregate_rows, lp_solve
-from .projection import affine_project
 from .rationals import ZERO, dot, is_zero_vec, rat, vec
 
 __all__ = [
@@ -238,13 +238,17 @@ def intersecting_class(
             "family lacks the colorful Helly property",
             witness=rep.violating_rainbow,
         )
-    for k, cls in enumerate(fam.classes):
+    return _first_meeting_class(fam.classes)
+
+
+def _first_meeting_class(classes: Iterable) -> tuple[int, Point]:
+    """The lowest class whose sets share a point, with its primal LP point;
+    CH promises one, so finding none raises TheoremViolationError."""
+    for k, cls in enumerate(classes):
         cert = polyhedra_intersect(cls)
         if cert.feasible:
             return k, cert.point
-    raise TheoremViolationError(
-        "CH holds with dim+1 classes but no class has a common point"
-    )
+    raise TheoremViolationError("CH holds but no class has a common point")
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +476,43 @@ def theorem_main_d2(
 
 
 # ---------------------------------------------------------------------------
-# projection-based single-line finder
+# generic single-line finder
+
+
+def _lifted(cls: Sequence[Polyhedron], nu: tuple, j: int) -> list[Polyhedron]:
+    """The class's sets over (x without x_j, t_1, ..., t_m): row (n, c) of set
+    s becomes n.x + (n.nu) t_s <= c (or = c), so they meet exactly when a
+    line x + R nu with x_j = 0 crosses every set.  A lifted normal is never
+    zero: n_j != 0 makes n.nu = n_j nu_j != 0."""
+    d, m = len(nu), len(cls)
+
+    def row(h, s: int) -> tuple:
+        coeffs = [*h.normal[:j], *h.normal[j + 1 :]] + [0] * m
+        coeffs[d - 1 + s] = sum(map(mul, h.normal, nu))
+        return coeffs, h.offset
+
+    return [
+        Polyhedron(
+            d - 1 + m,
+            tuple(Halfspace(*row(h, s)) for h in p.inequalities),
+            tuple(Hyperplane(*row(h, s)) for h in p.equalities),
+        )
+        for s, p in enumerate(cls)
+    ]
 
 
 def generic_line_class(
     fam: ColoredFamily,
     seed: int = 0,
-    max_retries: int = 32,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[int, AffineFlat]:
     """One class of a d-colored CH family in R^d crossed by a single line.
 
-    Projecting along any direction keeps CH (shadows of common points are
-    common points), so the (d-1)-dimensional image with d classes has an
-    intersecting class; the fiber line over its common point crosses the
-    corresponding class upstairs.  Directions come from a seeded integer
-    grid; each candidate conclusion is checked rather than trusted, and a
-    direction is abandoned on any check failure.
+    Projecting along a direction nu keeps CH, so the shadows of some class
+    share a point, and the line over it, parallel to nu, crosses that class.
+    No shadow is built: the lowest class whose lifted system (`_lifted`)
+    has a point is that class, and the point gives the line's base.  nu is
+    one seeded integer draw, and the line is checked against every member.
     """
     if fam.num_classes != fam.dim:
         raise PreconditionError(
@@ -503,36 +527,17 @@ def generic_line_class(
             witness=rep.violating_rainbow,
         )
     rng = random.Random(seed)
-    failures = []
-    for _ in range(max_retries):
+    nu = (0,)
+    while is_zero_vec(nu):
         nu = tuple(rng.randint(-9, 9) for _ in range(fam.dim))
-        while is_zero_vec(nu):
-            nu = tuple(rng.randint(-9, 9) for _ in range(fam.dim))
-        down = ColoredFamily(
-            fam.dim - 1,
-            tuple(tuple(affine_project(cls, nu)) for cls in fam.classes),
-        )
-        try:
-            down_rep = check_ch(down, budget)
-            if not down_rep.holds:
-                failures.append((nu, "projected family lost CH"))
-                continue
-            idx, shadow = intersecting_class(down, down_rep, budget)
-        except TheoremViolationError as exc:
-            failures.append((nu, str(exc)))
-            continue
-        j = max(i for i in range(fam.dim) if nu[i] != 0)
-        base = list(shadow.coords)
-        base.insert(j, ZERO)
-        line = AffineFlat.line(tuple(base), vec(nu))
-        if all(flat_crosses(line, s) for s in fam.classes[idx]):
-            return idx, line
-        failures.append((nu, f"lifted line misses class {idx}"))
-    raise GenerationError(
-        f"no workable direction after {max_retries} draws: "
-        + "; ".join(f"{nu} ({why})" for nu, why in failures),
-        witness=failures,
-    )
+    j = max(i for i in range(fam.dim) if nu[i] != 0)
+    idx, point = _first_meeting_class(_lifted(cls, nu, j) for cls in fam.classes)
+    base = list(point.coords[: fam.dim - 1])
+    base.insert(j, ZERO)
+    line = AffineFlat.line(tuple(base), vec(nu))
+    if not all(flat_crosses(line, s) for s in fam.classes[idx]):
+        raise TheoremViolationError(f"lifted line misses class {idx}")
+    return idx, line
 
 
 # ---------------------------------------------------------------------------

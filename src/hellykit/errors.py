@@ -38,14 +38,7 @@ class ScaleError(HellykitError):
 
 
 class GenerationError(HellykitError):
-    """A verified construction search failed; names the first violated condition.
-
-    `witness` optionally carries the offending data (for example the list of
-    rejected directions of a randomized search)."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A verified construction search failed; names the first violated condition."""
 
 
 class PreconditionError(InputError):

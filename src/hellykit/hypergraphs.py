@@ -79,7 +79,7 @@ class Hypergraph:
         for e in edges:
             if not e:
                 raise InputError("hypergraph edge is empty")
-            if any(not (0 <= v < self.vertex_count) for v in e):
+            if min(e) < 0 or max(e) >= self.vertex_count:
                 raise InputError("edge vertex out of range")
         object.__setattr__(self, "edges", edges)
         if self.payload is not None and len(self.payload) != self.vertex_count:

@@ -1,5 +1,8 @@
 """Exact shadows of polyhedra: Fourier-Motzkin elimination with LP cleanup.
 
+A reference kept for the tests and the benchmark tracer; no module of the
+package imports it (`colorful.generic_line_class` lifts instead of projecting).
+
 Projecting along a direction nu is a rational change of variables
 
     x = yhat + t * nu        (yhat ranging over the hyperplane x_j = 0)
@@ -41,17 +44,6 @@ def _drop_redundant(nvars: int, leq: list, eq: list) -> list:
     return kept
 
 
-def _dedupe(rows: list) -> list:
-    seen = set()
-    out = []
-    for coeffs, rhs in rows:
-        key = (coeffs, rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append((coeffs, rhs))
-    return out
-
-
 def eliminate_variable(nvars: int, leq: list, eq: list, j: int):
     """Project rows onto the coordinates != j; returns rows over nvars-1 vars."""
 
@@ -87,8 +79,8 @@ def eliminate_variable(nvars: int, leq: list, eq: list, j: int):
                 fp, fn = -cn[j], cp[j]
                 comb = tuple(fp * a + fn * b for a, b in zip(cp, cn))
                 new_leq.append((drop(comb), fp * rp + fn * rn))
-    new_leq = [(c, r) for c, r in _dedupe(new_leq) if not (is_zero_vec(c) and r >= 0)]
-    new_eq = [(c, r) for c, r in _dedupe(new_eq) if not (is_zero_vec(c) and r == 0)]
+    new_leq = [(c, r) for c, r in dict.fromkeys(new_leq) if not (is_zero_vec(c) and r >= 0)]
+    new_eq = [(c, r) for c, r in dict.fromkeys(new_eq) if not (is_zero_vec(c) and r == 0)]
     return new_leq, new_eq
 
 

@@ -413,7 +413,7 @@ def test_report_bytes_are_pinned(capsys, tmp_path):
     assert [r["exit_code"] for r in reports[-3:]] == [2, 4, 4]
     blob = json.dumps(reports).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "b28be444a409e395f3fe57e03aaf48c16e20aba3e21465be73a4a394cf9e02fb"
+        "68b6b115f70df11c58b08db36812b7159ce4fc8f67465f9ce969ffc52bc9d1dc"
     )
 
 

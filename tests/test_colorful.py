@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import count_calls, load_fixture
+from conftest import PROPERTY, count_calls, load_fixture, polyhedra
 from oracles import point_in, primal_check_ch
 from hellykit import colorful, hypergraphs
 from hellykit.budgets import SearchBudget
@@ -28,6 +30,7 @@ from hellykit.colorful import (
 from hellykit.constructions import generate_simplex_family
 from hellykit.errors import PreconditionError, ScaleError
 from hellykit.geometry import (
+    AffineFlat,
     Halfspace,
     Hyperplane,
     Point,
@@ -45,6 +48,7 @@ from hellykit.instances import (
     random_fractional_instance,
     random_two_colored,
 )
+from hellykit.projection import affine_project
 from hellykit.rationals import rat, rat_str, vec
 from hellykit.serialize import (
     digest,
@@ -281,18 +285,40 @@ def test_generic_line_class_crosses_whole_class():
 
 
 def test_generic_line_class_outputs_are_pinned():
-    # digest taken before the projection kept an integral t column as an int
-    docs = []
+    # the class digest is the Fourier-Motzkin projection's, which the lifted
+    # systems must reproduce; the line digest pins their primal LP's lines
+    classes, lines = [], []
     for seed in (7, 19):
         for r in range(24):
             s = seed * 1000 + r
             for d in (2, 3):
                 fam = random_ch_family(s, d)
                 k, line = generic_line_class(ColoredFamily(d, fam.classes[:d]), seed=s)
-                docs.append([s, d, k, line_to_json(line)])
-    assert digest(docs) == (
-        "49c82de9881e2d43f7308da9d8ed27ad8a05c285fa28d18f63c1d316969fe5e7"
+                classes.append([s, d, k])
+                lines.append(line_to_json(line))
+    assert digest(classes) == (
+        "37ab7c1c385bacdd020073bb046cb0f5072820fa2777c1ebff8ecb2dbad30927"
     )
+    assert digest(lines) == (
+        "b12c5d78d5afd5dd06c59b5c9d267d54d9ec68fdf1e18c156e4ee4ff2ab3c510"
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_lifted_system_meets_exactly_when_the_shadows_do(data):
+    # the shadows along nu come from the reference Fourier-Motzkin projection
+    d = data.draw(st.sampled_from([2, 3]))
+    cls = data.draw(st.lists(polyhedra(d), min_size=1, max_size=4))
+    nu = data.draw(st.tuples(*([st.integers(-9, 9)] * d)).filter(any))
+    j = max(i for i in range(d) if nu[i])
+    lifted = polyhedra_intersect(colorful._lifted(cls, nu, j))
+    assert lifted.feasible == polyhedra_intersect(affine_project(cls, nu)).feasible
+    if lifted.feasible:
+        base = list(lifted.point.coords[: d - 1])
+        base.insert(j, 0)
+        line = AffineFlat.line(vec(base), vec(nu))
+        assert all(flat_crosses(line, s) for s in cls)
 
 
 def test_fractional_search_meets_a_target():

@@ -196,6 +196,12 @@ def test_empty_edge_rejected():
         hg(2, [[]])
 
 
+@pytest.mark.parametrize("edge", [[0, -1], [1, 3]], ids=["negative", "vertex-count"])
+def test_edge_vertex_out_of_range_rejected(edge):
+    with pytest.raises(InputError, match="^edge vertex out of range$"):
+        hg(3, [[0, 1], edge])
+
+
 def test_maximal_intersecting_subfamilies_triple():
     fam = [box((0, 0), (2, 2)), box((1, 1), (3, 3)), box((10, 10), (11, 11))]
     subs, witnesses = maximal_intersecting_subfamilies(fam)

@@ -96,9 +96,10 @@ def unreached_definitions(sources: dict[str, str], exported: dict[str, str]) -> 
     ]
 
 
-# Defined for the tests and the benchmark, which use all eight, and reached
-# from nothing in the package: the seeded instance generators, the name of
-# the rational backend and the hypergraph writer.
+# Defined for the tests and the benchmark, which use all nine, and reached
+# from nothing in the package: the seeded instance generators, the reference
+# Fourier-Motzkin projection, the name of the rational backend and the
+# hypergraph writer.
 UNREACHED_BY_DESIGN = [
     "instances.random_ch_family",
     "instances.random_ch_pair",
@@ -106,6 +107,7 @@ UNREACHED_BY_DESIGN = [
     "instances.random_hypergraph",
     "instances.random_polygon_family",
     "instances.random_two_colored",
+    "projection.affine_project",
     "rationals.RATIONAL_BACKEND",
     "serialize.hypergraph_to_doc",
 ]
@@ -175,6 +177,7 @@ def test_import_loads_no_submodule():
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NOT_FOR_QUERIES = {"colorful", "constructions", "bounds", "projection", "instances"}
+NOT_FOR_COLORED = {"constructions", "projection", "instances"}
 
 
 @pytest.mark.parametrize(
@@ -183,9 +186,10 @@ NOT_FOR_QUERIES = {"colorful", "constructions", "bounds", "projection", "instanc
         (("duality", "--input", "hypergraph_fano.json", "--b", "2"), NOT_FOR_QUERIES),
         (("pierce", "--input", "corpus/four_grid_boxes.json"), NOT_FOR_QUERIES),
         (("line-cover", "--input", "corpus/four_grid_boxes.json"), NOT_FOR_QUERIES),
-        (("check-ch", "--input", "family_ch_d2.json"), {"constructions", "instances"}),
+        (("check-ch", "--input", "family_ch_d2.json"), NOT_FOR_COLORED),
+        (("generic-line", "--input", "ch_pair_d2.json"), NOT_FOR_COLORED),
     ],
-    ids=["duality", "pierce", "line-cover", "check-ch"],
+    ids=["duality", "pierce", "line-cover", "check-ch", "generic-line"],
 )
 def test_a_request_loads_only_its_subcommand_modules(argv, absent):
     # the report goes to stderr so that stdout holds only the module list
