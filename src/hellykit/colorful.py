@@ -182,12 +182,16 @@ def check_ch(
     Each selection is accepted on the first of three points that
     `Polyhedron.contains` verifies in all of its sets: its hint, the point
     of the selection swept before it (neighbouring selections often share
-    one), or the point of its joint system decided on the transposed Farkas
-    system (`polyhedra_meet`).  A selection that system refutes is solved
-    once more by `polyhedra_intersect`, whose primal certificate is the one
-    cited.  Only selections that do meet are ever accepted without the LP,
-    so `holds`, the violation, its certificate and `checked` depend on
-    neither the hints nor the reused points; only `points` may.
+    one), or the point of its joint system decided by `polyhedra_meet`.
+    That is the point the selection's equality rows pin, when they have
+    rank d and it lies in every set (as for d hyperplanes from the d
+    parallel classes of `generate_figure1`, decided with no tableau), else
+    the point of the transposed Farkas system.  A selection that system
+    refutes is solved once more by `polyhedra_intersect`, whose primal
+    certificate is the one cited.  Only selections that do meet are ever
+    accepted without the LP, so `holds`, the violation, its certificate and
+    `checked` depend on neither the hints nor the reused points; only
+    `points` may.
 
     `hints` maps a pick (one set index per class) to a candidate Point.  The
     simplex construction hints its dyadic sweeps with two monotonicity

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .colorful import check_ch
 from .errors import GenerationError, InputError, TheoremViolationError
@@ -227,21 +227,27 @@ def _segment(p: tuple, q: tuple) -> Polyhedron:
 
 
 def _check_planar_segments(
-    triangles: Sequence[Polyhedron], segments: Sequence[Polyhedron]
-) -> Optional[str]:
-    """First violated segment property, or None when all hold.
+    triangles: Sequence[Polyhedron], segments: Iterable[Polyhedron]
+) -> tuple:
+    """(segments, None) when every segment property holds, else (None, the
+    first violated one).
 
+    The segments are taken lazily, each tested against every triangle as
+    soon as it is built, so a step that fails at an early segment builds no
+    later one; the pairwise disjointness is tested once all are built.
     Unlike the simplex sweeps, this scan carries nothing from one dyadic
     step to the next: the segments' disjointness is not monotone in the
     step, and the line kernel's pair tests yield no witness point."""
+    built = []
     for si, seg in enumerate(segments):
         for ti, tri in enumerate(triangles):
             if first_meeting([seg, tri], 2) is None:
-                return f"segment {si} misses triangle {ti}"
-    pair = first_meeting(segments, 2)
+                return None, f"segment {si} misses triangle {ti}"
+        built.append(seg)
+    pair = first_meeting(built, 2)
     if pair is not None:
-        return "segments {} and {} overlap".format(*pair)
-    return None
+        return None, "segments {} and {} overlap".format(*pair)
+    return tuple(built), None
 
 
 def generate_planar(f: int, seed: int = 0) -> PlanarConstruction:
@@ -296,13 +302,12 @@ def generate_planar(f: int, seed: int = 0) -> PlanarConstruction:
     inward = [vscale(rat(-1), row.normal) for row in side_rows]
 
     def translate_sides(step):
-        segments = tuple(
+        segments = (
             shrunk_sides[side].translated(vscale(step * j, inward[side]))
             for side in range(3)
             for j in range(m)
         )
-        failure = _check_planar_segments(triangles, segments)
-        return (segments, None) if failure is None else (None, failure)
+        return _check_planar_segments(triangles, segments)
 
     step, segments = _dyadic_search(
         3,

@@ -34,15 +34,33 @@ only.  Each set does this once, on first use: `Polyhedron._vertex_frame`
 keeps the vertex list, each vertex in integer form, and an exact `bounded`
 flag decided in ints from the rows (`_recession_trivial`).
 
-The same kernel decides whether two sets meet (`sets_meet`, and so
-`first_meeting` with r = 2) when either set is line-shaped, its equality
-rows fixing a line (rank d - 1, consistent), as a segment's do: every common
-point lies on that cached carrier line, so the joint rows are tested there.
-The LP still decides every pair in which neither set has a carrier
-(one-point sets, inconsistent equality rows, polygons and bodies) and every
-larger group, on the transposed Farkas system (`polyhedra_meet`), since only
-the verdict is read.  `polyhedra_intersect` keeps the primal tableau and
-serves only callers that return its point or certificate.
+Whether sets share a point is decided from the shape of their rows, and the
+LP runs only when no shape decides.  The kernels, in order:
+
+  1. pinned point: when the joint equality rows have rank d, they fix one
+     point, solved from d of them in ints (`_pinned_point`) and accepted
+     when every set contains it.  Every joint decision of
+     `polyhedra_intersect` and `polyhedra_meet` (`_certified_intersection`)
+     and `Polyhedron.feasible_point` try it first; the point is the one
+     either tableau would return, as it is the only common point.  A point
+     that some set does not contain decides nothing: the tableau then
+     certifies the system empty.
+  2. carrier line: a pair (`sets_meet`, and so `first_meeting` with r = 2)
+     in which either set is line-shaped, its equality rows fixing a line
+     (rank d - 1, consistent), as a segment's do: every common point lies
+     on that cached carrier line, so the joint rows are tested there by the
+     line kernel.
+  3. vertex signs: a hyperplane candidate of a cover against a bounded
+     set, by the signs of the set's cached vertices (see `hypergraphs`).
+  4. tableau: everything else, with the certificate of infeasibility.  On
+     the transposed Farkas system (`polyhedra_meet`) when only the verdict
+     is read; `polyhedra_intersect` keeps the primal tableau and serves
+     only callers that return its point or certificate.
+
+`sets_meet` tries the carrier line before the joint decision, so a pair
+that both the carrier line and a pinned point could decide, such as two
+crossing segments in the plane, goes to the line kernel; both give the same
+verdict.
 
 `ColoredFamily` (polyhedra partitioned into color classes) lives here, next
 to `Polyhedron`, so that reading a family document loads no more than this
@@ -213,7 +231,10 @@ class Polyhedron:
         if len(coords) != self.dim:
             raise DimensionError("point/polyhedron dimension mismatch")
         den = common_denominator(coords)
-        xs = scaled_ints(coords, den)
+        return self._contains_ints(scaled_ints(coords, den), den)
+
+    def _contains_ints(self, xs: Sequence[int], den: int) -> bool:
+        """`contains` for the point X / D given as ints X and D > 0."""
         return all(
             sum(map(mul, h.normal, xs)) <= h.offset * den for h in self.inequalities
         ) and all(sum(map(mul, h.normal, xs)) == h.offset * den for h in self.equalities)
@@ -222,6 +243,13 @@ class Polyhedron:
         return joint_lp([self], objective, maximize)[0]
 
     def feasible_point(self) -> Optional[Vec]:
+        """A point of the set, or None when it is empty: the point its
+        equality rows pin (`_pinned_point`) when they pin one inside the set,
+        else the primal tableau's point.  A pinned point is the set's only
+        point, so both give the same answer."""
+        point = _pinned_point([self])
+        if point is not None:
+            return point
         out = lp_solve(self.feasibility_lp())
         return out.point if isinstance(out, Feasible) else None
 
@@ -414,16 +442,22 @@ class IntersectionCertificate:
         return self.point is not None
 
 
-def joint_lp(sets: Sequence[Polyhedron], objective=None, maximize=True):
-    """LP for the intersection of `sets` plus row provenance lists.
-
-    The one place polyhedron rows become LP rows: the inequality rows of each
-    set in turn, and likewise the equality rows, as stored."""
+def _joint_dim(sets: Sequence[Polyhedron]) -> int:
+    """The ambient dimension a nonempty group of sets shares."""
     if not sets:
         raise InputError("need at least one polyhedron")
     d = sets[0].dim
     if any(s.dim != d for s in sets):
         raise DimensionError("mixed ambient dimensions")
+    return d
+
+
+def joint_lp(sets: Sequence[Polyhedron], objective=None, maximize=True):
+    """LP for the intersection of `sets` plus row provenance lists.
+
+    The one place polyhedron rows become LP rows: the inequality rows of each
+    set in turn, and likewise the equality rows, as stored."""
+    d = _joint_dim(sets)
     leq, eq, prov_leq, prov_eq = [], [], [], []
     for si, s in enumerate(sets):
         for ri, h in enumerate(s.inequalities):
@@ -442,8 +476,11 @@ def polyhedra_intersect(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
     Feasible: returns a common point (verified against every input row).
     Infeasible: returns Farkas entries tagged with (set, row) provenance whose
     aggregate is 0 . x <= c with c < 0 (or 0 . x = c, c != 0 via equality rows).
-    The primal tableau decides, so the point and the certificate are the ones
-    every report has always shown.
+    A point the joint equality rows pin is returned without a tableau (see
+    `_certified_intersection`); it is the only common point, so it is the
+    primal tableau's too.  Every other system is decided by the primal
+    tableau, so the point and the certificate are the ones every report has
+    always shown.
     """
     return _certified_intersection(sets, lp_solve)
 
@@ -453,14 +490,51 @@ def polyhedra_meet(sets: Sequence[Polyhedron]) -> IntersectionCertificate:
     (`lp.decide_feasibility`): d + 1 tableau rows however many rows the sets
     have, a certificate on at most d + 1 rows, and a point that may differ
     from the primal one.  For callers that read the verdict, or a point that
-    reaches no report; the answer is checked as `polyhedra_intersect`'s is."""
+    reaches no report; the answer is checked as `polyhedra_intersect`'s is.
+    A point the joint equality rows pin is returned before either tableau,
+    as there."""
     return _certified_intersection(sets, decide_feasibility)
+
+
+def _pinned_point(sets: Sequence[Polyhedron]) -> Optional[Vec]:
+    """The one point the joint equality rows of `sets` fix, when it lies in
+    every set; else None.
+
+    With exactly d equality rows, they are the system; with more,
+    `independent_rows` picks d of them in order, or finds rank below d.
+    The d stored int rows are solved fraction-free by `solve_square_ints`
+    as x = X / D (None when singular), and the point is returned only when
+    every set contains it (`Polyhedron.contains`, tested on X and D).  So
+    a system whose rows pin no point, or pin one outside some set, is left
+    to the tableau and keeps the LP's certificate."""
+    d = _joint_dim(sets)
+    eqs = [h for s in sets for h in s.equalities]
+    if not eqs or len(eqs) < d:
+        return None
+    if len(eqs) > d:
+        eqs = [eqs[i] for i in independent_rows([h.normal for h in eqs])]
+        if len(eqs) != d:
+            return None
+    sol = solve_square_ints([h.normal for h in eqs], [h.offset for h in eqs])
+    if sol is None or not all(s._contains_ints(*sol) for s in sets):
+        return None
+    xs, den = sol
+    return tuple(rat(x, den) for x in xs)
 
 
 def _certified_intersection(sets: Sequence[Polyhedron], solve) -> IntersectionCertificate:
     """The joint program of `sets` decided by `solve`, its point checked with
     `Polyhedron.contains` on every set or its Farkas multipliers tagged with
-    their (set, row) provenance and checked again."""
+    their (set, row) provenance and checked again.
+
+    The one place `polyhedra_intersect` and `polyhedra_meet` decide a joint
+    system.  A system whose equality rows pin a point inside every set
+    (`_pinned_point`) is feasible with that point as its only one, the point
+    either tableau would return, so it is answered before any tableau is
+    built.  Every other system, and so every certificate, is the LP's."""
+    pinned = _pinned_point(sets)
+    if pinned is not None:
+        return IntersectionCertificate(Point(pinned))
     lp, prov_leq, prov_eq = joint_lp(sets)
     out = solve(lp)
     if isinstance(out, Feasible):
@@ -487,7 +561,7 @@ def sets_meet(group: Sequence[Polyhedron]) -> bool:
     """Whether the sets share a point, for callers that read only the
     verdict: for a pair with a line-shaped member, on the integer line kernel
     along that member's carrier line (the common points lie on it), and by
-    the transposed LP (`polyhedra_meet`) otherwise."""
+    `polyhedra_meet` otherwise (a pinned point, else the transposed LP)."""
     if len(group) == 2:
         a, b = group
         line = a._carrier_line if a._carrier_line is not None else b._carrier_line
@@ -502,12 +576,13 @@ def first_meeting(sets: Sequence[Polyhedron], r: int) -> Optional[tuple]:
 
     A pair (r = 2) in which either set is line-shaped (equality rows of
     rank d - 1 that are consistent, as a segment's are) is decided in Python
-    ints by the line kernel on that set's carrier line.  The LP runs for
-    every other tuple: pairs in which neither set has a carrier (one-point
-    sets, inconsistent equality rows, sets of higher dimension), and every
-    r != 2.  It is the transposed Farkas system of `polyhedra_meet`, d + 1
-    tableau rows however many rows the tuple has.  Only indices are
-    returned, so no point or certificate depends on which path decided."""
+    ints by the line kernel on that set's carrier line.  `polyhedra_meet`
+    decides every other tuple: pairs in which neither set has a carrier
+    (one-point sets, inconsistent equality rows, sets of higher dimension),
+    and every r != 2.  A tuple whose equality rows pin a point in every set
+    meets there; any other runs the transposed Farkas system, d + 1 tableau
+    rows however many rows the tuple has.  Only indices are returned, so no
+    point or certificate depends on which path decided."""
     for combo in itertools.combinations(range(len(sets)), r):
         if sets_meet([sets[i] for i in combo]):
             return combo

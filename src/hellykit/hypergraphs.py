@@ -317,10 +317,19 @@ def nu_b(h: Hypergraph, b: int) -> int:
 
 def _nu_b(h: Hypergraph, b: int, nu_star_value) -> int:
     """`nu_b` of a hypergraph with edges whose nu* is `nu_star_value`; the
-    search stops at the duality bound floor(b * nu*)."""
+    search stops at the duality bound floor(b * nu*).
+
+    A branch is pruned when even the best completion cannot beat the best
+    count found.  Two bounds cap how many more edges fit from position i on:
+    the m - i edges left, and the spare capacity (the sum of the vertices'
+    remaining capacities) over `min_size[i]`, the size of the smallest edge
+    left, since each of them uses at least that many units."""
     ub = floor_rat(rat(b) * nu_star_value)
     edges = list(h.edges)
     m = len(edges)
+    min_size = [len(e) for e in edges]
+    for i in range(m - 2, -1, -1):
+        min_size[i] = min(min_size[i], min_size[i + 1])
     caps = [b] * h.vertex_count
     # greedy start
     best = 0
@@ -332,7 +341,7 @@ def _nu_b(h: Hypergraph, b: int, nu_star_value) -> int:
     caps = [b] * h.vertex_count
     best_found = best
 
-    def dfs(i: int, count: int):
+    def dfs(i: int, count: int, spare: int):
         nonlocal best_found
         if count + (m - i) <= best_found or best_found == ub:
             return
@@ -340,16 +349,18 @@ def _nu_b(h: Hypergraph, b: int, nu_star_value) -> int:
             if count > best_found:
                 best_found = count
             return
+        if count + spare // min_size[i] <= best_found:
+            return
         e = edges[i]
         if all(caps[v] > 0 for v in e):
             for v in e:
                 caps[v] -= 1
-            dfs(i + 1, count + 1)
+            dfs(i + 1, count + 1, spare - len(e))
             for v in e:
                 caps[v] += 1
-        dfs(i + 1, count)
+        dfs(i + 1, count, spare)
 
-    dfs(0, 0)
+    dfs(0, 0, b * h.vertex_count)
     del dfs  # as in tau
     if best_found > ub:
         raise TheoremViolationError("nu_b exceeded its duality upper bound")

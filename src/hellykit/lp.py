@@ -32,7 +32,8 @@ certificates.
 
 A free-variable feasibility question {x : Ax <= b, Ex = f} can be decided in
 two forms, both on this tableau, and the rule for choosing is: primal where
-a point or certificate is returned, transposed for verdicts.
+a point or certificate is returned, transposed for verdicts, and neither
+when the equality rows pin one point.
 
   * primal (`lp_solve`): one tableau row per constraint row.  A caller that
     returns the point or the Farkas certificate uses this form
@@ -45,7 +46,12 @@ a point or certificate is returned, transposed for verdicts.
     Both answers are checked on the question, like the primal ones.  A
     caller that reads only the verdict, or a point that reaches no report,
     uses this form (`geometry.polyhedra_meet` and `geometry.sets_meet`).
-    Its point and certificate generally differ from the primal ones.
+    Its point and certificate generally differ from the primal ones;
+  * pinned point (`geometry._certified_intersection`): when the equality
+    rows have rank d they fix one point, the only one either form could
+    return.  It is solved from d of those rows in Python ints and accepted
+    when it satisfies every row, before either form is built; otherwise the
+    question goes to the form its caller asks for, which certifies it.
 """
 
 from __future__ import annotations

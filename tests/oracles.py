@@ -29,9 +29,10 @@ the set.
 programs, stated on `Fraction` 0/1 rows and objectives, kept as the
 reference for the int-row programs of `hellykit.hypergraphs`.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
-a list scan.  `primal_check_ch` is the former rainbow sweep, every
-selection decided by the primal `polyhedra_intersect`.  `poly_subset` and
-`poly_equal` compare polyhedra row by row with exact LPs, and
+a list scan.  `count_bound_nu_b` is the former b-matching search, pruned by
+the number of edges left only.  `primal_check_ch` is the former rainbow
+sweep, every selection decided by the primal `polyhedra_intersect`.
+`poly_subset` and `poly_equal` compare polyhedra row by row with exact LPs, and
 `flat_family_from_doc` reads a family document as one uncolored list of
 sets.  `point_in` is set membership in any dimension,
 apart from the package's integer point checks.
@@ -60,9 +61,10 @@ from hellykit.hypergraphs import (
     TransversalResult,
     _candidate_point_pool,
     _greedy_cover,
+    nu_star,
 )
 from hellykit.lp import LinearProgram, Optimal, Unbounded, lp_solve
-from hellykit.rationals import ONE, ZERO, dot, is_zero_vec, vadd, vec, vsub
+from hellykit.rationals import ONE, ZERO, dot, floor_rat, is_zero_vec, rat, vadd, vec, vsub
 from hellykit.serialize import family_from_doc
 
 
@@ -572,6 +574,43 @@ def list_scan_point_pool(fam) -> list[tuple]:
             if cert.feasible:
                 add(cert.point.coords)
     return pool
+
+
+def count_bound_nu_b(h, b: int) -> int:
+    """Maximum b-matching by depth-first search over the edges in order,
+    pruned when the edges left cannot beat the best count or the best count
+    reaches floor(b * nu*)."""
+    ub = floor_rat(rat(b) * nu_star(h).value)
+    edges = list(h.edges)
+    m = len(edges)
+    caps = [b] * h.vertex_count
+    best = 0
+    for e in edges:
+        if all(caps[v] > 0 for v in e):
+            for v in e:
+                caps[v] -= 1
+            best += 1
+    caps = [b] * h.vertex_count
+
+    def dfs(i: int, count: int):
+        nonlocal best
+        if count + (m - i) <= best or best == ub:
+            return
+        if i == m:
+            best = max(best, count)
+            return
+        e = edges[i]
+        if all(caps[v] > 0 for v in e):
+            for v in e:
+                caps[v] -= 1
+            dfs(i + 1, count + 1)
+            for v in e:
+                caps[v] += 1
+        dfs(i + 1, count)
+
+    dfs(0, 0)
+    del dfs
+    return best
 
 
 def primal_check_ch(fam) -> ChReport:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import PROPERTY, count_calls, load_fixture, polyhedra
 from oracles import point_in, primal_check_ch
 from hellykit import colorful, hypergraphs
+from hellykit import lp as lp_module
 from hellykit.budgets import SearchBudget
 from hellykit.colorful import (
     ColoredFamily,
@@ -27,7 +28,7 @@ from hellykit.colorful import (
     theorem_main_d2,
     two_color_lemma,
 )
-from hellykit.constructions import generate_simplex_family
+from hellykit.constructions import generate_figure1, generate_simplex_family
 from hellykit.errors import PreconditionError, ScaleError
 from hellykit.geometry import (
     AffineFlat,
@@ -37,6 +38,7 @@ from hellykit.geometry import (
     Polyhedron,
     flat_crosses,
     hyperplane_crosses,
+    joint_lp,
     line_through,
     polyhedra_intersect,
     polytope_from_vertices,
@@ -48,6 +50,7 @@ from hellykit.instances import (
     random_fractional_instance,
     random_two_colored,
 )
+from hellykit.lp import lp_solve
 from hellykit.projection import affine_project
 from hellykit.rationals import rat, rat_str, vec
 from hellykit.serialize import (
@@ -164,6 +167,28 @@ def test_check_ch_matches_the_primal_sweep(monkeypatch):
             assert all(point_in(fam.classes[k][i], point.coords) for k, i in enumerate(pick))
         saved += ref.checked - len(lps)
     assert saved > 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate_figure1(3, 3),
+        lambda: random_ch_family(11, 3),  # "axis" style, 3 x 3 x 3 rainbows
+        lambda: random_ch_family(10, 3),  # "boxed-axis" style
+    ],
+    ids=["figure1-3-3", "axis-d3", "boxed-axis-d3"],
+)
+def test_check_ch_decides_pinned_rainbows_without_a_tableau(monkeypatch, build):
+    fam = build()
+    tableaux = count_calls(monkeypatch, lp_module, "_Tableau")
+    rep = check_ch(fam)
+    monkeypatch.undo()
+    assert tableaux == []
+    assert rep.holds and rep.checked == fam.rainbow_count == 27
+    # each rainbow's one common point is the primal tableau's
+    for pick, point in zip(fam.picks(), rep.points):
+        lp = joint_lp([fam.classes[k][i] for k, i in enumerate(pick)])[0]
+        assert lp_solve(lp).point == point.coords
 
 
 def test_rainbow_budget_enforced():

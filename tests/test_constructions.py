@@ -23,6 +23,7 @@ from hellykit.errors import GenerationError, InputError
 from hellykit.geometry import (
     AffineFlat,
     ColoredFamily,
+    Polyhedron,
     flat_crosses,
     polyhedra_intersect,
     polytope_from_vertices,
@@ -97,6 +98,32 @@ def test_planar_is_deterministic_per_seed():
     assert a == b
     c = generate_planar(2, seed=12)
     assert a.anchors != c.anchors
+
+
+def test_planar_translates_each_segment_only_when_the_scan_reaches_it(monkeypatch):
+    checked = []
+    check = constructions._check_planar_segments
+
+    def logged(triangles, segments):
+        out = check(triangles, segments)
+        checked.append(out[1])
+        return out
+
+    monkeypatch.setattr(constructions, "_check_planar_segments", logged)
+    translates = count_calls(monkeypatch, Polyhedron, "translated")
+    c = generate_planar(3, seed=7000)
+    assert checked == [
+        *["segment 1 misses triangle 4"] * 4,
+        *["segment 1 misses triangle 5"] * 4,
+        "segment 2 misses triangle 5",
+        "segment 3 misses triangle 5",
+        "segment 5 misses triangle 5",
+        None,
+    ]
+    assert c.step == rat(1, 2**14)
+    # a step failing at segment s translates segments 0..s only, and the
+    # accepted one all 3m = 18: 8 * 2 + 3 + 4 + 6 + 18
+    assert len(translates) == 47
 
 
 def test_planar_piercing_numbers():

@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from hellykit import constructions, geometry, instances
+from hellykit import lp as lp_module
 from hellykit.colorful import ColoredFamily
 from hellykit.constructions import (
     _centroid,
@@ -853,3 +854,98 @@ def test_translated_rows_match_the_rational_formula(data):
         assert all(type(x) is int for x in h.normal) and type(h.offset) is int
     if poly.vertices_hint is not None:
         assert moved.vertices_hint == tuple(vadd(v, vec(t)) for v in poly.vertices_hint)
+
+
+# ---------------------------------------------------------------------------
+# joint systems whose equality rows pin one point, against both tableaux
+
+def _normals(d):
+    return st.tuples(*([st.integers(-3, 3)] * d)).filter(any)
+
+
+@st.composite
+def pinning_systems(draw):
+    """Sets from `polyhedra` joined by hyperplanes through a point p: d
+    independent ones (rank d), d - 1 of them and a row they span (rank
+    d - 1), rank d and a further row missing p (inconsistent), or rank d
+    and a halfspace that p breaks.  The new rows sit in one set or one set
+    each, and every list is shuffled, so any row may come first."""
+    d = draw(st.sampled_from([2, 3]))
+    sets = draw(st.lists(polyhedra(d), max_size=2))
+    verts = [v for s in sets for v in vertices_of(s)]
+    p = draw(st.sampled_from(verts)) if verts and draw(st.booleans()) else draw(points(d))
+    normals = draw(st.lists(_normals(d), min_size=d, max_size=d).filter(lambda ns: rank(ns) == d))
+    kind = draw(st.sampled_from(["rank d", "rank d - 1", "inconsistent", "broken"]))
+    if kind == "rank d - 1":
+        normals = [*normals[: d - 1], tuple(map(sum, zip(*normals[: d - 1])))]
+    eqs = [Hyperplane(n, dot(n, p)) for n in normals]
+    ineqs = []
+    nudge = draw(SMALL.filter(lambda x: x > 0))
+    if kind == "inconsistent":
+        n = draw(st.one_of(st.sampled_from(normals), _normals(d)))
+        eqs.append(Hyperplane(n, dot(n, p) + nudge))
+    if kind == "broken":
+        n = draw(_normals(d))
+        ineqs.append(Halfspace(n, dot(n, p) - nudge))
+    eqs = draw(st.permutations(eqs))
+    if draw(st.booleans()):
+        sets.append(Polyhedron(d, tuple(ineqs), tuple(eqs)))
+    else:
+        sets += [Polyhedron(d, (), (h,)) for h in eqs] + [Polyhedron(d, (h,)) for h in ineqs]
+    return draw(st.permutations(sets))
+
+
+def _joined(sets):
+    """One set with the rows of all of `sets`, in `joint_lp` order."""
+    return Polyhedron(sets[0].dim).with_rows(
+        (h for s in sets for h in s.inequalities), (h for s in sets for h in s.equalities)
+    )
+
+
+@PROPERTY
+@given(pinning_systems())
+def test_pinned_points_match_both_tableaux(sets):
+    lp = joint_lp(sets)[0]
+    primal, transposed = lp_solve(lp), decide_feasibility(lp)
+    feasible = isinstance(primal, Feasible)
+    assert isinstance(transposed, Feasible) == feasible
+    joined = _joined(sets)
+    intersect, meet = polyhedra_intersect(sets), polyhedra_meet(sets)
+    if feasible:
+        assert intersect.point.coords == primal.point
+        assert meet.point.coords == transposed.point
+        assert joined.feasible_point() == primal.point
+        return
+    for cert, out in ((intersect, primal), (meet, transposed)):
+        assert not cert.feasible
+        assert verify_farkas_entries(sets, cert.farkas)
+        named = [m for m in (*out.leq_multipliers, *out.eq_multipliers) if m]
+        assert [e.multiplier for e in cert.farkas] == named
+    assert joined.feasible_point() is None
+
+
+PIN = vec((1, 2, "-5/2"))
+PINNING_PLANES = [
+    Polyhedron(3, (), (Hyperplane(n, dot(n, PIN)),)) for n in ((1, 0, 0), (0, 1, 0), (1, 1, 1))
+]
+
+
+@pytest.mark.parametrize(
+    "extra, pinned",
+    [
+        ([Polyhedron.box((-5, -5, -5), (5, 5, 5))], True),  # rank 3, inside the box
+        ([Polyhedron(3, (Halfspace((0, 0, 1), -3),))], False),  # the point breaks z <= -3
+        ([Polyhedron(3, (), (Hyperplane((2, 0, 0), 3),))], False),  # x = 1 and x = 3/2
+    ],
+)
+def test_pinned_systems_are_decided_before_any_tableau(monkeypatch, extra, pinned):
+    # all three planes pin PIN; without y = 2 the rows have rank 2, for the tableau
+    for sets, rank_3 in ((PINNING_PLANES + extra, True), (PINNING_PLANES[::2] + extra, False)):
+        tableaux = count_calls(monkeypatch, lp_module, "_Tableau")
+        answers = (polyhedra_intersect(sets), polyhedra_meet(sets), _joined(sets).feasible_point())
+        monkeypatch.undo()
+        if pinned and rank_3:
+            assert tableaux == []
+            assert answers[0].point.coords == answers[1].point.coords == answers[2] == PIN
+        else:
+            assert len(tableaux) == 3

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, PROPERTY, corpus_paths, count_calls, load_fixture, polyhedra
 from oracles import (
+    count_bound_nu_b,
     fraction_nu_star,
     fraction_tau_star,
     frozenset_reduce_for_tau,
@@ -152,6 +153,28 @@ def test_duality_report_solves_nu_star_once(monkeypatch):
             assert len(solves) == 1
             monkeypatch.undo()
             assert rep.nu_b_value == nu_b(h, b)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=10),
+        )
+    ),
+    st.integers(1, 3),
+)
+def test_nu_b_matches_the_count_bound_search(graph, b):
+    h = Hypergraph(*graph)
+    assert nu_b(h, b) == count_bound_nu_b(h, b)
+
+
+def test_nu_b_matches_the_count_bound_search_on_random_hypergraphs():
+    for seed in HYPERGRAPH_SEEDS:
+        h = random_hypergraph(seed)
+        for b in (1, 2, 3):
+            assert nu_b(h, b) == count_bound_nu_b(h, b)
 
 
 def test_greedy_upper_bound_never_beats_exact():

@@ -15,8 +15,8 @@ from oracles import poly_subset
 
 from hellykit import geometry
 from hellykit import lp as lp_module
-from hellykit.colorful import separating_halfspaces, two_color_lemma
-from hellykit.constructions import generate_planar, generate_simplex_family
+from hellykit.colorful import check_ch, separating_halfspaces, two_color_lemma
+from hellykit.constructions import generate_figure1, generate_planar, generate_simplex_family
 from hellykit.errors import InputError
 from hellykit.geometry import Halfspace, Polyhedron
 from hellykit.instances import random_polygon_family, random_two_colored
@@ -393,6 +393,12 @@ def _polygon_subsets():
             33,
             "e8a3c15d145b5fed3577dba940a6502191e0045c4b83901f49aa932a62985404",
         ),
+        (
+            # every rainbow is 3 hyperplanes pinning one point: no program
+            lambda: check_ch(generate_figure1(3, 3)),
+            0,
+            hashlib.sha256().hexdigest(),
+        ),
     ],
     ids=[
         "planar-2-7",
@@ -400,6 +406,7 @@ def _polygon_subsets():
         "two-color-lemma",
         "repaired-separation",
         "poly-subset",
+        "figure1-3-3",
     ],
 )
 def test_construction_lp_sequences_are_pinned(monkeypatch, build, solves, pinned):
