@@ -944,9 +944,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(name: str, help_text: str):
+    def with_input(name: str, help_text: str, input_help: str = "family JSON path or '-'"):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--input", required=True, help="family JSON path or '-'")
+        p.add_argument("--input", required=True, help=input_help)
         return p
 
     with_input("check-ch", "sweep all rainbow selections of a colored family")
@@ -957,8 +957,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with_input("d2-dichotomy", "planar dichotomy: one point or <= 4 lines")
     p = with_input("fractional-two-color", "fractional dichotomy with thresholds")
     p.add_argument("--alpha", required=True, help="meeting-pair fraction, e.g. 1/2")
-    p = sub.add_parser("duality", parents=[common], help="nu_b/b <= nu* = tau* <= tau")
-    p.add_argument("--input", required=True, help="hypergraph JSON path or '-'")
+    p = with_input("duality", "nu_b/b <= nu* = tau* <= tau", "hypergraph JSON path or '-'")
     p.add_argument("--b", type=int, default=1, help="matching multiplicity bound")
     p = sub.add_parser("generate", parents=[common], help="emit a named construction")
     p.add_argument("kind", choices=("figure1", "planar", "simplex"))
@@ -983,7 +982,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--f", type=int)
     with_input("generic-line", "one class crossed by a line along a seeded direction")
-    with_input("recheck", "re-validate a previously emitted report")
+    with_input("recheck", "re-validate a previously emitted report", "report JSON path or '-'")
     return parser
 
 

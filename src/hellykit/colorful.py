@@ -82,7 +82,6 @@ __all__ = [
     "PiercedClass",
     "LineCover",
     "HyperplaneCover",
-    "Unresolved",
     "DichotomyOutcome",
     "SeparatingHalfspaces",
     "FractionalSearchReport",
@@ -143,12 +142,7 @@ class HyperplaneCover:
     hyperplanes: tuple
 
 
-@dataclass(frozen=True)
-class Unresolved:
-    report: str
-
-
-DichotomyOutcome = Union[PiercedClass, LineCover, HyperplaneCover, Unresolved]
+DichotomyOutcome = Union[PiercedClass, LineCover, HyperplaneCover]
 
 
 @dataclass(frozen=True)

@@ -707,24 +707,31 @@ def hyperplane_to_flat(h: Hyperplane) -> AffineFlat:
     return AffineFlat(d, base, tuple(dirs))
 
 
-def line_through(p: Sequence, q: Sequence) -> AffineFlat:
-    """Canonical line through two distinct points (stable dedupe key)."""
-    p, q = vec(p), vec(q)
-    den = common_denominator(p + q)
-    pn = scaled_ints(p, den)
-    diff = [y - x for x, y in zip(pn, scaled_ints(q, den))]
+def _line_key(p: Sequence[int], dp: int, q: Sequence[int], dq: int) -> tuple:
+    """(v, D, *B), in ints, of the line through the distinct points p / dp
+    and q / dq (dp, dq > 0), equal for two pairs exactly when they span one
+    line: v is the primitive direction with a positive leading entry, and
+    B / D, reduced, the foot of the perpendicular from the origin."""
+    diff = [y * dp - x * dq for x, y in zip(p, q)]
     g = gcd(*diff)
     if g == 0:
         raise InputError("line through coincident points")
     if next(x for x in diff if x) < 0:
         g = -g
-    v = [x // g for x in diff]
-    # foot of the perpendicular from the origin: p - (p.v / v.v) v
+    v = tuple(x // g for x in diff)
     vv = sum(x * x for x in v)
-    pv = sum(x * y for x, y in zip(pn, v))
-    base_den = den * vv
-    base = tuple(rat(x * vv - pv * y, base_den) for x, y in zip(pn, v))
-    return AffineFlat(len(p), base, (tuple(rat(x) for x in v),))
+    pv = sum(map(mul, p, v))
+    foot = (dp * vv, *(x * vv - pv * y for x, y in zip(p, v)))
+    g = gcd(*foot)
+    return (v, *(x // g for x in foot))
+
+
+def line_through(p: Sequence, q: Sequence) -> AffineFlat:
+    """Canonical line through two distinct points, built from `_line_key`."""
+    p, q = vec(p), vec(q)
+    dp, dq = common_denominator(p), common_denominator(q)
+    v, den, *base = _line_key(scaled_ints(p, dp), dp, scaled_ints(q, dq), dq)
+    return AffineFlat(len(p), tuple(rat(x, den) for x in base), (tuple(rat(x) for x in v),))
 
 
 # ---------------------------------------------------------------------------

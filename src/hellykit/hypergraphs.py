@@ -20,18 +20,19 @@ or planes drawn from a finite candidate pool).
 Line covers in the plane and plane covers in R^3 skip the generic builder
 and share one rule: vertex signs decide bounded sets against hyperplane
 candidates, and rows or the LP decide everything else.  Each pool point is
-scaled once to integers X / D, and each candidate hyperplane (a line in the
-plane, a plane in R^3) gets two bitmasks over the pool, the points on its
-closed nonnegative and nonpositive sides.  A bounded set is the hull of its
-vertices, all of them pool points, so it is crossed exactly when its vertex
-mask meets both (`_vertex_masks`, `_crossings`).  The zero mask of a kept
-candidate also marks every pool pair or triple on it, which deduplicates
-the candidates in order of first appearance.  A set with no vertex or an
+scaled once to integers X / D, and one routine, `_hyperplanes_through`,
+builds the candidates of both: the first pool pair or triple spanning each
+distinct line or plane, its integer row, and two bitmasks over the pool,
+the points on its closed nonnegative and nonpositive sides, whose meet
+deduplicates the candidates.  A bounded set is the hull of its vertices,
+all of them pool points, so it is crossed exactly when its vertex mask
+meets both (`_vertex_masks`, `_crossings`).  A set with no vertex or an
 unbounded one is decided on its rows: by the slacks of the two pool points
 against every row, in Python ints (`_slack_crossings`), for a line, and by
-`hyperplane_crosses` for a plane.  Lines in R^3 are not hyperplanes and
-take the slack path for every set.  Only a witness line is ever built, by
-`_as_line`.  `build_cover_hypergraph` tests every (candidate, set) pair
+`hyperplane_crosses` for a plane.  Lines in R^3 are not hyperplanes: they
+are deduplicated by one integer canonical-line key, `geometry._line_key`,
+and take the slack path for every set.  Only a witness line is ever built,
+by `_as_line`.  `build_cover_hypergraph` tests every (candidate, set) pair
 with a given predicate; it is the oracle of both.
 """
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -50,6 +50,7 @@ from .geometry import (
     Hyperplane,
     Point,
     Polyhedron,
+    _line_key,
     flat_crosses,
     hyperplane_crosses,
     line_through,
@@ -372,6 +373,8 @@ def duality_report(
 ) -> DualityReport:
     """tau, tau*, nu*, nu_b with the exact duality sandwich asserted; tau is
     searched under `budget`, and a tau beyond it is reported in `scale_note`."""
+    if b < 1:
+        raise InputError("b must be a positive integer")
     ts = tau_star(h)
     ns = nu_star(h)
     if ts.value != ns.value:
@@ -382,8 +385,6 @@ def duality_report(
     except ScaleError as exc:
         t = None
         note = str(exc)
-    if b < 1:
-        raise InputError("b must be a positive integer")
     nb = _nu_b(h, b, ns.value)
     ok = rat(nb, b) <= ns.value and (t is None or ts.value <= rat(t.size))
     if not ok:
@@ -505,22 +506,15 @@ def _candidate_point_pool(fam: Sequence[Polyhedron]) -> list[tuple]:
     return list(pool)
 
 
-def _scaled_pool(fam: Sequence[Polyhedron], pool: Sequence[tuple]) -> list[tuple]:
+def _scaled_pool(pool: Sequence[tuple]) -> list[tuple]:
     """Each pool point as (X, D), ints X and the least D > 0 with
-    point = X / D: a vertex's form is read from its set's vertex frame, and
-    any other point is scaled here.  The forms are distinct, as the points
-    are, so they index the pool too."""
-    forms: dict = {}
-    for s in fam:
-        frame = s._vertex_frame
-        forms.update(zip(frame.vertices, frame.scaled))
+    point = X / D: the form a set's vertex frame keeps for its vertices, so
+    `_vertex_masks` finds each vertex in the pool by it.  The forms are
+    distinct, as the points are, so they index the pool too."""
     out = []
     for p in pool:
-        form = forms.get(p)
-        if form is None:
-            den = common_denominator(p)
-            form = (tuple(scaled_ints(p, den)), den)
-        out.append(form)
+        den = common_denominator(p)
+        out.append((tuple(scaled_ints(p, den)), den))
     return out
 
 
@@ -630,51 +624,65 @@ def _slacks_meet(sp: tuple, sq: tuple, dp: int, dq: int) -> bool:
     return hn * ld >= ln * hd
 
 
-def _planar_lines(homogeneous: Sequence[tuple]) -> tuple[list, list]:
-    """(pairs, masks) for pool points in the plane, in homogeneous form
-    (x, y, D): the first pool pair (i, j) spanning each distinct line, in
-    pair order, and that line's sign masks.  The line through p and q is
-    the cross product p x q, as a row (n, -c) scaled by D_p * D_q.  The zero
-    mask of a kept line holds every pool point on it, so every pair of those
-    points is marked as spanning a kept line and skipped."""
-    pairs, masks = [], []
-    spanned = [0] * len(homogeneous)  # bit j of spanned[i]: (i, j) is on a kept line
-    for (i, p), (j, q) in itertools.combinations(enumerate(homogeneous), 2):
-        if spanned[i] >> j & 1:
-            continue
-        row = (
-            p[1] * q[2] - p[2] * q[1],
-            p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0],
-        )
-        nonneg, nonpos = _sign_masks(row, homogeneous)
-        on_line = nonneg & nonpos
-        for k in _bits(on_line):
-            spanned[k] |= on_line
-        pairs.append((i, j))
-        masks.append((nonneg, nonpos))
-    return pairs, masks
+def _row_through(*points: tuple) -> tuple:
+    """A row (n, -c), up to a nonzero factor, of the hyperplane n . x = c
+    through d = 2 or 3 points in homogeneous form (X, D): the cross product
+    of two, or the four signed 3x3 minors of three; all zero when the
+    points span no hyperplane."""
+    if len(points) == 2:
+        (p0, p1, p2), (q0, q1, q2) = points
+        return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = points
+    m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    return (
+        c1 * m23 - c2 * m13 + c3 * m12,
+        c2 * m03 - c0 * m23 - c3 * m02,
+        c0 * m13 - c1 * m03 + c3 * m01,
+        c1 * m02 - c0 * m12 - c2 * m01,
+    )
+
+
+def _hyperplanes_through(homogeneous: Sequence[tuple], d: int) -> tuple[list, list, list]:
+    """(tuples, rows, masks) for pool points in homogeneous form (X, D) in
+    R^d, d = 2 or 3: the first pool d-tuple spanning each distinct
+    hyperplane, in combination order, its row (`_row_through`) and its sign
+    masks.  A kept hyperplane's zero mask holds every pool point on it; when
+    those are more than d, each (d - 1)-tuple of them is marked in
+    `spanned` with that mask, and a d-tuple whose last point is marked for
+    its first d - 1 lies on a kept hyperplane and is skipped."""
+    tuples, rows, masks = [], [], []
+    spanned: dict = {}
+    n = len(homogeneous)
+    for prefix in itertools.combinations(range(n), d - 1):
+        head = [homogeneous[i] for i in prefix]
+        skip = spanned.get(prefix, 0)
+        for last in range(prefix[-1] + 1, n):
+            if skip >> last & 1:
+                continue
+            row = _row_through(*head, homogeneous[last])
+            if not any(row):
+                continue  # the d points are collinear
+            nonneg, nonpos = _sign_masks(row, homogeneous)
+            on = nonneg & nonpos
+            if on.bit_count() > d:
+                for marked in itertools.combinations(_bits(on), d - 1):
+                    spanned[marked] = spanned.get(marked, 0) | on
+                skip |= on
+            tuples.append((*prefix, last))
+            rows.append(row)
+            masks.append((nonneg, nonpos))
+    return tuples, rows, masks
 
 
 def _distinct_lines(scaled: Sequence) -> list[tuple]:
     """The first pool pair (i, j) spanning each distinct line, in pair order,
-    for pool points in any dimension.  Lines are deduplicated by an integer
-    key, the primitive direction v and the perpendicular-foot numerators
-    (v . v) X_p - (X_p . v) v over D_p (v . v), reduced: the canonical line
-    of `line_through`."""
+    for pool points in any dimension, deduplicated by `_line_key`, the
+    integer form of the canonical line of `line_through`."""
     pairs = []
     seen = set()
     for (i, (p, dp)), (j, (q, dq)) in itertools.combinations(enumerate(scaled), 2):
-        diff = [y * dp - x * dq for x, y in zip(p, q)]
-        g = gcd(*diff)
-        if next(x for x in diff if x) < 0:
-            g = -g
-        v = tuple(x // g for x in diff)
-        vv = sum(x * x for x in v)
-        pv = sum(map(mul, p, v))
-        foot = (dp * vv, *(x * vv - pv * y for x, y in zip(p, v)))
-        g = gcd(*foot)
-        key = (v, *(x // g for x in foot))
+        key = _line_key(p, dp, q, dq)
         if key not in seen:
             seen.add(key)
             pairs.append((i, j))
@@ -714,8 +722,8 @@ def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
     pool line nobody asks for.
 
     Each pool point is scaled once to X / D.  In the plane a line is a
-    hyperplane: each pool line gets its sign masks (`_planar_lines`), which
-    also deduplicate the pool lines, and the vertex signs decide each
+    hyperplane: each pool line gets its sign masks (`_hyperplanes_through`),
+    which also deduplicate the pool lines, and the vertex signs decide each
     bounded set (`_vertex_masks`).  The rows decide everything else: sets
     with no vertex or unbounded ones, and every set when d > 2, where pool
     lines are deduplicated by `_distinct_lines`.  There each pool point's
@@ -729,9 +737,9 @@ def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
     pool = _candidate_point_pool(fam)
     if d < 2 and len(pool) > 1:  # the error `line_through` raises on a pool pair
         raise InputError("flat dimension k must satisfy 0 <= k < dim")
-    scaled = _scaled_pool(fam, pool)
+    scaled = _scaled_pool(pool)
     if d == 2:
-        pairs, masks = _planar_lines([(*x, den) for x, den in scaled])
+        pairs, _, masks = _hyperplanes_through([(*x, den) for x, den in scaled], 2)
         vmasks = _vertex_masks(fam, scaled)
     else:
         pairs, vmasks = _distinct_lines(scaled), [None] * len(fam)
@@ -788,48 +796,22 @@ def _plane_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
     """(planes, edges): the candidate planes of `fam` (ambient R^3), and for
     each set the frozenset of planes crossing it.
 
-    One plane per distinct plane through three pool points, as the first
-    pool triple spanning it: its normal is the integer cross product of the
-    scaled differences of the triple.  A kept plane's zero mask holds every
-    pool point on it, so every triple of those points is skipped.  Then one
-    plane x_0 = const per set that no earlier plane crosses.  Vertex signs
-    decide each bounded set (`_vertex_masks`), and `hyperplane_crosses`, the
-    LP, decides sets with no vertex and unbounded ones.
+    One plane per distinct plane through three pool points, built from the
+    row of the first pool triple spanning it (`_hyperplanes_through`).  Then
+    one plane x_0 = const per set that no earlier plane crosses.  Vertex
+    signs decide each bounded set (`_vertex_masks`), and
+    `hyperplane_crosses`, the LP, decides sets with no vertex and unbounded
+    ones.
     """
     if not fam:
         raise InputError("empty family")
     if fam[0].dim != 3:
         raise InputError("candidate planes are generated in R^3 only")
-    pool = _candidate_point_pool(fam)
-    scaled = _scaled_pool(fam, pool)
+    scaled = _scaled_pool(_candidate_point_pool(fam))
     homogeneous = [(*x, den) for x, den in scaled]
     vmasks = _vertex_masks(fam, scaled)
-    planes, masks = [], []
-    spanned: dict = {}  # (i, j) -> bitmask of the k with (i, j, k) on a kept plane
-
-    def keep(h):
-        masks.append(_sign_masks((*h.normal, -h.offset), homogeneous))
-        planes.append(h)
-        return masks[-1]
-
-    for (i, (a, da)), (j, (b, db)), (k, (c, dc)) in itertools.combinations(
-        enumerate(scaled), 3
-    ):
-        if spanned.get((i, j), 0) >> k & 1:
-            continue
-        u = [y * da - x * db for x, y in zip(a, b)]
-        v = [y * da - x * dc for x, y in zip(a, c)]
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if not any(normal):
-            continue  # the triple is collinear
-        nonneg, nonpos = keep(Hyperplane(tuple(da * x for x in normal), sum(map(mul, normal, a))))
-        on_plane = nonneg & nonpos
-        for pair in itertools.combinations(_bits(on_plane), 2):
-            spanned[pair] = spanned.get(pair, 0) | on_plane
+    _, rows, masks = _hyperplanes_through(homogeneous, 3)
+    planes = [Hyperplane(row[:3], -row[3]) for row in rows]
     edges = [
         [k for k, h in enumerate(planes) if hyperplane_crosses(h, s)]
         if vmask is None
@@ -843,10 +825,11 @@ def _plane_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
         if base is None:
             raise InputError("cannot cover an empty set with planes")
         h = Hyperplane((ONE, ZERO, ZERO), base[0])
-        nonneg, nonpos = keep(h)
+        nonneg, nonpos = _sign_masks((*h.normal, -h.offset), homogeneous)
         for t, vmask, e in zip(fam, vmasks, edges):
             if hyperplane_crosses(h, t) if vmask is None else vmask & nonneg and vmask & nonpos:
-                e.append(len(planes) - 1)
+                e.append(len(planes))
+        planes.append(h)
     return planes, tuple(frozenset(e) for e in edges)
 
 

@@ -21,7 +21,9 @@ Fraction algebra.  `pairwise_candidate_lines` is the former candidate-line
 builder, one `line_through` per pool pair and one `flat_crosses` scan per
 set; `nullspace_candidate_planes` is the former candidate-plane builder,
 one `fraction_nullspace` per pool triple and `hyperplane_crosses` for its
-fallback scan.  `frozenset_reduce_for_tau` is the former tau reduction,
+fallback scan.  `tuple_scan_hyperplanes` is the reference for the candidate
+hyperplanes of both: the normalized `Hyperplane` through every point
+d-tuple, on the same Fraction algebra.  `frozenset_reduce_for_tau` is the former tau reduction,
 vertex profiles kept as frozensets.  `tau_greedy` is the former greedy
 transversal bound.  `lp_bounded` decides boundedness by LPs, max +-x_i over
 the set.
@@ -536,6 +538,22 @@ def nullspace_candidate_planes(fam) -> list:
             raise AssertionError("an empty set has no fallback plane")
         out.append(Hyperplane((ONE, ZERO, ZERO), base[0]))
     return out
+
+
+def tuple_scan_hyperplanes(points, d: int) -> list[tuple]:
+    """(tuple, Hyperplane) for each distinct hyperplane of R^d through d of
+    the points: every index d-tuple in combination order whose differences
+    span a `fraction_nullspace` of dimension one gives its normalized
+    `Hyperplane`, and the first tuple giving each hyperplane is kept."""
+    planes: dict = {}
+    for t in itertools.combinations(range(len(points)), d):
+        a = points[t[0]]
+        ns = fraction_nullspace([vsub(points[k], a) for k in t[1:]], d)
+        if len(ns) != 1:
+            continue
+        h = Hyperplane(ns[0], dot(ns[0], a))
+        planes.setdefault((h.normal, h.offset), (t, h))
+    return list(planes.values())
 
 
 def lp_bounded(poly) -> bool:

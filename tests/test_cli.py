@@ -77,6 +77,18 @@ def test_check_ch_lists_the_witnesses_of_its_own_sweep(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [("recheck", "report"), ("duality", "hypergraph"), ("pierce", "family")],
+)
+def test_input_help_names_the_document_read(capsys, command, source):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())  # as wrapped to any terminal width
+    assert f"--input INPUT {source} JSON path or '-'" in words
+
+
 def test_generate_then_verify_lower_bound(capsys):
     code, report, _ = invoke(capsys, "generate", "planar", "--f", "2", "--seed", "7")
     assert code == 0

@@ -12,6 +12,7 @@ from conftest import PROPERTY, SMALL, count_calls, points, polyhedra
 from oracles import (
     chart_polytope_from_vertices,
     chart_vertices,
+    fraction_rank,
     line_parameter_interval,
     lp_bounded,
 )
@@ -35,6 +36,7 @@ from hellykit.geometry import (
     Hyperplane,
     Polyhedron,
     _flat_rows,
+    _line_key,
     first_meeting,
     flat_crosses,
     hyperplane_crosses,
@@ -71,6 +73,7 @@ from hellykit.rationals import (
     nullspace,
     rank,
     rat,
+    scaled_ints,
     vadd,
     vec,
     vscale,
@@ -669,6 +672,32 @@ def test_line_through_matches_rational_formula(pair):
     for a, b in ((p, q), (q, p)):  # one of the two orders has a negative leading difference
         line = line_through(a, b)
         assert (line.base, line.directions) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_line_keys_are_equal_exactly_for_collinear_pairs(data):
+    d = data.draw(st.integers(2, 4))
+    p, q = data.draw(points(d, COORD)), data.draw(points(d, COORD))
+    assume(p != q)
+    p, q = vec(p), vec(q)
+
+    forced = data.draw(st.integers(0, 2))  # how many of r, s lie on the line pq by design
+    r, s = (
+        vadd(p, vscale(data.draw(SMALL), vsub(q, p)))
+        if k < forced
+        else vec(data.draw(points(d, SMALL)))
+        for k in range(2)
+    )
+    assume(r != s)
+
+    def key(a, b):
+        da, db = common_denominator(a), common_denominator(b)
+        return _line_key(scaled_ints(a, da), da, scaled_ints(b, db), db)
+
+    collinear = fraction_rank([vsub(x, p) for x in (q, r, s)]) == 1
+    assert (key(p, q) == key(r, s)) == collinear
+    assert key(p, q) == key(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, PROPERTY, corpus_paths, count_calls, load_fixture, polyhedra
+from conftest import (
+    FIXTURES,
+    PROPERTY,
+    SMALL,
+    corpus_paths,
+    count_calls,
+    load_fixture,
+    points,
+    polyhedra,
+)
 from oracles import (
     count_bound_nu_b,
     fraction_nu_star,
@@ -26,8 +35,10 @@ from oracles import (
     nullspace_candidate_planes,
     pairwise_candidate_lines,
     tau_greedy,
+    tuple_scan_hyperplanes,
 )
 from hellykit import hypergraphs
+from hellykit import lp as lp_module
 from hellykit.budgets import SearchBudget
 from hellykit.constructions import generate_planar, generate_simplex_family
 from hellykit.errors import InputError, ScaleError
@@ -60,7 +71,7 @@ from hellykit.hypergraphs import (
     transversal_points,
 )
 from hellykit.instances import random_hypergraph, random_polygon_family
-from hellykit.rationals import ONE, ZERO, rat, vec
+from hellykit.rationals import ONE, ZERO, dot, rat, vadd, vec, vscale, vsub
 from hellykit.serialize import family_from_doc, hypergraph_from_doc
 
 
@@ -121,6 +132,13 @@ def test_duality_report_sandwich():
     assert rep.tau_star_result.value == rat(3, 2)
     assert rep.tau_result.size == 2
     assert rep.sandwich_ok
+
+
+def test_duality_report_checks_b_before_any_program(monkeypatch):
+    tableaux = count_calls(monkeypatch, lp_module, "_Tableau")
+    with pytest.raises(InputError, match="^b must be a positive integer$"):
+        duality_report(triangle(), 0)
+    assert tableaux == []
 
 
 HYPERGRAPH_SEEDS = range(60)
@@ -402,6 +420,44 @@ def test_line_cover_tests_only_fallback_lines_with_flat_crosses(monkeypatch):
     assert line_cover_number(fam).witness == (0,)
     assert through == []
     assert crosses == [(fallback, POINT), (fallback, POINT)]
+
+
+# ---------------------------------------------------------------------------
+# candidate hyperplanes, against the tuple scan
+
+
+@st.composite
+def pools_with_flats(draw, d):
+    """Distinct points of R^d in drawn order: free points, then points on the
+    line through two earlier points or, in R^3, on the plane through three,
+    so that many d-tuples share a hyperplane and many are degenerate."""
+    pool = draw(st.lists(points(d, SMALL), min_size=2, max_size=5))
+    for _ in range(draw(st.integers(0, 5))):
+        a, *others = (draw(st.sampled_from(pool)) for _ in range(draw(st.integers(2, d))))
+        p = a
+        for b in others:
+            p = vadd(p, vscale(draw(SMALL), vsub(b, a)))
+        pool.append(p)
+    return list(dict.fromkeys(vec(p) for p in pool))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(st.just(d), pools_with_flats(d))))
+def test_hyperplanes_through_matches_the_tuple_scan(case):
+    d, pool = case
+    homogeneous = [(*x, den) for x, den in hypergraphs._scaled_pool(pool)]
+    tuples, rows, masks = hypergraphs._hyperplanes_through(homogeneous, d)
+    expected = tuple_scan_hyperplanes(pool, d)
+    assert tuples == [t for t, _ in expected]
+    assert len(rows) == len(masks) == len(expected)
+    for row, sides, (_, h) in zip(rows, masks, expected):
+        # the normalized hyperplane is one row up to a nonzero factor
+        assert Hyperplane(row[:d], -row[d]) == h
+        values = [dot(h.normal, p) - h.offset for p in pool]
+        nonneg = sum(1 << k for k, v in enumerate(values) if v >= 0)
+        nonpos = sum(1 << k for k, v in enumerate(values) if v <= 0)
+        # the closed sides, so their meet is the points on the hyperplane
+        assert sides in ((nonneg, nonpos), (nonpos, nonneg))
 
 
 # ---------------------------------------------------------------------------
