@@ -45,11 +45,12 @@ from .geometry import (
 )
 from .hypergraphs import (
     Hypergraph,
-    _as_line,
-    _line_candidates,
+    _as_flat,
+    _cover_candidates,
     build_point_hypergraph,
     duality_report,
     line_cover_number,
+    piercing_number,
     tau,
     transversal_points,
 )
@@ -217,11 +218,11 @@ def _cmd_pierce(family, request: dict, budget: SearchBudget) -> Outcome:
 
 def _cmd_line_cover(family, request: dict, budget: SearchBudget) -> Outcome:
     fam, _ = family
-    candidates, edges = _line_candidates(list(fam.all_sets()))
+    candidates, edges = _cover_candidates(list(fam.all_sets()), 1)
     result = tau(Hypergraph(len(candidates), edges), budget)
     results = {
         "size": result.size,
-        "lines": [line_to_json(_as_line(candidates[i])) for i in result.witness],
+        "lines": [line_to_json(_as_flat(candidates[i])) for i in result.witness],
         "candidates": len(candidates),
         "exact_over_candidates": True,
     }
@@ -440,8 +441,7 @@ def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
         rep = check_ch(fam, budget)
         claims.append(_claim("colorful Helly property", rep.holds, True, rep.holds))
         for i in range(d):
-            h = build_point_hypergraph(list(fam.classes[i]), budget)
-            r = tau(h, budget)
+            r = piercing_number(list(fam.classes[i]), budget)
             claims.append(
                 _claim(f"piercing number of class {i + 1}", r.size, n, r.size == n)
             )
@@ -454,7 +454,7 @@ def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
         f, m = audit["f"], audit["m"]
         tri = list(construction.triangles)
         seg = list(construction.segments)
-        r1 = tau(build_point_hypergraph(tri, budget), budget)
+        r1 = piercing_number(tri, budget)
         claims.append(
             _claim("piercing number of triangles", r1.size, f">= {f}", r1.size >= f)
         )
@@ -462,7 +462,7 @@ def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
         if seg_disjoint:  # one point per segment is needed, and enough
             seg_tau = len(seg)
         else:
-            seg_tau = tau(build_point_hypergraph(seg, budget), budget).size
+            seg_tau = piercing_number(seg, budget).size
         claims.append(
             _claim("piercing number of segments", seg_tau, 3 * m, seg_tau == 3 * m)
         )
@@ -479,7 +479,7 @@ def _cmd_verify_lower_bound(_, request: dict, budget: SearchBudget) -> Outcome:
         rep = check_ch(fam, budget)
         claims.append(_claim("colorful Helly property", rep.holds, True, rep.holds))
         for i, cls in enumerate(construction.cone_classes):
-            r = tau(build_point_hypergraph(list(cls), budget), budget)
+            r = piercing_number(list(cls), budget)
             claims.append(
                 _claim(f"piercing number of cone class {i + 1}", r.size, f">= {f}", r.size >= f)
             )

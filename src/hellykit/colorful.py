@@ -65,9 +65,8 @@ from .geometry import (
 )
 from .hypergraphs import (
     TransversalResult,
-    _as_line,
-    _line_candidates,
-    _plane_candidates,
+    _as_flat,
+    _cover_candidates,
     line_cover_number,
     maximal_intersecting_subfamilies,
     piercing_number,
@@ -587,11 +586,11 @@ def fractional_two_color_search(
     point candidates are the witness points of maximal intersecting
     subfamilies of A; hyperplane candidates pass through vertices of the
     input sets.  Each one's covered B sets are read from the edges of
-    `hypergraphs._line_candidates` in the plane, where only the winning line
-    is built and converted to a Hyperplane, and of
-    `hypergraphs._plane_candidates` in R^3.  There vertex signs decide each
-    bounded set against a candidate, and rows or the LP decide every other
-    set; an empty set is crossed by no candidate.
+    `hypergraphs._cover_candidates` for hyperplanes (lines in the plane,
+    planes in R^3), and only the winning candidate is built, a line then
+    converted to a Hyperplane.  Vertex signs decide each bounded set against
+    a candidate, and rows or the LP decide every other set; an empty set is
+    crossed by no candidate.
     The first candidate covering the most B sets wins.
     Failing both coverage targets contradicts the dichotomy, so it raises
     TheoremViolationError.
@@ -636,8 +635,7 @@ def fractional_two_color_search(
     live_sets = [a_sets[i] for i in live_a] + [b_sets[j] for j in live_b]
     best_hyperplane, hyperplane_covered = None, ()
     if live_sets:
-        builder = _line_candidates if d == 2 else _plane_candidates
-        candidates, edges = builder(live_sets)
+        candidates, edges = _cover_candidates(live_sets, d - 1)
         covered = [[] for _ in candidates]
         for pos, j in enumerate(live_b, len(live_a)):
             for k in edges[pos]:
@@ -645,8 +643,8 @@ def fractional_two_color_search(
         best = max(range(len(candidates)), key=lambda k: len(covered[k]))
         if covered[best]:
             hyperplane_covered = tuple(covered[best])
-            c = candidates[best]
-            best_hyperplane = _line_to_hyperplane(_as_line(c)) if d == 2 else c
+            flat = _as_flat(candidates[best])
+            best_hyperplane = _line_to_hyperplane(flat) if d == 2 else flat
 
     holds = (
         rat(len(point_covered)) >= gamma_target

@@ -17,11 +17,12 @@ transversals are piercing numbers (vertices = points witnessing maximal
 intersecting subfamilies) or flat-cover numbers (vertices = candidate lines
 or planes drawn from a finite candidate pool).
 
-Line covers in the plane and plane covers in R^3 skip the generic builder
-and share one rule: vertex signs decide bounded sets against hyperplane
-candidates, and rows or the LP decide everything else.  Each pool point is
-scaled once to integers X / D, and one routine, `_hyperplanes_through`,
-builds the candidates of both: the first pool pair or triple spanning each
+Line covers in any R^d and plane covers in R^3 skip the generic builder:
+one routine, `_cover_candidates`, builds the candidates and edges of both.
+Vertex signs decide bounded sets against hyperplane candidates (lines in
+the plane, planes in R^3), and rows or the LP decide everything else.  Each
+pool point is scaled once to integers X / D, and `_hyperplanes_through`
+finds the hyperplane candidates: the first pool pair or triple spanning each
 distinct line or plane, its integer row, and two bitmasks over the pool,
 the points on its closed nonnegative and nonpositive sides, whose meet
 deduplicates the candidates.  A bounded set is the hull of its vertices,
@@ -31,8 +32,9 @@ unbounded one is decided on its rows: by the slacks of the two pool points
 against every row, in Python ints (`_slack_crossings`), for a line, and by
 `hyperplane_crosses` for a plane.  Lines in R^3 are not hyperplanes: they
 are deduplicated by one integer canonical-line key, `geometry._line_key`,
-and take the slack path for every set.  Only a witness line is ever built,
-by `_as_line`.  `build_cover_hypergraph` tests every (candidate, set) pair
+and take the slack path for every set.  A pool line stays its pool pair
+and a pool plane its integer row; only a flat that is read is built, by
+`_as_flat`.  `build_cover_hypergraph` tests every (candidate, set) pair
 with a given predicate; it is the oracle of both.
 """
 
@@ -50,6 +52,7 @@ from .geometry import (
     Hyperplane,
     Point,
     Polyhedron,
+    _joint_dim,
     _line_key,
     flat_crosses,
     hyperplane_crosses,
@@ -711,68 +714,85 @@ def _slack_crossings(s: Polyhedron, pairs: Sequence, scaled: Sequence) -> list[i
     ]
 
 
-def _line_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
-    """(candidates, edges): the candidate lines of `fam`, and for each set the
-    frozenset of candidates crossing it.
+def _cover_candidates(fam: Sequence[Polyhedron], k: int) -> tuple[list, tuple]:
+    """(candidates, edges): the candidate k-flats of `fam`, lines (k = 1) in
+    any R^d or planes (k = 2) in R^3, and for each set the frozenset of
+    candidates crossing it.
 
-    Candidates come in `candidate_lines` order: one per distinct line through
-    two pool points, as the first pool pair (p, q) spanning it, then one axis
-    line per set that no earlier candidate crosses, as an AffineFlat.
-    `_as_line` turns a candidate into its line, so no flat is built for a
-    pool line nobody asks for.
+    Candidates come in `candidate_lines` or `candidate_planes` order: one
+    per distinct flat through pool points, then one fallback flat per set
+    that no earlier candidate crosses, the line through a point of it along
+    x_0 or the plane x_0 = const.  A pool line stays the first pool pair
+    (p, q) spanning it and a pool plane its integer row (n, -c); `_as_flat`
+    builds the flat a candidate stands for, so none is built for a candidate
+    nobody reads.
 
-    Each pool point is scaled once to X / D.  In the plane a line is a
-    hyperplane: each pool line gets its sign masks (`_hyperplanes_through`),
-    which also deduplicate the pool lines, and the vertex signs decide each
-    bounded set (`_vertex_masks`).  The rows decide everything else: sets
-    with no vertex or unbounded ones, and every set when d > 2, where pool
-    lines are deduplicated by `_distinct_lines`.  There each pool point's
-    slacks against the set's rows are computed once, and a line crosses the
-    set when p or q lies in it, and otherwise as `_slacks_meet` decides.
-    Fallback lines are tested against every set with `flat_crosses`.
+    Each pool point is scaled once to X / D.  A hyperplane cover (k = d - 1)
+    takes its candidates from `_hyperplanes_through`, whose sign masks decide
+    each bounded set (`_vertex_masks`, `_crossings`); lines in R^3 take
+    theirs from `_distinct_lines`.  The rows decide every other set: the
+    pool points' slacks for a line (`_slack_crossings`), `hyperplane_crosses`
+    for a plane, whose pool planes are built only then.  Fallback flats are
+    tested against every set with `flat_crosses` or `hyperplane_crosses`.
     """
     if not fam:
         raise InputError("empty family")
-    d = fam[0].dim
+    d = _joint_dim(fam)
+    if k == 2 and d != 3:
+        raise InputError("candidate planes are generated in R^3 only")
     pool = _candidate_point_pool(fam)
     if d < 2 and len(pool) > 1:  # the error `line_through` raises on a pool pair
         raise InputError("flat dimension k must satisfy 0 <= k < dim")
     scaled = _scaled_pool(pool)
-    if d == 2:
-        pairs, _, masks = _hyperplanes_through([(*x, den) for x, den in scaled], 2)
+    if k == d - 1:
+        tuples, rows, masks = _hyperplanes_through([(*x, den) for x, den in scaled], d)
         vmasks = _vertex_masks(fam, scaled)
     else:
-        pairs, vmasks = _distinct_lines(scaled), [None] * len(fam)
-    edges = [
-        _slack_crossings(s, pairs, scaled) if vmask is None else _crossings(vmask, masks)
-        for s, vmask in zip(fam, vmasks)
-    ]
-    candidates: list = [(pool[i], pool[j]) for i, j in pairs]
+        tuples, vmasks = _distinct_lines(scaled), [None] * len(fam)
+    candidates: list = [(pool[i], pool[j]) for i, j in tuples] if k == 1 else rows
+    planes = None
+    edges = []
+    for s, vmask in zip(fam, vmasks):
+        if vmask is not None:
+            edges.append(_crossings(vmask, masks))
+        elif k == 1:
+            edges.append(_slack_crossings(s, tuples, scaled))
+        else:
+            planes = planes or [_as_flat(row) for row in rows]
+            edges.append([i for i, h in enumerate(planes) if hyperplane_crosses(h, s)])
     axis = tuple(ONE if i == 0 else ZERO for i in range(d))
     for s, edge in zip(fam, edges):
         if edge:
             continue
         base = s.feasible_point()
         if base is None:
-            raise InputError("cannot cover an empty set with lines")
-        line = AffineFlat.line(base, axis)
+            raise InputError(f"cannot cover an empty set with {'lines' if k == 1 else 'planes'}")
+        if k == 1:
+            flat, crosses = AffineFlat.line(base, axis), flat_crosses
+        else:
+            flat, crosses = Hyperplane(axis, base[0]), hyperplane_crosses
         for t, e in zip(fam, edges):
-            if flat_crosses(line, t):
+            if crosses(flat, t):
                 e.append(len(candidates))
-        candidates.append(line)
+        candidates.append(flat)
     return candidates, tuple(frozenset(e) for e in edges)
 
 
-def _as_line(candidate) -> AffineFlat:
-    """The line a `_line_candidates` candidate stands for."""
-    return candidate if isinstance(candidate, AffineFlat) else line_through(*candidate)
+def _as_flat(candidate):
+    """The flat a `_cover_candidates` candidate stands for: the line through
+    a pool pair, the plane of an integer row (n, -c), or a fallback flat."""
+    if isinstance(candidate, (AffineFlat, Hyperplane)):
+        return candidate
+    if len(candidate) == 2:
+        return line_through(*candidate)
+    return Hyperplane(candidate[:3], -candidate[3])
 
 
 def candidate_lines(fam: Sequence[Polyhedron]) -> list[AffineFlat]:
     """Lines through pairs of pool points, one per distinct line in order of
     first appearance, plus one axis line per set that no earlier line
-    crosses (an orphan).  Built from `_line_candidates`."""
-    return [_as_line(c) for c in _line_candidates(fam)[0]]
+    crosses (an orphan).  Built from `_cover_candidates`."""
+    return [_as_flat(c) for c in _cover_candidates(fam, 1)[0]]
 
 
 def line_cover_number(
@@ -784,53 +804,12 @@ def line_cover_number(
     is complete, so the value is the true line-cover number; tangency counts
     as crossing because all sets are closed.  In R^3 the value is exact over
     the candidate pool (see the construction verifiers for the a-priori
-    lower-bound argument).  `tau` runs on the edges of `_line_candidates`,
+    lower-bound argument).  `tau` runs on the edges of `_cover_candidates`,
     decided by vertex signs for bounded planar sets and on the rows for the
     rest; the witness indexes `candidate_lines(fam)`, and no line is built.
     """
-    candidates, edges = _line_candidates(fam)
+    candidates, edges = _cover_candidates(fam, 1)
     return tau(Hypergraph(len(candidates), edges), budget)
-
-
-def _plane_candidates(fam: Sequence[Polyhedron]) -> tuple[list, tuple]:
-    """(planes, edges): the candidate planes of `fam` (ambient R^3), and for
-    each set the frozenset of planes crossing it.
-
-    One plane per distinct plane through three pool points, built from the
-    row of the first pool triple spanning it (`_hyperplanes_through`).  Then
-    one plane x_0 = const per set that no earlier plane crosses.  Vertex
-    signs decide each bounded set (`_vertex_masks`), and
-    `hyperplane_crosses`, the LP, decides sets with no vertex and unbounded
-    ones.
-    """
-    if not fam:
-        raise InputError("empty family")
-    if fam[0].dim != 3:
-        raise InputError("candidate planes are generated in R^3 only")
-    scaled = _scaled_pool(_candidate_point_pool(fam))
-    homogeneous = [(*x, den) for x, den in scaled]
-    vmasks = _vertex_masks(fam, scaled)
-    _, rows, masks = _hyperplanes_through(homogeneous, 3)
-    planes = [Hyperplane(row[:3], -row[3]) for row in rows]
-    edges = [
-        [k for k, h in enumerate(planes) if hyperplane_crosses(h, s)]
-        if vmask is None
-        else _crossings(vmask, masks)
-        for s, vmask in zip(fam, vmasks)
-    ]
-    for s, edge in zip(fam, edges):
-        if edge:
-            continue
-        base = s.feasible_point()
-        if base is None:
-            raise InputError("cannot cover an empty set with planes")
-        h = Hyperplane((ONE, ZERO, ZERO), base[0])
-        nonneg, nonpos = _sign_masks((*h.normal, -h.offset), homogeneous)
-        for t, vmask, e in zip(fam, vmasks, edges):
-            if hyperplane_crosses(h, t) if vmask is None else vmask & nonneg and vmask & nonpos:
-                e.append(len(planes))
-        planes.append(h)
-    return planes, tuple(frozenset(e) for e in edges)
 
 
 def candidate_planes(fam: Sequence[Polyhedron]) -> list[Hyperplane]:
@@ -838,8 +817,8 @@ def candidate_planes(fam: Sequence[Polyhedron]) -> list[Hyperplane]:
     one per distinct plane in order of first appearance, plus one plane
     x_0 = const per set that no earlier plane crosses: vertex signs decide
     whether a plane crosses a bounded set, and the LP decides the rest.
-    Built from `_plane_candidates`."""
-    return _plane_candidates(fam)[0]
+    Built from `_cover_candidates`."""
+    return [_as_flat(c) for c in _cover_candidates(fam, 2)[0]]
 
 
 def plane_cover_number(
@@ -847,10 +826,11 @@ def plane_cover_number(
 ) -> TransversalResult:
     """Minimum candidate planes crossing every set (d = 3 dichotomy probe),
     exact over the candidate pool.  `tau` runs on the edges of
-    `_plane_candidates`, decided by vertex signs for bounded sets and by the
-    LP for the rest; the witness indexes `candidate_planes(fam)`."""
-    planes, edges = _plane_candidates(fam)
-    return tau(Hypergraph(len(planes), edges), budget)
+    `_cover_candidates`, decided by vertex signs for bounded sets and by the
+    LP for the rest; the witness indexes `candidate_planes(fam)`, and no
+    plane is built for a bounded family."""
+    candidates, edges = _cover_candidates(fam, 2)
+    return tau(Hypergraph(len(candidates), edges), budget)
 
 
 def build_cover_hypergraph(
@@ -861,8 +841,8 @@ def build_cover_hypergraph(
     `crosses(candidate, set)` decides crossing; None means `flat_crosses`,
     looked up at call time so a rebound (for example traced) predicate is used.
     One call per (candidate, set) pair.  Line and plane covers do not build
-    their hypergraphs here (see `_line_candidates` and `_plane_candidates`),
-    so they carry no payload; this builder with `flat_crosses`, or with
+    their hypergraphs here (see `_cover_candidates`), so they carry no
+    payload; this builder with `flat_crosses`, or with
     `hyperplane_crosses` for planes, is their oracle.
     """
     crosses = crosses or flat_crosses

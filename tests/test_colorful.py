@@ -43,7 +43,14 @@ from hellykit.geometry import (
     polyhedra_intersect,
     polytope_from_vertices,
 )
-from hellykit.hypergraphs import candidate_lines, piercing_number
+from hellykit.hypergraphs import (
+    TransversalResult,
+    build_cover_hypergraph,
+    candidate_lines,
+    candidate_planes,
+    piercing_number,
+    tau,
+)
 from hellykit.instances import (
     random_ch_family,
     random_ch_pair,
@@ -473,6 +480,28 @@ def test_dichotomy_report_structure():
     assert successful
     best = successful[0]
     assert best.pierce.size <= 1 or (best.cover and best.cover.size <= 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dichotomy_report_in_space_matches_the_cover_oracles(seed):
+    # every split is probed (f_budget admits any pierce); k = 1 covers the
+    # rest with lines, k = 2 with planes and k = 3 with the space
+    fam = random_ch_family(seed, 3)
+    rep = dichotomy_report(fam, f_budget=len(fam.all_sets()), g_budget=1)
+    assert [e.k for e in rep.entries] == [1] * 4 + [2] * 6 + [3] * 4
+    for e in rep.entries:
+        rest = [
+            s for i, cls in enumerate(fam.classes) if i not in e.pierced_classes for s in cls
+        ]
+        if e.k == 1:
+            oracle = build_cover_hypergraph(rest, candidate_lines(rest))
+            assert (e.cover_kind, e.cover) == ("line", tau(oracle))
+        elif e.k == 2:
+            oracle = build_cover_hypergraph(rest, candidate_planes(rest), hyperplane_crosses)
+            assert (e.cover_kind, e.cover) == ("plane", tau(oracle))
+        else:
+            assert (e.cover_kind, e.cover) == ("space", TransversalResult(1, ()))
+        assert e.within_budgets == (e.cover.size <= 1)
 
 
 def test_pierced_class_certificate_is_checkable_downstream():

@@ -41,7 +41,7 @@ from hellykit import hypergraphs
 from hellykit import lp as lp_module
 from hellykit.budgets import SearchBudget
 from hellykit.constructions import generate_planar, generate_simplex_family
-from hellykit.errors import InputError, ScaleError
+from hellykit.errors import DimensionError, InputError, ScaleError
 from hellykit.geometry import (
     AffineFlat,
     Halfspace,
@@ -52,9 +52,9 @@ from hellykit.geometry import (
 )
 from hellykit.hypergraphs import (
     Hypergraph,
+    _as_flat,
     _candidate_point_pool,
-    _line_candidates,
-    _plane_candidates,
+    _cover_candidates,
     build_cover_hypergraph,
     build_point_hypergraph,
     candidate_lines,
@@ -326,7 +326,7 @@ def assert_cover_matches_oracle(fam):
     lines = candidate_lines(fam)
     assert lines == pairwise_candidate_lines(fam)
     oracle = build_cover_hypergraph(fam, lines)
-    candidates, edges = _line_candidates(fam)
+    candidates, edges = _cover_candidates(fam, 1)
     assert len(candidates) == len(lines)
     assert edges == oracle.edges
     assert line_cover_number(fam) == tau(oracle)
@@ -477,7 +477,8 @@ def assert_plane_cover_matches_oracle(fam):
     planes = candidate_planes(fam)
     assert planes == nullspace_candidate_planes(fam)
     oracle = build_cover_hypergraph(fam, planes, hyperplane_crosses)
-    assert _plane_candidates(fam) == (planes, oracle.edges)
+    candidates, edges = _cover_candidates(fam, 2)
+    assert ([_as_flat(c) for c in candidates], edges) == (planes, oracle.edges)
     result = plane_cover_number(fam)
     assert result == tau(oracle)
     return planes, result
@@ -513,6 +514,40 @@ def test_plane_cover_matches_the_oracle_on_drawn_polyhedra(fam):
             plane_cover_number(fam)
         return
     assert_plane_cover_matches_oracle(fam)
+
+
+def test_plane_cover_of_bounded_classes_builds_no_plane(monkeypatch):
+    # vertex signs decide every bounded set, so no candidate row becomes a
+    # Hyperplane; the witness indexes `candidate_planes` all the same
+    classes = simplex_cover_classes(7000)
+    assert all(s._vertex_frame.bounded for fam in classes for s in fam)
+    built = []
+    real = Hyperplane.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Hyperplane, "__post_init__", counted)
+    covers = [plane_cover_number(fam) for fam in classes]
+    assert built == []
+    assert [(r.size, r.witness) for r in covers] == [
+        SIMPLEX_PLANE_COVERS[7000, k][1:] for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize("cover", [line_cover_number, plane_cover_number])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_covers_reject_mixed_dimensions(cover, dims):
+    fam = [box((0,) * d, (1,) * d) for d in dims]
+    with pytest.raises(DimensionError, match="^mixed ambient dimensions$"):
+        cover(fam)
+
+
+@pytest.mark.parametrize("cover", [line_cover_number, plane_cover_number])
+def test_covers_reject_an_empty_family(cover):
+    with pytest.raises(InputError, match="^empty family$"):
+        cover([])
 
 
 @st.composite
