@@ -20,8 +20,6 @@ __version__ = "0.1.0"
 # defining module -> the public names it exports through the package
 _EXPORTS = {
     "bounds": (
-        "BoundFormulas",
-        "DEFAULT_FORMULAS",
         "M",
         "beta_default",
         "f_prime",

@@ -5,10 +5,11 @@ Closed-form coverage fractions are evaluated exactly:
     lam(alpha, d)   = alpha^(d+2) / (4 d 3^(d+1))
     gamma(alpha, d) = min(beta(d * lam(alpha, d), d), alpha / (6 d))
 
-beta(alpha, d) is the fractional-Helly piercing fraction and is a pluggable
-configuration point.  The default 1 - (1 - alpha)^(1/(d+1)) is irrational, so
-it is reported as a certified rational lower bound computed by exact dyadic
-bisection of the predicate (1 - q)^(d+1) >= 1 - alpha.
+beta(alpha, d) is the fractional-Helly piercing fraction.  Kalai ("Intersection
+patterns of convex sets", 1984) proved 1 - (1 - alpha)^(1/(d+1)) optimal, so
+that is the one beta used.  It is irrational, so it is reported as a certified
+rational lower bound computed by exact dyadic bisection of the predicate
+(1 - q)^(d+1) >= 1 - alpha.
 
 The recursive piercing/crossing counts are tracked but never evaluated:
 M(i, d) bottoms out at integers for i <= 2 and otherwise expands into opaque
@@ -20,7 +21,7 @@ attempt to read them as numbers is a type error by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .errors import InputError
 from .rationals import ONE, ZERO, rat, rat_str
@@ -70,11 +71,11 @@ def lam(alpha, d: int):
     return a ** (d + 2) / (4 * d * rat(3) ** (d + 1))
 
 
-def beta_default(alpha, d: int, precision_bits: int = 48):
+def beta_default(alpha, d: int):
     """Certified rational lower bound on 1 - (1 - alpha)^(1/(d+1)).
 
-    Bisects q over a dyadic grid using the exact predicate
-    (1 - q)^(d+1) >= 1 - alpha, and doubles the grid depth until the bound
+    Bisects q over a dyadic grid of depth 48 using the exact predicate
+    (1 - q)^(d+1) >= 1 - alpha, and doubles the depth until the bound
     is strictly positive, so the result is always usable as a piercing
     fraction.  At any fixed depth the returned grid point is non-decreasing
     in alpha because the true root is.
@@ -84,7 +85,7 @@ def beta_default(alpha, d: int, precision_bits: int = 48):
         return ONE
     target = ONE - a
     e = d + 1
-    bits = precision_bits
+    bits = 48
     while True:
         lo, hi = ZERO, ONE
         for _ in range(bits):
@@ -103,33 +104,12 @@ BETA_DEFAULT_LABEL = (
 )
 
 
-def gamma(alpha, d: int, beta: Callable = beta_default):
-    """Piercing fraction min(beta(d * lam, d), alpha / (6 d)); exact given a
-    rational-valued beta.  The beta argument d * lam(alpha, d) never exceeds
-    1/12, so it is always a legal fraction."""
+def gamma(alpha, d: int):
+    """Piercing fraction min(beta_default(d * lam, d), alpha / (6 d)); exact.
+    The beta argument d * lam(alpha, d) never exceeds 1/12, so it is always a
+    legal fraction."""
     a = _check_alpha_dim(alpha, d)
-    return min(beta(d * lam(a, d), d), a / (6 * d))
-
-
-@dataclass(frozen=True)
-class BoundFormulas:
-    """Bundles the coverage-fraction formulas with a chosen beta.
-
-    beta_label travels into reports so downstream output records which
-    fractional-Helly bound produced the thresholds.
-    """
-
-    beta: Callable = beta_default
-    beta_label: str = BETA_DEFAULT_LABEL
-
-    def lam(self, alpha, d: int):
-        return lam(alpha, d)
-
-    def gamma(self, alpha, d: int):
-        return gamma(alpha, d, beta=self.beta)
-
-
-DEFAULT_FORMULAS = BoundFormulas()
+    return min(beta_default(d * lam(a, d), d), a / (6 * d))
 
 
 # ---------------------------------------------------------------------------

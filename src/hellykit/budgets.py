@@ -35,7 +35,7 @@ _ENV_FIELDS = {
 }
 
 
-def budget_from_env(environ, base: SearchBudget = DEFAULT_BUDGET) -> SearchBudget:
+def budget_from_env(environ) -> SearchBudget:
     overrides = {}
     for var, fld in _ENV_FIELDS.items():
         if var in environ:
@@ -45,4 +45,4 @@ def budget_from_env(environ, base: SearchBudget = DEFAULT_BUDGET) -> SearchBudge
                 from .errors import InputError
 
                 raise InputError(f"{var} must be an integer, got {environ[var]!r}")
-    return base.scaled(**overrides) if overrides else base
+    return DEFAULT_BUDGET.scaled(**overrides)

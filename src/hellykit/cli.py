@@ -67,6 +67,7 @@ from .serialize import (
     line_from_json,
     line_to_json,
     point_to_json,
+    row_to_json,
     vec_from_json,
     vec_to_json,
 )
@@ -244,10 +245,7 @@ def _cmd_two_color(family, request: dict, budget: SearchBudget) -> Outcome:
     results = {
         "outcome": "hyperplanes",
         "class_crossed": out.class_index,
-        "hyperplanes": [
-            {"normal": vec_to_json(h.normal), "offset": rat_str(h.offset)}
-            for h in out.hyperplanes
-        ],
+        "hyperplanes": [row_to_json(h) for h in out.hyperplanes],
     }
     log = [
         f"{len(out.hyperplanes)} hyperplanes (at most the dimension) cross "
@@ -298,14 +296,7 @@ def _cmd_fractional(family, request: dict, budget: SearchBudget) -> Outcome:
             "target": rat_str(rep.gamma_target),
         },
         "hyperplane_side": {
-            "hyperplane": (
-                {
-                    "normal": vec_to_json(rep.best_hyperplane.normal),
-                    "offset": rat_str(rep.best_hyperplane.offset),
-                }
-                if rep.best_hyperplane
-                else None
-            ),
+            "hyperplane": row_to_json(rep.best_hyperplane) if rep.best_hyperplane else None,
             "covered": list(rep.hyperplane_covered),
             "target": rat_str(rep.lambda_target),
         },
@@ -754,6 +745,19 @@ def _stored_report(doc) -> dict:
     return doc
 
 
+def _differing_parameters(request: dict) -> list:
+    """The construction parameters whose top-level copy, the one a re-run
+    reads, differs from the digested copy in `input`.  Every digested
+    parameter but `kind` (implied by `relint-check`) has a top-level copy."""
+    params = request["input"]
+    if not isinstance(params, dict):
+        raise InputError("malformed stored request: 'input' is not an object")
+    missing = sorted(k for k in params if k not in request and k != "kind")
+    if missing:
+        raise InputError(f"malformed stored request: missing {missing}")
+    return sorted(k for k, v in params.items() if k in request and request[k] != v)
+
+
 def _cmd_recheck(report: dict, request: dict, budget: SearchBudget) -> Outcome:
     """Check the stored certificate, then re-run the stored request under
     the stored budgets and demand the same results and exit code."""
@@ -771,10 +775,18 @@ def _cmd_recheck(report: dict, request: dict, budget: SearchBudget) -> Outcome:
             "recomputed": fresh,
         }
         return Outcome(results, EXIT_REFUTED, ["digest mismatch"])
+    entry = _COMMANDS.get(command)
+    if entry is not None and entry.read is None:
+        differing = _differing_parameters(stored_request)
+        if differing:
+            results = {
+                "agrees": False,
+                "reason": "request parameters differ from the digested input",
+                "parameters": differing,
+            }
+            return Outcome(results, EXIT_REFUTED, ["parameter mismatch"])
     try:
-        note = _check_results(
-            command, stored_results, lambda: _COMMANDS[command].read(stored_request["input"])
-        )
+        note = _check_results(command, stored_results, lambda: entry.read(stored_request["input"]))
     except TheoremViolationError as exc:
         raise TheoremViolationError(f"stored {exc}") from None
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -818,10 +830,10 @@ def _planar_svg(construction) -> str:
         'viewBox="0 0 600 600">'
     ]
 
-    def polygon(vertices, stroke, fill="none", width=2):
+    def polygon(vertices, stroke, width=2):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(_svg_coords, vertices))
         parts.append(
-            f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}" '
+            f'<polygon points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>'
         )
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .bounds import BoundFormulas, DEFAULT_FORMULAS
+from .bounds import BETA_DEFAULT_LABEL, gamma, lam
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .errors import (
     DimensionError,
@@ -74,28 +74,6 @@ from .hypergraphs import (
 )
 from .lp import Infeasible, Optimal, aggregate_rows, lp_solve
 from .rationals import ZERO, dot, is_zero_vec, rat, vec
-
-__all__ = [
-    "ColoredFamily",
-    "ChReport",
-    "PiercedClass",
-    "LineCover",
-    "HyperplaneCover",
-    "DichotomyOutcome",
-    "SeparatingHalfspaces",
-    "FractionalSearchReport",
-    "DichotomyEntry",
-    "DichotomyReport",
-    "check_ch",
-    "intersecting_class",
-    "separating_halfspaces",
-    "helly_witness",
-    "two_color_lemma",
-    "theorem_main_d2",
-    "generic_line_class",
-    "fractional_two_color_search",
-    "dichotomy_report",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +555,6 @@ def fractional_two_color_search(
     a_sets: Sequence[Polyhedron],
     b_sets: Sequence[Polyhedron],
     alpha,
-    formulas: BoundFormulas = DEFAULT_FORMULAS,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> FractionalSearchReport:
     """Search the promised point/hyperplane dichotomy at fraction alpha.
@@ -615,8 +592,8 @@ def fractional_two_color_search(
             f"required fraction",
             witness=pair_count,
         )
-    gamma_value = formulas.gamma(alpha, d)
-    lambda_value = formulas.lam(alpha, d)
+    gamma_value = gamma(alpha, d)
+    lambda_value = lam(alpha, d)
     gamma_target = gamma_value * len(a_sets)
     lambda_target = lambda_value * len(b_sets)
 
@@ -668,7 +645,7 @@ def fractional_two_color_search(
         best_hyperplane=best_hyperplane,
         hyperplane_covered=hyperplane_covered,
         holds=holds,
-        beta_label=formulas.beta_label,
+        beta_label=BETA_DEFAULT_LABEL,
     )
 
 

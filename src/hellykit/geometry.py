@@ -729,6 +729,8 @@ def _line_key(p: Sequence[int], dp: int, q: Sequence[int], dq: int) -> tuple:
 def line_through(p: Sequence, q: Sequence) -> AffineFlat:
     """Canonical line through two distinct points, built from `_line_key`."""
     p, q = vec(p), vec(q)
+    if len(p) != len(q):
+        raise DimensionError("line through points of different widths")
     dp, dq = common_denominator(p), common_denominator(q)
     v, den, *base = _line_key(scaled_ints(p, dp), dp, scaled_ints(q, dq), dq)
     return AffineFlat(len(p), tuple(rat(x, den) for x in base), (tuple(rat(x) for x in v),))

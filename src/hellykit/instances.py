@@ -31,11 +31,11 @@ from .rationals import ONE, ZERO, dot, is_zero_vec, rat, vadd
 _RETRIES = 400
 
 
-def random_hypergraph(seed: int, max_vertices: int = 12, max_edges: int = 20) -> Hypergraph:
-    """Random hypergraph on 2..max_vertices vertices with nonempty edges."""
+def random_hypergraph(seed: int) -> Hypergraph:
+    """Random hypergraph on 2..12 vertices with 1..20 nonempty edges."""
     rng = random.Random(f"hypergraph:{seed}")
-    n = rng.randint(2, max_vertices)
-    m = rng.randint(1, max_edges)
+    n = rng.randint(2, 12)
+    m = rng.randint(1, 20)
     edges = []
     for _ in range(m):
         size = rng.randint(1, n)
@@ -43,12 +43,12 @@ def random_hypergraph(seed: int, max_vertices: int = 12, max_edges: int = 20) ->
     return Hypergraph(n, tuple(edges))
 
 
-def _random_polygon(rng: random.Random, span: int = 8) -> Polyhedron:
-    """Full-dimensional convex polygon with small integer vertices."""
+def _random_polygon(rng: random.Random) -> Polyhedron:
+    """Full-dimensional convex polygon with integer vertices in [-8, 8]^2."""
     for _ in range(_RETRIES):
         k = rng.randint(3, 6)
         pts = [
-            (rat(rng.randint(-span, span)), rat(rng.randint(-span, span)))
+            (rat(rng.randint(-8, 8)), rat(rng.randint(-8, 8)))
             for _ in range(k)
         ]
         poly = polytope_from_vertices(2, pts)
@@ -57,10 +57,10 @@ def _random_polygon(rng: random.Random, span: int = 8) -> Polyhedron:
     raise GenerationError("could not draw a full-dimensional polygon")
 
 
-def random_polygon_family(seed: int, max_sets: int = 5) -> list[Polyhedron]:
-    """2..max_sets planar polygons, some clustered so intersections occur."""
+def random_polygon_family(seed: int) -> list[Polyhedron]:
+    """2..5 planar polygons, some clustered so intersections occur."""
     rng = random.Random(f"polygons:{seed}")
-    count = rng.randint(2, max_sets)
+    count = rng.randint(2, 5)
     out = []
     for _ in range(count):
         poly = _random_polygon(rng)

@@ -47,7 +47,7 @@ def vec_from_json(obj) -> tuple:
 # -- rows and polyhedra -------------------------------------------------------
 
 
-def _row_to_json(row) -> dict:
+def row_to_json(row) -> dict:
     return {"normal": vec_to_json(row.normal), "offset": rat_str(row.offset)}
 
 
@@ -69,8 +69,8 @@ def hyperplane_from_json(obj: dict) -> Hyperplane:
 
 def polyhedron_to_json(poly: Polyhedron) -> dict:
     hrep = {
-        "inequalities": [_row_to_json(h) for h in poly.inequalities],
-        "equalities": [_row_to_json(h) for h in poly.equalities],
+        "inequalities": [row_to_json(h) for h in poly.inequalities],
+        "equalities": [row_to_json(h) for h in poly.equalities],
     }
     out = {"hrep": hrep}
     if poly.vertices_hint is not None:
@@ -150,7 +150,7 @@ def family_from_doc(doc: dict) -> tuple[ColoredFamily, list[str]]:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema_version {doc.get('schema_version')!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError("family document needs an integer dim >= 1")
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list) or not raw_classes:
@@ -189,19 +189,19 @@ def hypergraph_from_doc(doc: dict) -> Hypergraph:
         raise InputError(f"unsupported schema_version {doc.get('schema_version')!r}")
     n = doc.get("vertices")
     edges = doc.get("edges")
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise InputError("hypergraph document needs 'vertices' and 'edges'")
+    if type(n) is not int or n < 0 or not isinstance(edges, list):
+        raise InputError(
+            "hypergraph document needs an integer 'vertices' >= 0 and an 'edges' list"
+        )
+    if not all(isinstance(e, list) and all(type(v) is int for v in e) for e in edges):
+        raise InputError("edges must be lists of integer vertex indices")
     payload = None
     if "points" in doc:
         pts = doc["points"]
         if not isinstance(pts, list) or len(pts) != n:
             raise InputError("'points' must list one point per vertex")
         payload = tuple(Point(vec_from_json(p)) for p in pts)
-    try:
-        frozen = tuple(frozenset(int(v) for v in e) for e in edges)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"edges must be lists of vertex indices: {exc}") from None
-    return Hypergraph(n, frozen, payload=payload)
+    return Hypergraph(n, tuple(edges), payload=payload)
 
 
 # -- certificates and flats ---------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from hellykit.bounds import (
-    DEFAULT_FORMULAS,
+    BETA_DEFAULT_LABEL,
     M,
     Sym,
     beta_default,
@@ -64,9 +64,8 @@ def test_gamma_takes_the_binding_minimum():
     assert 0 < g <= rat(1, 12)
 
 
-def test_default_formulas_bundle():
-    assert DEFAULT_FORMULAS.lam(1, 2) == rat(1, 216)
-    assert "dyadic" in DEFAULT_FORMULAS.beta_label
+def test_beta_label_names_the_dyadic_bound():
+    assert "dyadic" in BETA_DEFAULT_LABEL
 
 
 def test_m_base_cases_are_exact():

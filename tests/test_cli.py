@@ -211,6 +211,32 @@ def test_missing_input_file_exits_four(capsys, tmp_path):
     assert code == 4
 
 
+_TRIANGLE = load_fixture("hypergraph_triangle.json")
+_INTERVAL = {
+    "schema_version": 1,
+    "dim": 1,
+    "classes": [{"sets": [{"hrep": {"inequalities": [{"normal": ["1"], "offset": "1"}]}}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("duality", dict(_TRIANGLE, edges=["01", [1, 2], [0, 2]])),
+        ("duality", dict(_TRIANGLE, edges=[[True, 2], [1, 2], [0, 2]])),
+        ("duality", dict(_TRIANGLE, edges=[[1.9, 2], [1, 2], [0, 2]])),
+        ("duality", dict(_TRIANGLE, vertices=True, edges=[[0]])),
+        ("duality", dict(_TRIANGLE, vertices=-1, edges=[])),
+        ("pierce", dict(_INTERVAL, dim=True)),
+    ],
+    ids=["string-edge", "bool-vertex", "float-vertex", "bool-count", "negative-count", "bool-dim"],
+)
+def test_documents_with_non_integer_counts_or_indices_exit_four(capsys, tmp_path, command, doc):
+    code, report, _ = invoke(capsys, command, "--input", _write_json(tmp_path, "doc.json", doc))
+    assert code == report["exit_code"] == 4
+    assert "integer" in report["results"]["error"]  # refused by the reader
+
+
 def test_budget_exhaustion_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("HELLYKIT_MAX_RAINBOW_TUPLES", "1")
     code, report, _ = invoke(
@@ -701,3 +727,34 @@ def test_malformed_stored_request_gives_a_json_verdict(capsys, tmp_path, argv, f
     assert code == 4
     assert "malformed stored request" in verdict["results"]["error"]
     assert field in verdict["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, field, genuine, forged",
+    [
+        (("generate", "figure1", "--d", "2"), "n", 1, 2),
+        (("verify-lower-bound", "planar"), "f", 2, 1),
+    ],
+    ids=["generate-n", "verify-lower-bound-f"],
+)
+def test_forged_request_parameter_is_refuted(capsys, tmp_path, argv, field, genuine, forged):
+    # the forged report holds the results a run with the forged value gives,
+    # so only the digested copy of the parameter tells it apart
+    _, report, _ = invoke(capsys, *argv, f"--{field}", str(genuine))
+    code, forged_report, _ = invoke(capsys, *argv, f"--{field}", str(forged))
+    assert code == report["exit_code"] == 0
+    report["request"][field] = forged
+    report["results"] = forged_report["results"]
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["agrees"] is False
+    assert verdict["results"]["parameters"] == [field]
+
+
+def test_request_missing_a_digested_parameter_is_malformed(capsys, tmp_path):
+    code, report, _ = invoke(capsys, "relint-check", "--d", "2", "--f", "1")
+    assert code == 0
+    del report["request"]["seed"]
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 4
+    assert verdict["results"]["error"] == "malformed stored request: missing ['seed']"

@@ -177,6 +177,12 @@ def test_line_through_equal_points_rejected():
         line_through(vec((1, 1)), vec((1, 1)))
 
 
+@pytest.mark.parametrize("p, q", [((0, 0), (1, 1, 5)), ((1, 1, 5), (0, 0))])
+def test_line_through_points_of_different_widths_rejected(p, q):
+    with pytest.raises(DimensionError):
+        line_through(vec(p), vec(q))
+
+
 def test_polytope_from_vertices_round_trip():
     verts = (vec((0, 0)), vec((4, 0)), vec((0, 4)))
     poly = polytope_from_vertices(2, verts)

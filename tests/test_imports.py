@@ -1,6 +1,7 @@
 """Every name a hellykit module imports is used in that module, every
 module-level definition is reached from the package (or named on a short
-list of test and benchmark helpers), importing the package loads nothing
+list of test and benchmark helpers), only the package defines `__all__`,
+importing the package loads nothing
 outside it and the standard library, and a CLI request loads only the
 package modules its subcommand runs."""
 
@@ -227,7 +228,20 @@ def test_every_public_name_resolves_to_its_defining_module():
     wrong, star, names = json.loads(run_python(code))
     assert wrong == []
     assert star == names
-    assert len(names) == 83
+    assert len(names) == 81
+
+
+def test_only_the_package_defines_an_export_list():
+    # one export list, `hellykit._EXPORTS`, so no module's list can disagree
+    defining = [
+        p.name
+        for p in sorted((SRC / "hellykit").glob("*.py"))
+        if any(
+            isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+            for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        )
+    ]
+    assert defining == ["__init__.py"]
 
 
 def test_an_unknown_attribute_raises_attribute_error():
