@@ -11,8 +11,11 @@ constructive at desk scale:
 * intersecting_class finds the promised class on (d+1)-colored CH input;
 * two_color_lemma: when every A-member meets every B-member, either all of
   A shares a point, or the bounding hyperplanes of a separating-halfspace
-  family (built from a minimal empty witness inside A) cross every B-member
-  with at most d hyperplanes;
+  family cross every B-member with at most d hyperplanes.  The halfspaces
+  separate an inclusion-minimal empty witness inside A (its sets share no
+  point, but drop any one and the rest do), the only family
+  separating_halfspaces accepts: minimality gives every halfspace a nonzero
+  normal;
 * theorem_main_d2 runs the two-colored step twice in the plane: one class
   is pierced by a single point, or at most four verified lines cross
   everything;
@@ -122,19 +125,6 @@ class HyperplaneCover:
 DichotomyOutcome = Union[PiercedClass, LineCover, HyperplaneCover]
 
 
-@dataclass(frozen=True)
-class SeparatingHalfspaces:
-    """One halfspace per input set, jointly empty, with Farkas provenance.
-
-    repaired lists the input positions whose aggregated normal vanished and
-    whose halfspace therefore came from the set's own rows instead.
-    """
-
-    halfspaces: tuple
-    farkas: tuple  # FarkasEntry list for the joint system
-    repaired: tuple = ()
-
-
 # ---------------------------------------------------------------------------
 # CH verification and the (d+1)-colored consequence
 
@@ -237,52 +227,29 @@ def _halfspace_contains_set(h: Halfspace, s: Polyhedron) -> bool:
     return isinstance(out, Infeasible)  # empty sets sit inside everything
 
 
-def _own_row_halfspace(s: Polyhedron) -> Halfspace:
-    if s.inequalities:
-        return s.inequalities[0]
-    h = s.equalities[0]
-    return Halfspace(h.normal, h.offset)
-
-
-def _repair_halfspace(s: Polyhedron, others: Sequence[Halfspace]) -> Halfspace:
-    """Halfspace containing s, disjoint from the (provably empty) rest.
-
-    A separation attempt against the other aggregates runs first; when its
-    certificate puts no weight on the rows of s (which happens exactly when
-    the other aggregates are contradictory on their own), any row of s works.
-    """
-    sets = [s, Polyhedron(s.dim, tuple(others))]
-    cert = polyhedra_intersect(sets)
-    if not cert.feasible:
-        normal, offset = aggregate_rows(
-            s.dim, ((e.multiplier, e.row(sets)) for e in cert.farkas if e.set_index == 0)
-        )
-        if not is_zero_vec(normal):
-            return Halfspace(normal, offset)
-    return _own_row_halfspace(s)
-
-
-def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
-    """Halfspaces H_i containing the respective sets with empty intersection.
+def separating_halfspaces(sets: Sequence[Polyhedron]) -> tuple:
+    """Halfspaces H_i containing the respective sets with empty intersection,
+    for an inclusion-minimal empty family: the sets share no point, and
+    removing any one of them leaves a family that does (`_minimal_empty`).
 
     Groups the Farkas multipliers of the joint infeasible system by the
     originating set; each group aggregates to one halfspace containing its
-    set, and the aggregates sum to an absurd constraint, so their
-    intersection is empty.  Groups whose normal cancels to zero are repaired
-    from the set's own rows.  Both postconditions are re-verified by LP
-    before returning.
+    set, and the aggregates sum to an absurd constraint 0 . x <= c < 0, so
+    their intersection is empty.  A certificate of equality rows only may
+    sum to 0 = c with c > 0; its multipliers are sign-free, so it is negated
+    first.
+
+    Minimality makes every aggregated normal nonzero.  Were group i's normal
+    zero, it would read 0 . x <= c_i, valid on its nonempty set, so c_i >= 0;
+    the other groups alone would then sum to 0 . x <= c - c_i < 0 and refute
+    the family without set i, which has a common point.  A vanishing normal
+    therefore raises PreconditionError naming that set.  Both postconditions
+    are re-verified by LP before returning.
     """
     sets = list(sets)
     if not sets:
         raise InputError("need at least one set")
     d = sets[0].dim
-    for i, s in enumerate(sets):
-        if not (s.inequalities or s.equalities):
-            raise InputError(
-                f"set {i} is the whole space; no halfspace can contain it"
-            )
-        if s.is_empty():
-            raise InputError(f"set {i} is empty; separation needs nonempty sets")
     cert = polyhedra_intersect(sets)
     if cert.feasible:
         raise PreconditionError(
@@ -294,35 +261,28 @@ def separating_halfspaces(sets: Sequence[Polyhedron]) -> SeparatingHalfspaces:
         return aggregate_rows(d, ((e.multiplier, e.row(sets)) for e in weighted))
 
     if aggregate(entries)[1] > 0:
-        # pure-equality contradictions may aggregate to 0 = c with c > 0;
-        # equality multipliers are sign-free, so negate the certificate
         if any(e.kind != "eq" for e in entries):
             raise TheoremViolationError("positive constant with inequality rows")
         entries = [
             FarkasEntry(e.set_index, e.kind, e.row_index, -e.multiplier)
             for e in entries
         ]
-    halfspaces: list = [None] * len(sets)
-    repaired = []
+    halfspaces = []
     for i in range(len(sets)):
         normal, offset = aggregate(e for e in entries if e.set_index == i)
         if is_zero_vec(normal):
-            if offset < 0:
-                raise TheoremViolationError(
-                    f"nonempty set {i} received a self-contradictory aggregate"
-                )
-            repaired.append(i)
-        else:
-            halfspaces[i] = Halfspace(normal, offset)
-    for i in repaired:
-        others = [h for h in halfspaces if h is not None]
-        halfspaces[i] = _repair_halfspace(sets[i], others)
+            raise PreconditionError(
+                f"set {i} gets a zero normal: the family is not an "
+                f"inclusion-minimal empty family of nonempty sets",
+                witness=i,
+            )
+        halfspaces.append(Halfspace(normal, offset))
     for i, (h, s) in enumerate(zip(halfspaces, sets)):
         if not _halfspace_contains_set(h, s):
             raise TheoremViolationError(f"halfspace {i} fails to contain its set")
     if not Polyhedron(d, tuple(halfspaces)).is_empty():
         raise TheoremViolationError("separating halfspaces still intersect")
-    return SeparatingHalfspaces(tuple(halfspaces), tuple(entries), tuple(repaired))
+    return tuple(halfspaces)
 
 
 def helly_witness(sets: Sequence[Polyhedron]) -> list[int]:
@@ -373,11 +333,12 @@ def two_color_lemma(
 
     Requires every A-member to meet every B-member (verified by `check_ch` on
     the two-class family (A, B), unless the caller vouches via
-    pairs_checked).  When A has no common point, a minimal empty witness
-    inside A yields separating halfspaces; every B-member meets each witness
-    set, so it cannot avoid the boundaries of the first w-1 halfspaces
-    without landing in their empty intersection.
-    The returned cover is verified set by set.
+    pairs_checked).  When A has no common point, `_minimal_empty` picks an
+    inclusion-minimal empty witness inside A, the family
+    `separating_halfspaces` requires, and it yields one separating halfspace
+    per witness set; every B-member meets each witness set, so it cannot
+    avoid the boundaries of the first w-1 halfspaces without landing in
+    their empty intersection.  The returned cover is verified set by set.
     """
     a_sets, b_sets = list(a_sets), list(b_sets)
     if not a_sets:
@@ -394,10 +355,8 @@ def two_color_lemma(
     if cert.feasible:
         return PiercedClass(0, (cert.point,))
     witness = _minimal_empty(a_sets)
-    sep = separating_halfspaces([a_sets[i] for i in witness])
-    bounding = [
-        Hyperplane(h.normal, h.offset) for h in sep.halfspaces[: len(witness) - 1]
-    ]
+    halfspaces = separating_halfspaces([a_sets[i] for i in witness])
+    bounding = [Hyperplane(h.normal, h.offset) for h in halfspaces[: len(witness) - 1]]
     hyperplanes = tuple(dict.fromkeys(bounding))
     if len(hyperplanes) > d:
         raise TheoremViolationError("more than d bounding hyperplanes emitted")

@@ -610,18 +610,6 @@ def verify_farkas_entries(sets: Sequence[Polyhedron], entries: Sequence[FarkasEn
 # flats vs polyhedra
 
 
-def _flat_rows(flat: AffineFlat, poly: Polyhedron):
-    """Constraint rows of `poly` pulled back to the flat's parameters."""
-    leq, eq = [], []
-    for h in poly.inequalities:
-        coeffs = tuple(dot(h.normal, dvec) for dvec in flat.directions)
-        leq.append((coeffs, h.offset - dot(h.normal, flat.base)))
-    for h in poly.equalities:
-        coeffs = tuple(dot(h.normal, dvec) for dvec in flat.directions)
-        eq.append((coeffs, h.offset - dot(h.normal, flat.base)))
-    return leq, eq
-
-
 def _line_meets(line: AffineFlat, poly: Polyhedron, open_rows: bool) -> bool:
     """The k = 1 kernel: does some point of the line satisfy the rows of
     `poly`, its inequality rows strictly when `open_rows`?
@@ -665,9 +653,10 @@ def _line_meets(line: AffineFlat, poly: Polyhedron, open_rows: bool) -> bool:
 def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
     """Exact decision of flat-meets-set in the flat's k parameters.
 
-    k = 0 degenerates to point membership; k >= 2 goes to the simplex.
-    k = 1 is exact interval propagation (the one-variable LP spelled out) by
-    the integer line kernel, every row closed.
+    k = 0 degenerates to point membership.  k = 1 is exact interval
+    propagation (the one-variable LP spelled out) by the integer line
+    kernel, every row closed.  k >= 2 adjoins the flat's d - k equality rows
+    to the set and asks it for a point, as `hyperplane_crosses` does.
     """
     if flat.dim != poly.dim:
         raise DimensionError("flat/polyhedron dimension mismatch")
@@ -675,9 +664,9 @@ def flat_crosses(flat: AffineFlat, poly: Polyhedron) -> bool:
         return poly.contains(flat.base)
     if flat.k == 1:
         return _line_meets(flat, poly, False)
-    leq, eq = _flat_rows(flat, poly)
-    lp = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))
-    return isinstance(lp_solve(lp), Feasible)
+    normals = nullspace(flat.directions, flat.dim)
+    on_flat = tuple(Hyperplane(n, dot(n, flat.base)) for n in normals)
+    return poly.with_rows(eqs=on_flat).feasible_point() is not None
 
 
 def line_meets_relint(line: AffineFlat, poly: Polyhedron) -> bool:

@@ -15,9 +15,9 @@ Problems are stated over free variables by default; `nonneg=True` constrains
 all variables to be >= 0 (used by the fractional transversal/matching LPs).
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
 tool.  It pivots fraction-free: each row enters as given, the inequality rows
-and then the equality rows, and is scaled to coprime Python ints unless it
-already is (a stored polyhedron row is, as are the 0/1 rows of the tau* and
-nu* programs, and enters with scale 1); the rows
+and then the equality rows, and is scaled to coprime Python ints by
+`integer_row` (a stored polyhedron row already is, as are the 0/1 rows of
+the tau* and nu* programs, and enters as itself with scale 1); the rows
 share one integer denominator (the basis determinant), and rationals appear
 only when a point, ray or certificate is read out.  The tableau stores one
 column per variable and one artificial per row: a free variable's minus
@@ -58,13 +58,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
 from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, TheoremViolationError
 from .rationals import (
-    ONE,
     ZERO,
     Vec,
     common_denominator,
@@ -243,10 +241,7 @@ class _Tableau:
         self.rhs = n + m  # stored index of the rhs entry
         self.flip, self.scale, self.rows = [], [], []
         for i, (coeffs, rhs) in enumerate(chain(lp.leq, lp.eq)):
-            if _is_coprime_int_row(coeffs, rhs):
-                c, r, k = coeffs, rhs, ONE
-            else:
-                c, r, k = integer_row(coeffs, rhs)
+            c, r, k = integer_row(coeffs, rhs)
             sigma = -1 if r < 0 else 1
             row = [sigma * a for a in c] + [0] * (m + 1)
             row[n + i] = 1
@@ -364,16 +359,6 @@ class _Tableau:
             if v:
                 delta[b] = -v
         return self._structural(delta)
-
-
-def _is_coprime_int_row(coeffs, rhs) -> bool:
-    """Whether the row is already what `integer_row` makes of it (scale 1):
-    Python ints with no common factor, as every stored polyhedron row is."""
-    return (
-        type(rhs) is int
-        and all(type(a) is int for a in coeffs)
-        and gcd(*coeffs, rhs) == 1
-    )
 
 
 def _phase_one(t: _Tableau, n_leq: int):

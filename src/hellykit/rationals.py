@@ -127,7 +127,16 @@ def scaled_ints(values: Iterable, den: int) -> list[int]:
 
 def integer_row(coeffs: Sequence, rhs) -> tuple:
     """(ints, r, scale): (coeffs, rhs) times a positive rational `scale`, as
-    Python ints with no common factor (all zero for a zero row, scale 1)."""
+    Python ints with no common factor (all zero for a zero row, scale 1).
+
+    A row of Python ints is only divided by its gcd, so a coprime int tuple,
+    as every stored polyhedron row is, comes back as itself with scale 1.
+    """
+    if type(rhs) is int and all(type(a) is int for a in coeffs):
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            return tuple(a // g for a in coeffs), rhs // g, Fraction(1, g)
+        return tuple(coeffs), rhs, ONE
     row = (*coeffs, rhs)
     den = common_denominator(row)
     *ints, r = scaled_ints(row, den)
@@ -139,16 +148,9 @@ def integer_row(coeffs: Sequence, rhs) -> tuple:
 
 
 def normalize_row(coeffs: Sequence, rhs) -> tuple:
-    """(coeffs, rhs) scaled by a positive rational to coprime Python ints.
-
-    The constraint's solution set is unchanged because the factor is positive.
-    A row of Python ints is only divided by its gcd.
-    """
-    if type(rhs) is int and all(type(a) is int for a in coeffs):
-        g = gcd(*coeffs, rhs)
-        if g > 1:
-            return tuple(a // g for a in coeffs), rhs // g
-        return tuple(coeffs), rhs
+    """(coeffs, rhs) scaled by a positive rational to coprime Python ints;
+    the constraint's solution set is unchanged because the factor is
+    positive."""
     return integer_row(coeffs, rhs)[:2]
 
 

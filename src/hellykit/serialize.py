@@ -245,9 +245,12 @@ def farkas_from_json(obj) -> tuple[FarkasEntry, ...]:
         kind = e.get("kind")
         if kind not in ("ineq", "eq"):
             raise InputError(f"unknown farkas row kind {kind!r}")
-        out.append(
-            FarkasEntry(int(e["set"]), kind, int(e["row"]), rat(e["multiplier"]))
-        )
+        set_index, row_index = e.get("set"), e.get("row")
+        if not all(type(v) is int and v >= 0 for v in (set_index, row_index)):
+            raise InputError(
+                f"farkas set and row must be integers >= 0, got {set_index!r}, {row_index!r}"
+            )
+        out.append(FarkasEntry(set_index, kind, row_index, rat(e["multiplier"])))
     return tuple(out)
 
 

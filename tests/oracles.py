@@ -34,6 +34,12 @@ reference for the int-row programs of `hellykit.hypergraphs`.
 a list scan.  `count_bound_nu_b` is the former b-matching search, pruned by
 the number of edges left only.  `primal_check_ch` is the former rainbow
 sweep, every selection decided by the primal `polyhedra_intersect`.
+`repairing_separating_halfspaces` is the former separation of an empty
+family, which pre-checked each set by LP and repaired a set whose Farkas
+group has a zero normal from the set's own rows; on the inclusion-minimal
+witnesses it is the reference for `colorful.separating_halfspaces`.
+`flat_rows` pulls a set's rows back to a flat's parameters, the former
+k >= 2 route of `geometry.flat_crosses`.
 `poly_subset` and `poly_equal` compare polyhedra row by row with exact LPs, and
 `flat_family_from_doc` reads a family document as one uncolored list of
 sets.  `point_in` is set membership in any dimension,
@@ -45,10 +51,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hellykit.colorful import ChReport
-from hellykit.errors import DimensionError, InputError
+from hellykit.colorful import ChReport, _halfspace_contains_set
+from hellykit.errors import DimensionError, InputError, PreconditionError, TheoremViolationError
 from hellykit.geometry import (
     AffineFlat,
+    FarkasEntry,
     Halfspace,
     Hyperplane,
     Polyhedron,
@@ -65,7 +72,7 @@ from hellykit.hypergraphs import (
     _greedy_cover,
     nu_star,
 )
-from hellykit.lp import LinearProgram, Optimal, Unbounded, lp_solve
+from hellykit.lp import LinearProgram, Optimal, Unbounded, aggregate_rows, lp_solve
 from hellykit.rationals import ONE, ZERO, dot, floor_rat, is_zero_vec, rat, vadd, vec, vsub
 from hellykit.serialize import family_from_doc
 
@@ -642,6 +649,95 @@ def primal_check_ch(fam) -> ChReport:
             return ChReport(False, rainbow, cert, len(points) + 1, tuple(points))
         points.append(cert.point)
     return ChReport(True, None, None, len(points), tuple(points))
+
+
+def _own_row_halfspace(s: Polyhedron) -> Halfspace:
+    if s.inequalities:
+        return s.inequalities[0]
+    h = s.equalities[0]
+    return Halfspace(h.normal, h.offset)
+
+
+def _repair_halfspace(s: Polyhedron, others) -> Halfspace:
+    """Halfspace containing s, disjoint from the (provably empty) rest.
+
+    A separation attempt against the other aggregates runs first; when its
+    certificate puts no weight on the rows of s (which happens exactly when
+    the other aggregates are contradictory on their own), any row of s works.
+    """
+    sets = [s, Polyhedron(s.dim, tuple(others))]
+    cert = polyhedra_intersect(sets)
+    if not cert.feasible:
+        normal, offset = aggregate_rows(
+            s.dim, ((e.multiplier, e.row(sets)) for e in cert.farkas if e.set_index == 0)
+        )
+        if not is_zero_vec(normal):
+            return Halfspace(normal, offset)
+    return _own_row_halfspace(s)
+
+
+def repairing_separating_halfspaces(sets) -> tuple:
+    """Halfspaces H_i containing the respective nonempty sets of any empty
+    family, with empty intersection: the aggregated Farkas group of each
+    set, or, where that normal vanishes, a repaired halfspace."""
+    sets = list(sets)
+    if not sets:
+        raise InputError("need at least one set")
+    d = sets[0].dim
+    for i, s in enumerate(sets):
+        if not (s.inequalities or s.equalities):
+            raise InputError(f"set {i} is the whole space; no halfspace can contain it")
+        if s.is_empty():
+            raise InputError(f"set {i} is empty; separation needs nonempty sets")
+    cert = polyhedra_intersect(sets)
+    if cert.feasible:
+        raise PreconditionError("the sets share a point", witness=cert.point)
+    entries = list(cert.farkas)
+
+    def aggregate(weighted):
+        return aggregate_rows(d, ((e.multiplier, e.row(sets)) for e in weighted))
+
+    if aggregate(entries)[1] > 0:
+        # pure-equality contradictions may aggregate to 0 = c with c > 0;
+        # equality multipliers are sign-free, so negate the certificate
+        if any(e.kind != "eq" for e in entries):
+            raise TheoremViolationError("positive constant with inequality rows")
+        entries = [
+            FarkasEntry(e.set_index, e.kind, e.row_index, -e.multiplier) for e in entries
+        ]
+    halfspaces: list = [None] * len(sets)
+    repaired = []
+    for i in range(len(sets)):
+        normal, offset = aggregate(e for e in entries if e.set_index == i)
+        if is_zero_vec(normal):
+            if offset < 0:
+                raise TheoremViolationError(
+                    f"nonempty set {i} received a self-contradictory aggregate"
+                )
+            repaired.append(i)
+        else:
+            halfspaces[i] = Halfspace(normal, offset)
+    for i in repaired:
+        others = [h for h in halfspaces if h is not None]
+        halfspaces[i] = _repair_halfspace(sets[i], others)
+    for i, (h, s) in enumerate(zip(halfspaces, sets)):
+        if not _halfspace_contains_set(h, s):
+            raise TheoremViolationError(f"halfspace {i} fails to contain its set")
+    if not Polyhedron(d, tuple(halfspaces)).is_empty():
+        raise TheoremViolationError("separating halfspaces still intersect")
+    return tuple(halfspaces)
+
+
+def flat_rows(flat, poly):
+    """Constraint rows of `poly` pulled back to the flat's parameters."""
+    leq, eq = [], []
+    for h in poly.inequalities:
+        coeffs = tuple(dot(h.normal, dvec) for dvec in flat.directions)
+        leq.append((coeffs, h.offset - dot(h.normal, flat.base)))
+    for h in poly.equalities:
+        coeffs = tuple(dot(h.normal, dvec) for dvec in flat.directions)
+        eq.append((coeffs, h.offset - dot(h.normal, flat.base)))
+    return leq, eq
 
 
 def poly_subset(p, q) -> bool:

@@ -625,6 +625,18 @@ def test_malformed_certificate_gives_a_json_verdict(capsys, tmp_path, argv, dama
     assert "malformed stored certificate" in verdict["results"]["error"]
 
 
+@pytest.mark.parametrize("field", ["set", "row"])
+@pytest.mark.parametrize("value", [1.9, True, "0", -1], ids=["float", "bool", "string", "negative"])
+def test_forged_farkas_indices_exit_four(capsys, tmp_path, field, value):
+    _, report, _ = invoke(
+        capsys, "check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")
+    )
+    report["results"]["farkas"][0][field] = value
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == verdict["exit_code"] == 4
+    assert "integers >= 0" in verdict["results"]["error"]
+
+
 @pytest.mark.parametrize("command", ["intersecting-class", "two-color", "generic-line"])
 def test_error_reports_recheck_cleanly(capsys, tmp_path, command):
     code, report, _ = invoke(

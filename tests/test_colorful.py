@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import PROPERTY, count_calls, load_fixture, polyhedra
-from oracles import point_in, primal_check_ch
+from oracles import point_in, primal_check_ch, repairing_separating_halfspaces
 from hellykit import colorful, hypergraphs
 from hellykit import lp as lp_module
 from hellykit.budgets import SearchBudget
@@ -25,6 +25,7 @@ from hellykit.colorful import (
     generic_line_class,
     helly_witness,
     intersecting_class,
+    separating_halfspaces,
     theorem_main_d2,
     two_color_lemma,
 )
@@ -42,6 +43,7 @@ from hellykit.geometry import (
     line_through,
     polyhedra_intersect,
     polytope_from_vertices,
+    sets_meet,
 )
 from hellykit.hypergraphs import (
     TransversalResult,
@@ -513,19 +515,31 @@ def test_pierced_class_certificate_is_checkable_downstream():
     assert piercing_number(a).size == 1
 
 
-def test_separating_halfspaces_repairs_a_set_without_weight():
-    from hellykit.colorful import separating_halfspaces
-    from hellykit.geometry import Halfspace
-
+def test_separating_halfspaces_refuses_a_family_that_is_not_minimal():
+    # x <= 0 and x >= 1 are already empty, so the box's Farkas group is empty
     sets = [
         Polyhedron(2, (Halfspace(vec([1, 0]), rat(0)),)),
         Polyhedron(2, (Halfspace(vec([-1, 0]), rat(-1)),)),
         box([-5, -5], [5, 5]),
     ]
-    sep = separating_halfspaces(sets)
-    assert sep.repaired == (2,)
-    assert sep.halfspaces == (
-        Halfspace(vec([1, 0]), rat(0)),
-        Halfspace(vec([-1, 0]), rat(-1)),
-        Halfspace(vec([1, 0]), rat(5)),
-    )
+    with pytest.raises(PreconditionError, match="set 2 ") as err:
+        separating_halfspaces(sets)
+    assert err.value.witness == 2
+
+
+def _minimal_empty_witnesses():
+    """The `_minimal_empty` witness of each drawn class whose sets share no
+    point: both classes of `random_two_colored` in R^2 and R^3, and of
+    `random_ch_pair`."""
+    classes = [c for d in (2, 3) for s in range(20) for c in random_two_colored(s, d)]
+    classes += [c for s in range(20) for c in random_ch_pair(s).classes]
+    for cls in classes:
+        if not sets_meet(cls):
+            yield [cls[i] for i in colorful._minimal_empty(cls)]
+
+
+def test_separating_halfspaces_match_the_repairing_reference():
+    witnesses = list(_minimal_empty_witnesses())
+    assert len(witnesses) == 65
+    for sets in witnesses:
+        assert separating_halfspaces(sets) == repairing_separating_halfspaces(sets)

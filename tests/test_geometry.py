@@ -12,6 +12,7 @@ from conftest import PROPERTY, SMALL, count_calls, points, polyhedra
 from oracles import (
     chart_polytope_from_vertices,
     chart_vertices,
+    flat_rows,
     fraction_rank,
     line_parameter_interval,
     lp_bounded,
@@ -35,7 +36,6 @@ from hellykit.geometry import (
     Halfspace,
     Hyperplane,
     Polyhedron,
-    _flat_rows,
     _line_key,
     first_meeting,
     flat_crosses,
@@ -463,7 +463,7 @@ def lines_against(draw, poly):
 def _assert_crossing_agrees(line, poly):
     got = flat_crosses(line, poly)
     assert got == (line_parameter_interval(line, poly) is not None)
-    leq, eq = _flat_rows(line, poly)
+    leq, eq = flat_rows(line, poly)
     assert got == isinstance(lp_solve(LinearProgram(1, leq=tuple(leq), eq=tuple(eq))), Feasible)
     return got
 
@@ -509,14 +509,13 @@ def flats_against(draw, poly):
 @PROPERTY
 @given(st.data())
 def test_flat_crossing_matches_the_intersection_with_the_flat_rows(data):
-    # the oracle writes the flat as d - k equality rows in ambient space and
-    # asks polyhedra_intersect; flat_crosses solves in the flat's parameters
+    # the oracle pulls the set's rows back to the flat's k parameters and
+    # solves that LP; flat_crosses adjoins the flat's d - k equality rows
     poly = data.draw(polyhedra(data.draw(st.sampled_from([3, 4]))))
     flat = data.draw(flats_against(poly))
-    normals = nullspace(flat.directions, flat.dim)
-    rows = tuple(Hyperplane(n, dot(n, flat.base)) for n in normals)
-    on_flat = Polyhedron(flat.dim, (), rows)
-    assert flat_crosses(flat, poly) == polyhedra_intersect([poly, on_flat]).feasible
+    leq, eq = flat_rows(flat, poly)
+    pulled_back = LinearProgram(flat.k, leq=tuple(leq), eq=tuple(eq))
+    assert flat_crosses(flat, poly) == isinstance(lp_solve(pulled_back), Feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +581,7 @@ def _assert_relint_agrees(line, poly):
     the inequality rows over the line's points on the equality rows (None
     when there is no such point) is positive.  Returns (decision, margin)."""
     got = line_meets_relint(line, poly)
-    margin = _max_margin(1, (), *_flat_rows(line, poly))[0]
+    margin = _max_margin(1, (), *flat_rows(line, poly))[0]
     assert got == (margin is not None and margin > 0)
     return got, margin
 

@@ -15,10 +15,9 @@ from oracles import poly_subset
 
 from hellykit import geometry
 from hellykit import lp as lp_module
-from hellykit.colorful import check_ch, separating_halfspaces, two_color_lemma
+from hellykit.colorful import check_ch, two_color_lemma
 from hellykit.constructions import generate_figure1, generate_planar, generate_simplex_family
 from hellykit.errors import InputError
-from hellykit.geometry import Halfspace, Polyhedron
 from hellykit.instances import random_polygon_family, random_two_colored
 from hellykit.lp import (
     Feasible,
@@ -345,16 +344,6 @@ def _two_color_lemmas():
             two_color_lemma(*random_two_colored(s, d))
 
 
-def _repaired_separation():
-    separating_halfspaces(
-        [
-            Polyhedron(2, (Halfspace(vec([1, 0]), rat(0)),)),
-            Polyhedron(2, (Halfspace(vec([-1, 0]), rat(-1)),)),
-            Polyhedron.box(vec([-5, -5]), vec([5, 5])),
-        ]
-    )
-
-
 def _polygon_subsets():
     polys = random_polygon_family(0)
     for p, q in itertools.product(polys, repeat=2):
@@ -380,13 +369,8 @@ def _polygon_subsets():
             # the A x B pairs are a `check_ch` sweep (transposed, reusing
             # the last verified point) and the witness trials are verdicts
             _two_color_lemmas,
-            339,
-            "76477f090046fb609199e1600819630323ad39df2652c2a4469f6211caa4fb89",
-        ),
-        (
-            _repaired_separation,
-            9,
-            "c5e6c91adfb9974c0be075174002b7975f36bdb808f454ec3fac058e8f36c96c",
+            309,
+            "f559609c9790d263d747bdc127191b19c45dedbb6b855d1dd6dbe9a941994464",
         ),
         (
             _polygon_subsets,
@@ -404,7 +388,6 @@ def _polygon_subsets():
         "planar-2-7",
         "simplex-2-1-0",
         "two-color-lemma",
-        "repaired-separation",
         "poly-subset",
         "figure1-3-3",
     ],

@@ -93,6 +93,15 @@ def test_integer_row_returns_python_ints_and_the_scale():
     assert integer_row(vec((0, 0)), rat(0)) == ((0, 0), 0, rat(1))
 
 
+def test_integer_row_returns_a_coprime_int_row_as_itself():
+    row = (2, -3, 0)
+    ints, rhs, scale = integer_row(row, 5)
+    assert ints is row and (rhs, scale) == (5, 1)
+    for ints in ((4, -6, 10), (3, 0, -2), (0, 0, 0), (-2, 4, 0)):
+        *coeffs, rhs = ints
+        assert integer_row(coeffs, rhs) == integer_row(vec(coeffs), rat(rhs))
+
+
 def test_rank_and_nullspace():
     rows = [vec((1, 2, 3)), vec((2, 4, 6)), vec((0, 1, 1))]
     assert rank(rows) == 2
