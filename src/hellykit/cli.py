@@ -57,6 +57,7 @@ from .hypergraphs import (
 from .rationals import ONE, rat, rat_str
 from .serialize import (
     SCHEMA_VERSION,
+    canonical_dumps,
     digest,
     family_from_doc,
     family_to_doc,
@@ -800,9 +801,9 @@ def _cmd_recheck(report: dict, request: dict, budget: SearchBudget) -> Outcome:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed stored request: {exc!r}") from None
     fresh_results = json.loads(json.dumps(rerun.results))
-    agrees = (
-        fresh_results == stored_results
-        and rerun.exit_code == report.get("exit_code")
+    # compare the JSON texts: Python `==` lets `true` or `1.0` pass for `1`
+    agrees = canonical_dumps([fresh_results, rerun.exit_code]) == canonical_dumps(
+        [stored_results, report.get("exit_code")]
     )
     results = {
         "agrees": agrees,

@@ -25,7 +25,14 @@ pool point is scaled once to integers X / D, and `_hyperplanes_through`
 finds the hyperplane candidates: the first pool pair or triple spanning each
 distinct line or plane, its integer row, and two bitmasks over the pool,
 the points on its closed nonnegative and nonpositive sides, whose meet
-deduplicates the candidates.  A bounded set is the hull of its vertices,
+deduplicates the candidates.  The masks take a few big-int operations per
+candidate, not one step per pool point: the pool's homogeneous coordinates
+are packed once into one int per coordinate, one lane of w bits per point,
+so a row's dot product with every point is one sum of d + 1 products, and
+the top bit of each biased lane is that point's sign.  A row's value at a
+pool point is a (d + 1) x (d + 1) determinant of pool entries, at most
+(d + 1)! * m^(d + 1) in absolute value for m the largest |entry|, which
+fixes w.  A bounded set is the hull of its vertices,
 all of them pool points, so it is crossed exactly when its vertex mask
 meets both (`_vertex_masks`, `_crossings`).  A set with no vertex or an
 unbounded one is decided on its rows: by the slacks of the two pool points
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from operator import mul
 from typing import Optional, Sequence
 
@@ -529,27 +537,27 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _sign_masks(row: Sequence[int], homogeneous: Sequence[tuple]) -> tuple:
-    """(nonneg, nonpos): bitmasks over pool points, given in homogeneous
-    integer form (X_k, D_k) with D_k > 0, of the closed sides of the
-    hyperplane n . x = c with row = (n, -c) scaled by any positive factor,
-    in the plane or in R^3.  Bit k is set in nonneg when
-    n . X_k - c * D_k >= 0, and in nonpos when it is <= 0; their meet is
-    the points on the hyperplane."""
-    if len(row) == 3:
-        a, b, c = row
-        values = [a * x + b * y + c * w for x, y, w in homogeneous]
-    else:
-        a, b, c, e = row
-        values = [a * x + b * y + c * z + e * w for x, y, z, w in homogeneous]
-    nonneg = nonpos = 0
-    bit = 1
-    for value in values:
-        if value >= 0:
-            nonneg |= bit
-        if value <= 0:
-            nonpos |= bit
-        bit <<= 1
+# the top byte of a lane, 0-255, to the digit "1" when its top bit is set
+_TOP_BIT = b"0" * 128 + b"1" * 128
+
+
+def _sign_masks(row: Sequence[int], lanes: tuple) -> tuple:
+    """(nonneg, nonpos): bitmasks over the pool points packed in `lanes`
+    (see `_hyperplanes_through`) of the closed sides of the hyperplane
+    n . x = c with row = (n, -c) scaled by any positive factor.  Bit k is set
+    in nonneg when n . X_k - c * D_k >= 0, and in nonpos when it is <= 0;
+    their meet is the points on the hyperplane.
+
+    v = sum_j row_j * C_j holds value_k in lane k, so lane k of bias + v
+    is value_k + 2^(w-1), in [0, 2^w), whose top bit is set exactly when
+    value_k >= 0; bias - v does the same for value_k <= 0.  The top byte of
+    each lane becomes one binary digit, lane n - 1 first.  The width w
+    keeps every lane in range, so none carries into the next; `to_bytes`
+    raises on a sum that is negative or wider than the n lanes."""
+    columns, bias, step, size = lanes
+    v = sum(map(mul, row, columns))
+    nonneg = int((bias + v).to_bytes(size, "big")[::step].translate(_TOP_BIT), 2)
+    nonpos = int((bias - v).to_bytes(size, "big")[::step].translate(_TOP_BIT), 2)
     return nonneg, nonpos
 
 
@@ -653,10 +661,24 @@ def _hyperplanes_through(homogeneous: Sequence[tuple], d: int) -> tuple[list, li
     masks.  A kept hyperplane's zero mask holds every pool point on it; when
     those are more than d, each (d - 1)-tuple of them is marked in
     `spanned` with that mask, and a d-tuple whose last point is marked for
-    its first d - 1 lies on a kept hyperplane and is skipped."""
+    its first d - 1 lies on a kept hyperplane and is skipped.
+
+    The sign masks come from lanes of w bits packed into one int per
+    homogeneous coordinate, C_j = sum_k X_k,j * 2^(k w), and the bias int
+    holding 2^(w-1) in every lane (`_sign_masks`).  A row's value at a pool
+    point is a (d + 1) x (d + 1) determinant of pool entries, so it is at
+    most (d + 1)! * m^(d + 1) in absolute value, m the largest |entry|; w is
+    that bound's bit length plus a sign bit, rounded up to whole bytes."""
     tuples, rows, masks = [], [], []
     spanned: dict = {}
     n = len(homogeneous)
+    top = max((abs(x) for p in homogeneous for x in p), default=0)
+    step = ((factorial(d + 1) * top ** (d + 1)).bit_length() + 8) // 8
+    columns = tuple(
+        sum(p[j] << (k * 8 * step) for k, p in enumerate(homogeneous)) for j in range(d + 1)
+    )
+    bias = int.from_bytes((b"\x80" + bytes(step - 1)) * n, "big")
+    lanes = (columns, bias, step, n * step)
     for prefix in itertools.combinations(range(n), d - 1):
         head = [homogeneous[i] for i in prefix]
         skip = spanned.get(prefix, 0)
@@ -666,7 +688,7 @@ def _hyperplanes_through(homogeneous: Sequence[tuple], d: int) -> tuple[list, li
             row = _row_through(*head, homogeneous[last])
             if not any(row):
                 continue  # the d points are collinear
-            nonneg, nonpos = _sign_masks(row, homogeneous)
+            nonneg, nonpos = _sign_masks(row, lanes)
             on = nonneg & nonpos
             if on.bit_count() > d:
                 for marked in itertools.combinations(_bits(on), d - 1):

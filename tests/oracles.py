@@ -23,7 +23,9 @@ set; `nullspace_candidate_planes` is the former candidate-plane builder,
 one `fraction_nullspace` per pool triple and `hyperplane_crosses` for its
 fallback scan.  `tuple_scan_hyperplanes` is the reference for the candidate
 hyperplanes of both: the normalized `Hyperplane` through every point
-d-tuple, on the same Fraction algebra.  `frozenset_reduce_for_tau` is the former tau reduction,
+d-tuple, on the same Fraction algebra.  `loop_sign_masks` is the former
+per-point sign scan of a candidate hyperplane, kept as the reference for
+the packed lanes of `hypergraphs._sign_masks`.  `frozenset_reduce_for_tau` is the former tau reduction,
 vertex profiles kept as frozensets.  `tau_greedy` is the former greedy
 transversal bound.  `lp_bounded` decides boundedness by LPs, max +-x_i over
 the set.
@@ -561,6 +563,29 @@ def tuple_scan_hyperplanes(points, d: int) -> list[tuple]:
         h = Hyperplane(ns[0], dot(ns[0], a))
         planes.setdefault((h.normal, h.offset), (t, h))
     return list(planes.values())
+
+
+def loop_sign_masks(row, homogeneous) -> tuple:
+    """(nonneg, nonpos): bitmasks over pool points, given in homogeneous
+    integer form (X_k, D_k) with D_k > 0, of the closed sides of the
+    hyperplane n . x = c with row = (n, -c), in the plane or in R^3.  Bit k
+    is set in nonneg when n . X_k - c * D_k >= 0, and in nonpos when it is
+    <= 0; one Python step per pool point."""
+    if len(row) == 3:
+        a, b, c = row
+        values = [a * x + b * y + c * w for x, y, w in homogeneous]
+    else:
+        a, b, c, e = row
+        values = [a * x + b * y + c * z + e * w for x, y, z, w in homogeneous]
+    nonneg = nonpos = 0
+    bit = 1
+    for value in values:
+        if value >= 0:
+            nonneg |= bit
+        if value <= 0:
+            nonpos |= bit
+        bit <<= 1
+    return nonneg, nonpos
 
 
 def lp_bounded(poly) -> bool:

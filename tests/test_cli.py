@@ -192,6 +192,30 @@ def test_recheck_agreement_and_tampering(capsys, tmp_path):
     assert verdict["results"]["reason"] == "input digest mismatch"
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda rep: rep["results"].update(checked=1.0),
+        lambda rep: rep["results"].update(checked=True),
+        lambda rep: rep["results"]["violating_rainbow"].__setitem__(1, [True, 0]),
+        lambda rep: rep.update(exit_code=2.0),
+    ],
+    ids=["checked-float", "checked-bool", "rainbow-bool", "exit-code-float"],
+)
+def test_recheck_refutes_results_equal_only_under_python_eq(capsys, tmp_path, forge):
+    # `1.0 == 1` and `True == 1` in Python, but the report bytes differ
+    _, report, _ = invoke(
+        capsys, "check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")
+    )
+    assert report["results"]["checked"] == 1
+    assert report["results"]["violating_rainbow"][1] == [1, 0]
+    assert report["exit_code"] == 2
+    forge(report)
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["agrees"] is False
+
+
 def test_precondition_failures_exit_four(capsys):
     code, report, _ = invoke(
         capsys,
