@@ -638,13 +638,16 @@ def dichotomy_report(
     g_budget: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> DichotomyReport:
-    """Exact piercing/cover numbers for every split of the color classes.
+    """Piercing and cover numbers for every split of the color classes.
 
     For each k and each k-subset of classes, the subset union is pierced
     exactly; when the piercing count stays within f_budget, the remaining
     classes are covered by k-flats (lines for k = 1, planes for k = 2 in
-    R^3, the whole space when k equals the dimension).  Suffix covers are
-    skipped (cover = None) once the point side already exceeds its budget.
+    R^3, the whole space when k equals the dimension).  A cover number is
+    exact over the candidate pool, and the true value only for bounded
+    planar sets, whose pool is complete; elsewhere it is an upper bound.
+    Suffix covers are skipped (cover = None) once the point side already
+    exceeds its budget.
     """
     if fam.dim > 3:
         raise InputError("split probes cover dimensions up to 3")

@@ -3,14 +3,16 @@
 Exact quantities:
 
     tau     minimum vertex transversal (hitting set), branch and bound;
-    tau*    fractional transversal, exact rational LP;
-    nu*     fractional matching, exact rational LP (equal to tau* by duality);
+    nu*     fractional matching, exact rational LP;
+    tau*    fractional transversal, the dual solution of the nu* program;
     nu_b    maximum b-matching (edge subset using no vertex more than b times).
 
 Every duality report asserts the sandwich nu_b / b <= nu* = tau* <= tau.
-The tau* and nu* programs are stated on Python-int rows and objectives,
-which enter the LP tableau as they are; a duality report solves nu* once
-and bounds its nu_b search with that value.
+tau* and nu* come from one solve of the packing program max 1.y s.t.
+A'y <= 1, y >= 0 on Python-int rows, which enter the LP tableau as they are:
+nu* is its optimum, and the tau* weights its row multipliers, certified by
+weak duality (`_fractional_pair`).  A duality report solves it once and
+bounds its nu_b search with its value; `tau` solves it once more, on its core.
 
 The geometric builders turn a family of convex sets into hypergraphs whose
 transversals are piercing numbers (vertices = points witnessing maximal
@@ -68,7 +70,7 @@ from .geometry import (
     polyhedra_intersect,
     vertices_of,
 )
-from .lp import LinearProgram, Optimal, lp_solve
+from .lp import LinearProgram, Optimal, solve_with_multipliers
 from .rationals import (
     ONE,
     ZERO,
@@ -199,8 +201,8 @@ def tau(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> TransversalResu
     """Exact minimum transversal via branch and bound.
 
     The edge budget is enforced on the input hypergraph, the vertex budget on
-    the reduced core (see _reduce_for_tau); the LP value ceil(tau*) of the
-    core serves as the root pruning bound.
+    the reduced core (see _reduce_for_tau); ceil(tau*) of the core, from one
+    solve of its packing program, serves as the root pruning bound.
     """
     if len(h.edges) > budget.max_tau_edges:
         raise ScaleError("max_tau_edges", budget.max_tau_edges, len(h.edges))
@@ -220,7 +222,7 @@ def tau(h: Hypergraph, budget: SearchBudget = DEFAULT_BUDGET) -> TransversalResu
             detail="after reduction",
         )
     core_h = _relabel(core, verts)
-    root_lb = ceil_rat(tau_star(core_h).value)
+    root_lb = ceil_rat(_fractional_pair(core_h)[0].value)
     vmask = [0] * len(verts)
     for ei, e in enumerate(core_h.edges):
         for v in e:
@@ -292,30 +294,28 @@ def _assert_covers(h: Hypergraph, witness: Sequence[int]) -> None:
 # fractional quantities
 
 
-def tau_star(h: Hypergraph) -> FractionalResult:
+def _fractional_pair(h: Hypergraph) -> tuple[FractionalResult, FractionalResult]:
+    """(tau*, nu*) of `h` from one solve of the packing program on its vertex
+    rows: nu* is its optimum y, and tau* the row multipliers x read from the
+    same tableau and certified by weak duality (`lp.solve_with_multipliers`)."""
     if not h.edges:
-        raise InputError("tau* needs at least one edge")
-    n = h.vertex_count
-    rows = tuple((tuple(-int(v in e) for v in range(n)), -1) for e in h.edges)
-    lp = LinearProgram(n, leq=rows, objective=(1,) * n, maximize=False, nonneg=True)
-    out = lp_solve(lp)
+        raise InputError("tau* and nu* need at least one edge")
+    m = len(h.edges)
+    rows = tuple((tuple(int(v in e) for e in h.edges), 1) for v in range(h.vertex_count))
+    out, x = solve_with_multipliers(LinearProgram(m, leq=rows, objective=(1,) * m, nonneg=True))
     if not isinstance(out, Optimal):
-        raise TheoremViolationError("tau* LP must have an optimum")
-    return FractionalResult(out.value, out.point)
+        raise TheoremViolationError("nu* LP must have an optimum")
+    return FractionalResult(out.value, x), FractionalResult(out.value, out.point)
+
+
+def tau_star(h: Hypergraph) -> FractionalResult:
+    """Minimum fractional transversal, read from the optimal nu* tableau."""
+    return _fractional_pair(h)[0]
 
 
 def nu_star(h: Hypergraph) -> FractionalResult:
-    if not h.edges:
-        raise InputError("nu* needs at least one edge")
-    m = len(h.edges)
-    rows = tuple(
-        (tuple(int(v in e) for e in h.edges), 1) for v in range(h.vertex_count)
-    )
-    lp = LinearProgram(m, leq=rows, objective=(1,) * m, maximize=True, nonneg=True)
-    out = lp_solve(lp)
-    if not isinstance(out, Optimal):
-        raise TheoremViolationError("nu* LP must have an optimum")
-    return FractionalResult(out.value, out.point)
+    """Maximum fractional matching: the packing program's optimum."""
+    return _fractional_pair(h)[1]
 
 
 def nu_b(h: Hypergraph, b: int) -> int:
@@ -343,15 +343,13 @@ def _nu_b(h: Hypergraph, b: int, nu_star_value) -> int:
     for i in range(m - 2, -1, -1):
         min_size[i] = min(min_size[i], min_size[i + 1])
     caps = [b] * h.vertex_count
-    # greedy start
-    best = 0
+    best_found = 0  # greedy start
     for e in edges:
         if all(caps[v] > 0 for v in e):
             for v in e:
                 caps[v] -= 1
-            best += 1
+            best_found += 1
     caps = [b] * h.vertex_count
-    best_found = best
 
     def dfs(i: int, count: int, spare: int):
         nonlocal best_found
@@ -383,13 +381,12 @@ def duality_report(
     h: Hypergraph, b: int = 1, budget: SearchBudget = DEFAULT_BUDGET
 ) -> DualityReport:
     """tau, tau*, nu*, nu_b with the exact duality sandwich asserted; tau is
-    searched under `budget`, and a tau beyond it is reported in `scale_note`."""
+    searched under `budget`, and a tau beyond it is reported in `scale_note`.
+    tau* and nu* come from one packing program (`_fractional_pair`), whose
+    weak-duality certificate makes tau* = nu*."""
     if b < 1:
         raise InputError("b must be a positive integer")
-    ts = tau_star(h)
-    ns = nu_star(h)
-    if ts.value != ns.value:
-        raise TheoremViolationError("LP duality violated: tau* != nu*")
+    ts, ns = _fractional_pair(h)
     note = ""
     try:
         t = tau(h, budget)
@@ -407,14 +404,6 @@ def duality_report(
 # geometric builders
 
 
-def _intersection_feasible(fam: Sequence[Polyhedron], subset: frozenset, cache: dict):
-    got = cache.get(subset)
-    if got is None:
-        got = polyhedra_intersect([fam[i] for i in sorted(subset)])
-        cache[subset] = got
-    return got
-
-
 def maximal_intersecting_subfamilies(
     fam: Sequence[Polyhedron], budget: SearchBudget = DEFAULT_BUDGET
 ):
@@ -425,16 +414,17 @@ def maximal_intersecting_subfamilies(
     """
     if len(fam) > budget.max_subfamily_sets:
         raise ScaleError("max_subfamily_sets", budget.max_subfamily_sets, len(fam))
-    cache: dict = {}
-    singles = [
-        i for i in range(len(fam)) if _intersection_feasible(fam, frozenset([i]), cache).feasible
-    ]
+    cache: dict = {}  # subfamily -> its polyhedra_intersect answer, on sorted indices
+
+    def feas(s: frozenset) -> bool:
+        if s not in cache:
+            cache[s] = polyhedra_intersect([fam[i] for i in sorted(s)])
+        return cache[s].feasible
+
+    singles = [i for i in range(len(fam)) if feas(frozenset([i]))]
     if not singles:
         return [], []
     results: list[frozenset] = []
-
-    def feas(s: frozenset) -> bool:
-        return _intersection_feasible(fam, s, cache).feasible
 
     def extend(r: frozenset, p: list[int], x: list[int]):
         if not p and not x:
@@ -465,13 +455,13 @@ def build_point_hypergraph(
     if not fam:
         raise InputError("empty family")
     subfamilies, witnesses = maximal_intersecting_subfamilies(fam, budget)
-    empties = [i for i in range(len(fam)) if not any(i in s for s in subfamilies)]
+    edges = tuple(
+        frozenset(v for v, s in enumerate(subfamilies) if i in s) for i in range(len(fam))
+    )
+    empties = [i for i, e in enumerate(edges) if not e]
     if empties:
         raise InputError(f"sets {empties} are empty; they cannot be pierced")
-    edges = []
-    for i in range(len(fam)):
-        edges.append(frozenset(vi for vi, s in enumerate(subfamilies) if i in s))
-    return Hypergraph(len(subfamilies), tuple(edges), payload=tuple(witnesses))
+    return Hypergraph(len(subfamilies), edges, payload=tuple(witnesses))
 
 
 def piercing_number(
@@ -522,11 +512,8 @@ def _scaled_pool(pool: Sequence[tuple]) -> list[tuple]:
     point = X / D: the form a set's vertex frame keeps for its vertices, so
     `_vertex_masks` finds each vertex in the pool by it.  The forms are
     distinct, as the points are, so they index the pool too."""
-    out = []
-    for p in pool:
-        den = common_denominator(p)
-        out.append((tuple(scaled_ints(p, den)), den))
-    return out
+    dens = [common_denominator(p) for p in pool]
+    return [(tuple(scaled_ints(p, den)), den) for p, den in zip(pool, dens)]
 
 
 def _bits(mask: int):
@@ -571,16 +558,8 @@ def _vertex_masks(fam: Sequence[Polyhedron], scaled: Sequence) -> list:
     sign masks (nonneg, nonpos), when `mask & nonneg and mask & nonpos`.
     The rows decide the sets with no mask."""
     index = {form: i for i, form in enumerate(scaled)}
-    masks = []
-    for s in fam:
-        frame = s._vertex_frame
-        mask = None
-        if frame.bounded:
-            mask = 0
-            for form in frame.scaled:
-                mask |= 1 << index[form]
-        masks.append(mask)
-    return masks
+    frames = [s._vertex_frame for s in fam]
+    return [sum(1 << index[form] for form in f.scaled) if f.bounded else None for f in frames]
 
 
 def _crossings(vmask: int, masks: Sequence) -> list[int]:
@@ -704,14 +683,10 @@ def _distinct_lines(scaled: Sequence) -> list[tuple]:
     """The first pool pair (i, j) spanning each distinct line, in pair order,
     for pool points in any dimension, deduplicated by `_line_key`, the
     integer form of the canonical line of `line_through`."""
-    pairs = []
-    seen = set()
+    first: dict = {}
     for (i, (p, dp)), (j, (q, dq)) in itertools.combinations(enumerate(scaled), 2):
-        key = _line_key(p, dp, q, dq)
-        if key not in seen:
-            seen.add(key)
-            pairs.append((i, j))
-    return pairs
+        first.setdefault(_line_key(p, dp, q, dq), (i, j))
+    return list(first.values())
 
 
 def _slack_crossings(s: Polyhedron, pairs: Sequence, scaled: Sequence) -> list[int]:

@@ -75,37 +75,44 @@ def random_polygon_family(seed: int) -> list[Polyhedron]:
 def random_two_colored(seed: int, dim: int) -> tuple[list, list]:
     """(A, B) with empty joint A-intersection but every (A_i, B_j) meeting.
 
-    A is a positively spanning collection of halfspaces pushed off the
-    origin (joint emptiness verified by LP); B consists of boxes large
-    enough to reach into every A-halfspace (verified, resampled on
-    failure).
+    A is a positively spanning collection of halfspaces n . x <= -1 pushed
+    off the origin (joint emptiness verified by LP); B consists of boxes
+    large enough to reach into every A-halfspace, resampled on failure.  A
+    halfspace meets the box [c - size, c + size] exactly when it holds the
+    box corner that minimizes n . x, `_lowest_corner`: a test in ints.
     """
     rng = random.Random(f"twocolor:{dim}:{seed}")
     for _ in range(_RETRIES):
         k = rng.randint(dim + 1, dim + 2)
-        a_sets = []
-        degenerate = False
+        normals = []
         for _ in range(k):
             normal = tuple(rat(rng.randint(-3, 3)) for _ in range(dim))
             if is_zero_vec(normal):
-                degenerate = True
                 break
-            a_sets.append(Polyhedron(dim, (Halfspace(normal, rat(-1)),)))
-        if degenerate or sets_meet(a_sets):
+            normals.append(normal)
+        if len(normals) < k:
             continue
-        b_sets = []
+        a_sets = [Polyhedron(dim, (Halfspace(n, rat(-1)),)) for n in normals]
+        if sets_meet(a_sets):
+            continue
+        boxes = []
         for _ in range(rng.randint(2, 4)):
             center = [rng.randint(-4, 4) for _ in range(dim)]
-            size = rng.randint(9, 14)
-            b_sets.append(
-                Polyhedron.box(
-                    [rat(c - size) for c in center],
-                    [rat(c + size) for c in center],
-                )
-            )
-        if all(first_meeting([a, b], 2) is not None for a in a_sets for b in b_sets):
-            return a_sets, b_sets
+            boxes.append((center, rng.randint(9, 14)))
+        if all(
+            a.contains(_lowest_corner(n, *box)) for n, a in zip(normals, a_sets) for box in boxes
+        ):
+            return a_sets, [
+                Polyhedron.box([rat(c - size) for c in center], [rat(c + size) for c in center])
+                for center, size in boxes
+            ]
     raise GenerationError("two-colored instance preconditions not reached")
+
+
+def _lowest_corner(normal: Sequence, center: Sequence[int], size: int) -> tuple:
+    """The corner of the box [center - size, center + size] at which
+    normal . x is least: c_i - size where n_i > 0, and c_i + size otherwise."""
+    return tuple(c - size if n > 0 else c + size for n, c in zip(normal, center))
 
 
 def _polygon_containing_origin(rng: random.Random) -> Polyhedron:

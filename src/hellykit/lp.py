@@ -12,14 +12,18 @@ certificate that is re-verified before it is returned:
   * Unbounded           - a feasible point plus an improving recession ray.
 
 Problems are stated over free variables by default; `nonneg=True` constrains
-all variables to be >= 0 (used by the fractional transversal/matching LPs).
+all variables to be >= 0 (the fractional matching LP).  A nonneg max
+program on inequality rows also yields its dual solution from the same
+optimal tableau (`solve_with_multipliers`), one multiplier per row from its
+slack's reduced cost, certified by weak duality before it is returned: so
+one solve of the nu* program gives the tau* weights too.
 Sizes stay at desk scale (tens of rows), so a dense tableau is the right
 tool.  It pivots fraction-free: each row enters as given, the inequality rows
 and then the equality rows, and is scaled to coprime Python ints by
 `integer_row` (a stored polyhedron row already is, as are the 0/1 rows of
-the tau* and nu* programs, and enters as itself with scale 1); the rows
-share one integer denominator (the basis determinant), and rationals appear
-only when a point, ray or certificate is read out.  The tableau stores one
+the nu* program, and enters as itself with scale 1); the rows share one
+integer denominator (the basis determinant), and rationals appear only when
+a point, ray, certificate or multiplier is read out.  The tableau stores one
 column per variable and one artificial per row: a free variable's minus
 column and an inequality row's slack column are fixed multiples of stored
 ones (see `_Tableau`), read where the pivot rule needs them.  Pivots index
@@ -87,9 +91,7 @@ class LinearProgram:
     def __post_init__(self):
         for coeffs, _rhs in list(self.leq) + list(self.eq):
             if len(coeffs) != self.num_vars:
-                raise InputError(
-                    f"row width {len(coeffs)} != num_vars {self.num_vars}"
-                )
+                raise InputError(f"row width {len(coeffs)} != num_vars {self.num_vars}")
         if self.objective is not None and len(self.objective) != self.num_vars:
             raise InputError("objective width mismatch")
 
@@ -188,13 +190,8 @@ def verify_ray(lp: LinearProgram, ray: Vec) -> bool:
     for coeffs, _ in lp.eq:
         if dot(coeffs, ray) != 0:
             return False
-    if lp.objective is not None:
-        gain = dot(lp.objective, ray)
-        if lp.maximize and gain <= 0:
-            return False
-        if not lp.maximize and gain >= 0:
-            return False
-    return True
+    gain = 0 if lp.objective is None else dot(lp.objective, ray)
+    return lp.objective is None or (gain > 0 if lp.maximize else gain < 0)
 
 
 class _Tableau:
@@ -204,9 +201,9 @@ class _Tableau:
     absolute basis determinant, so the rational tableau row i is
     rows[i] / den and every division in `_pivot` is exact (Edmonds 1967,
     Bareiss 1968).  The reduced-cost row `obj` lives over the same `den`,
-    times a positive constant when the costs are not integers; only its signs
-    are read.  Rows are the inequality rows, then the equality rows, each in
-    program order.
+    times a positive constant when the costs are not integers: the pivots read
+    its signs, and `solve_with_multipliers` its slack entries over both.  Rows
+    are the inequality rows, then the equality rows, each in program order.
 
     *Logical* columns are those of the textbook tableau, and the pivot rule,
     `basis` and every method argument index them: a variable's structural
@@ -449,7 +446,10 @@ def decide_feasibility(lp: LinearProgram) -> Union[Feasible, Infeasible]:
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; every returned certificate is re-verified first."""
-    t = _Tableau(lp)
+    return _solve(lp, _Tableau(lp))
+
+
+def _solve(lp: LinearProgram, t: _Tableau) -> LpOutcome:
     cert = _phase_one(t, len(lp.leq))
     if cert is not None:
         if not verify_farkas(lp, cert):
@@ -460,8 +460,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if not verify_point(lp, point):
             raise TheoremViolationError("feasible point failed verification")
         return Feasible(point)
-    # only the signs of the reduced costs are read, so clearing the
-    # objective's denominators (a positive factor) changes no pivot
+    # the pivots read only the signs of the reduced costs, so clearing the
+    # objective's denominators (a positive factor) changes none of them
     objective = tuple(rat(c) for c in lp.objective)
     sense = -1 if lp.maximize else 1
     ints = scaled_ints(objective, common_denominator(objective))
@@ -477,3 +477,28 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         return Unbounded(point, ray)
     value = dot(lp.objective, point)
     return Optimal(point, value)
+
+
+def solve_with_multipliers(lp: LinearProgram) -> tuple:
+    """(outcome, x) for max c.y s.t. My <= b, y >= 0, x None unless Optimal.
+
+    x is an optimum of the dual min b.x s.t. M'x >= c, x >= 0 (Chvatal,
+    *Linear Programming*, 1983, ch. 5): row i's multiplier is its slack's
+    reduced cost, read through `column` (the row's flip), over den times the
+    objective's denominator, times the row's `scale`.  It is certified in
+    Python ints over its common denominator: x >= 0, M'x >= c, b.x = c.y."""
+    if not lp.nonneg or lp.eq or not lp.maximize or lp.objective is None:
+        raise InputError("multipliers are read for a nonneg max program on <= rows")
+    t = _Tableau(lp)
+    out = _solve(lp, t)
+    if not isinstance(out, Optimal):
+        return out, None
+    per = t.den * common_denominator(lp.objective)
+    x = tuple(rat(k * t._reduced_cost(t.cols + i), per) for i, k in enumerate(t.scale))
+    den = common_denominator(x)
+    mx, bx = aggregate_rows(lp.num_vars, zip(scaled_ints(x, den), lp.leq))
+    if min(x, default=0) < 0 or bx != out.value * den or any(
+        g < c * den for g, c in zip(mx, lp.objective)
+    ):
+        raise TheoremViolationError("row multipliers failed the weak-duality check")
+    return out, x

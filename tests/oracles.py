@@ -30,8 +30,12 @@ vertex profiles kept as frozensets.  `tau_greedy` is the former greedy
 transversal bound.  `lp_bounded` decides boundedness by LPs, max +-x_i over
 the set.
 `fraction_tau_star` and `fraction_nu_star` are the former tau* and nu*
-programs, stated on `Fraction` 0/1 rows and objectives, kept as the
-reference for the int-row programs of `hellykit.hypergraphs`.
+programs, stated on `Fraction` 0/1 rows and objectives: the covering program
+is the independent value oracle for tau*, and `fraction_nu_star` the
+reference for the int-row packing program of `hellykit.hypergraphs`.
+`fraction_multiplier_tau_star` reads tau* as that Fraction-row program's row
+multipliers, the reference for the package's readout, and
+`is_fractional_cover` checks a tau* certificate.
 `list_scan_point_pool` is the former candidate point pool, deduplicated by
 a list scan.  `count_bound_nu_b` is the former b-matching search, pruned by
 the number of edges left only.  `primal_check_ch` is the former rainbow
@@ -74,7 +78,14 @@ from hellykit.hypergraphs import (
     _greedy_cover,
     nu_star,
 )
-from hellykit.lp import LinearProgram, Optimal, Unbounded, aggregate_rows, lp_solve
+from hellykit.lp import (
+    LinearProgram,
+    Optimal,
+    Unbounded,
+    aggregate_rows,
+    lp_solve,
+    solve_with_multipliers,
+)
 from hellykit.rationals import ONE, ZERO, dot, floor_rat, is_zero_vec, rat, vadd, vec, vsub
 from hellykit.serialize import family_from_doc
 
@@ -491,18 +502,38 @@ def fraction_tau_star(h) -> FractionalResult:
     return FractionalResult(out.value, out.point)
 
 
-def fraction_nu_star(h) -> FractionalResult:
+def _fraction_packing(h) -> LinearProgram:
     m = len(h.edges)
     rows = tuple(
         (tuple(ONE if v in e else ZERO for e in h.edges), ONE)
         for v in range(h.vertex_count)
     )
-    lp = LinearProgram(
+    return LinearProgram(
         m, leq=rows, objective=tuple(ONE for _ in range(m)), maximize=True, nonneg=True
     )
-    out = lp_solve(lp)
+
+
+def fraction_nu_star(h) -> FractionalResult:
+    out = lp_solve(_fraction_packing(h))
     assert isinstance(out, Optimal)
     return FractionalResult(out.value, out.point)
+
+
+def fraction_multiplier_tau_star(h) -> FractionalResult:
+    """tau* as the row multipliers of the Fraction-row packing program."""
+    out, x = solve_with_multipliers(_fraction_packing(h))
+    assert isinstance(out, Optimal)
+    return FractionalResult(out.value, x)
+
+
+def is_fractional_cover(h, weights) -> bool:
+    """Whether `weights` is a fractional transversal of `h`: one weight per
+    vertex, each >= 0, and a load of at least 1 on every edge."""
+    return (
+        len(weights) == h.vertex_count
+        and all(w >= 0 for w in weights)
+        and all(sum(weights[v] for v in e) >= 1 for e in h.edges)
+    )
 
 
 def pairwise_candidate_lines(fam) -> list:

@@ -9,7 +9,9 @@ import json
 import pytest
 
 from conftest import FIXTURES, load_fixture
+from hellykit import cli
 from hellykit.cli import main
+from hellykit.hypergraphs import TransversalResult
 from hellykit.rationals import rat
 
 
@@ -114,6 +116,44 @@ def test_verify_lower_bound_planar_f3_fits_the_default_budgets(capsys):
     assert claims["piercing number of segments"]["observed"] == 18
     assert claims["segments pairwise disjoint"]["observed"] is True
     assert report["results"]["all_ok"] is True
+
+
+def test_verify_lower_bound_simplex_d2_line_cover_is_the_exact_pool_value(capsys):
+    # bounded planar sets: the pool is complete, and the report is the one
+    # the pool-value claim has always produced
+    code, report, _ = invoke(capsys, "verify-lower-bound", "simplex", "--d", "2")
+    assert code == 0
+    claims = {c["claim"]: c for c in report["results"]["claims"]}
+    assert claims["line cover of the union"] == {
+        "claim": "line cover of the union",
+        "observed": 2,
+        "required": ">= 2",
+        "ok": True,
+    }
+    assert "line cover of the union, upper bound" not in claims
+    blob = json.dumps({**report, "wall_time_ms": 0}).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b56bd5d19d0720ef46542d33ed45c43609e6cf2a9c0a665186bbad0c2ba2a3d5"
+    )
+
+
+def test_verify_lower_bound_simplex_d3_proves_the_line_cover_bound(capsys, monkeypatch):
+    # in R^3 the pool value is only an upper bound: the lower half comes from
+    # the facet-crossing claim, and a pool value below it is refuted
+    code, report, _ = invoke(capsys, "verify-lower-bound", "simplex", "--d", "3")
+    assert code == 0
+    claims = {c["claim"]: c for c in report["results"]["claims"]}
+    lower = claims["line cover of the union"]
+    assert (lower["observed"], lower["ok"]) == ("implied >= 2", True)
+    assert lower["method"].startswith("facet-crossing bound")
+    upper = claims["line cover of the union, upper bound"]
+    assert (upper["observed"], upper["ok"]) == (2, True)
+    monkeypatch.setattr(cli, "line_cover_number", lambda sets, budget: TransversalResult(1, (0,)))
+    code, report, _ = invoke(capsys, "verify-lower-bound", "simplex", "--d", "3")
+    assert code == 2
+    claims = {c["claim"]: c for c in report["results"]["claims"]}
+    assert claims["line cover of the union"]["ok"] is True
+    assert claims["line cover of the union, upper bound"]["ok"] is False
 
 
 def test_duality_triangle_with_multiplicity_two(capsys):
@@ -543,6 +583,10 @@ def _tamper_weight(res):
     res["tau_star_weights"][0] = "0"
 
 
+def _tamper_packing_weight(res):
+    res["nu_star_weights"][0] = _shift(res["nu_star_weights"][0])
+
+
 @pytest.mark.parametrize(
     "argv, tamper",
     [
@@ -554,8 +598,12 @@ def _tamper_weight(res):
         (("two-color", None), _tamper_hyperplane),
         (("check-ch", "--input", str(FIXTURES / "family_disjoint_boxes.json")), _tamper_multiplier),
         (("duality", "--input", str(FIXTURES / "hypergraph_triangle.json")), _tamper_weight),
+        (
+            ("duality", "--input", str(FIXTURES / "hypergraph_triangle.json")),
+            _tamper_packing_weight,
+        ),
     ],
-    ids=["point", "line", "hyperplane", "farkas-multiplier", "tau-star-weight"],
+    ids=["point", "line", "hyperplane", "farkas-multiplier", "tau-star-weight", "nu-star-weight"],
 )
 def test_tampered_certificate_is_refuted(capsys, tmp_path, argv, tamper):
     if argv[1] is None:
@@ -742,6 +790,41 @@ def test_fake_fractional_transversal_is_refuted(capsys, tmp_path, weights, messa
     code, verdict, _ = _recheck(capsys, tmp_path, report)
     assert code == 2
     assert verdict["results"]["error"] == message
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"nu_star_weights": ["1/2"] * 4}, "nu* weight count differs from the edge count"),
+        ({"nu_star_weights": ["-1", "1", "3/2"]}, "nu* weights must be nonnegative"),
+        ({"nu_star_weights": ["1", "1", "0"]}, "nu* weights overload a vertex"),
+        ({"nu_star_weights": ["1/2", "1/2", "0"]}, "nu* value mismatch"),
+        ({"nu_star_weights": ["1/2", "1/2", "0"], "nu_star": "1"}, "nu* differs from tau*"),
+        ({"nu_b": 4}, "nu_b exceeds b * nu*"),
+        ({"tau_witness": [0, 0]}, "tau witness is not tau distinct vertices"),
+        ({"tau_witness": [0, 7]}, "tau witness is not tau distinct vertices"),
+        ({"tau": 1, "tau_witness": [0]}, "tau witness not a transversal"),
+    ],
+    ids=[
+        "nu-count",
+        "nu-negative",
+        "nu-overload",
+        "nu-value",
+        "nu-tau-gap",
+        "nu-b",
+        "tau-repeat",
+        "tau-range",
+        "tau-miss",
+    ],
+)
+def test_fake_packing_side_is_refuted(capsys, tmp_path, edits, message):
+    _, report, _ = invoke(
+        capsys, "duality", "--input", str(FIXTURES / "hypergraph_triangle.json")
+    )
+    report["results"].update(edits)
+    code, verdict, _ = _recheck(capsys, tmp_path, report)
+    assert code == 2
+    assert verdict["results"]["error"] == f"stored {message}"
 
 
 @pytest.mark.parametrize(

@@ -29,9 +29,11 @@ from conftest import (
 )
 from oracles import (
     count_bound_nu_b,
+    fraction_multiplier_tau_star,
     fraction_nu_star,
     fraction_tau_star,
     frozenset_reduce_for_tau,
+    is_fractional_cover,
     list_scan_point_pool,
     loop_sign_masks,
     nullspace_candidate_planes,
@@ -151,12 +153,38 @@ HYPERGRAPH_SEEDS = range(60)
 def test_fractional_programs_match_their_fraction_row_references():
     for seed in HYPERGRAPH_SEEDS:
         h = random_hypergraph(seed)
-        for got, ref in ((tau_star(h), fraction_tau_star(h)), (nu_star(h), fraction_nu_star(h))):
-            assert repr(got) == repr(ref)  # value and weights, types included
+        ts, ns = tau_star(h), nu_star(h)
+        assert repr(ns) == repr(fraction_nu_star(h))  # value and weights, types included
+        assert repr(ts) == repr(fraction_multiplier_tau_star(h))
+        covering = fraction_tau_star(h)
+        assert covering.value == ts.value and sum(ts.weights) == ts.value
+        assert is_fractional_cover(h, covering.weights) and is_fractional_cover(h, ts.weights)
+
+
+@st.composite
+def degenerate_hypergraphs(draw):
+    """Hypergraphs with repeated edges, isolated vertices and singleton edges."""
+    n = draw(st.integers(1, 6))
+    edges = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=7)
+    )
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    edges += draw(st.lists(st.integers(0, n - 1).map(lambda v: frozenset([v])), max_size=2))
+    return Hypergraph(n + draw(st.integers(0, 2)), tuple(draw(st.permutations(edges))))
+
+
+@PROPERTY
+@given(degenerate_hypergraphs())
+def test_one_tableau_pair_matches_the_fraction_row_programs(h):
+    ts, ns = tau_star(h), nu_star(h)
+    covering, packing = fraction_tau_star(h), fraction_nu_star(h)
+    assert ts.value == ns.value == covering.value == packing.value
+    assert repr(ns) == repr(packing)
+    assert is_fractional_cover(h, ts.weights) and sum(ts.weights) == ts.value
 
 
 def test_fractional_programs_are_stated_on_int_rows(monkeypatch):
-    programs = count_calls(monkeypatch, hypergraphs, "lp_solve")
+    programs = count_calls(monkeypatch, hypergraphs, "solve_with_multipliers")
     h = fano()
     tau_star(h)
     nu_star(h)
@@ -167,14 +195,20 @@ def test_fractional_programs_are_stated_on_int_rows(monkeypatch):
 
 
 def test_duality_report_solves_nu_star_once(monkeypatch):
-    for seed in range(12):
-        h = random_hypergraph(seed)
+    """One fractional program per report, plus `tau`'s root program on its
+    core when the reduction leaves one (seeds 0-11 reduce to an empty core,
+    seeds 21 and 39, the triangle and the Fano plane do not)."""
+    cores = set()
+    for h in [*map(random_hypergraph, (*range(12), 21, 39)), triangle(), fano()]:
+        core = bool(hypergraphs._reduce_for_tau(h.edges)[1])
+        cores.add(core)
         for b in (1, 2, 3):
-            solves = count_calls(monkeypatch, hypergraphs, "nu_star")
+            programs = count_calls(monkeypatch, lp_module, "_Tableau")
             rep = duality_report(h, b)
-            assert len(solves) == 1
+            assert len(programs) == 1 + core
             monkeypatch.undo()
             assert rep.nu_b_value == nu_b(h, b)
+    assert cores == {False, True}
 
 
 @PROPERTY

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 
+from conftest import count_calls
+from hellykit import instances
 from hellykit.colorful import check_ch
-from hellykit.geometry import polyhedra_intersect
+from hellykit.geometry import Halfspace, Polyhedron, first_meeting, polyhedra_intersect
 from hellykit.instances import (
     random_ch_family,
     random_ch_pair,
@@ -47,6 +49,29 @@ def test_random_two_colored_contract():
             assert not polyhedra_intersect(a_sets).feasible
             for a, b in itertools.product(a_sets, b_sets):
                 assert polyhedra_intersect([a, b]).feasible
+
+
+def test_two_colored_corner_verdict_matches_the_meeting_lp(monkeypatch):
+    """Each (A halfspace, B box) pair the generator decides by its lowest
+    corner gets the verdict of `first_meeting`, over seeds 0-299 in R^2 and
+    R^3.  The drawn boxes all meet, so each pair is also tried with the box
+    shrunk to a point and to size 1, where some do not."""
+    verdicts = set()
+    for dim in (2, 3):
+        for seed in range(300):
+            pairs = count_calls(monkeypatch, instances, "_lowest_corner")
+            random_two_colored(seed, dim)
+            monkeypatch.undo()
+            for normal, center, drawn in pairs:
+                a = Polyhedron(dim, (Halfspace(normal, rat(-1)),))
+                for size in (drawn, 1, 0):
+                    box = Polyhedron.box(
+                        [rat(c - size) for c in center], [rat(c + size) for c in center]
+                    )
+                    meets = a.contains(instances._lowest_corner(normal, center, size))
+                    assert meets == (first_meeting([a, box], 2) is not None)
+                    verdicts.add((size == drawn, meets))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_random_ch_pair_is_two_colored_and_ch():

@@ -26,6 +26,7 @@ from hellykit.lp import (
     Optimal,
     Unbounded,
     lp_solve,
+    solve_with_multipliers,
     verify_farkas,
     verify_point,
     verify_ray,
@@ -287,6 +288,55 @@ def _pinned_corpus():
     return corpus
 
 
+def _multiplier_corpus():
+    """Seeded nonneg max programs on inequality rows with rational entries and
+    right-hand sides of both signs, so rows enter flipped and scaled."""
+    rng = random.Random("lp-row-multipliers")
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        rows = tuple(
+            (tuple(_random_coeff(rng) for _ in range(n)), _random_coeff(rng)) for _ in range(m)
+        )
+        objective = tuple(_random_coeff(rng) for _ in range(n))
+        yield LinearProgram(n, leq=rows, objective=objective, nonneg=True)
+
+
+def test_row_multipliers_solve_the_dual_program():
+    kinds = Counter()
+    for lp in _multiplier_corpus():
+        out, x = solve_with_multipliers(lp)
+        assert _canonical(out) == _canonical(lp_solve(lp))
+        kinds[type(out).__name__] += 1
+        if not isinstance(out, Optimal):
+            assert x is None
+            continue
+        # min b.x s.t. M'x >= c, x >= 0, stated and solved apart
+        dual = LinearProgram(
+            len(lp.leq),
+            leq=tuple(
+                (tuple(-a[j] for a, _ in lp.leq), -c) for j, c in enumerate(lp.objective)
+            ),
+            objective=tuple(b for _, b in lp.leq),
+            maximize=False,
+            nonneg=True,
+        )
+        assert verify_point(dual, x) and dot(dual.objective, x) == out.value
+        assert lp_solve(dual).value == out.value
+    assert set(kinds) == {"Optimal", "Unbounded", "Infeasible"}
+
+
+def test_row_multipliers_need_a_nonneg_max_program_on_inequality_rows():
+    rows = (row((1,), 1),)
+    for lp in (
+        LinearProgram(1, leq=rows, objective=vec((1,))),
+        LinearProgram(1, leq=rows, objective=vec((1,)), maximize=False, nonneg=True),
+        LinearProgram(1, leq=rows, eq=rows, objective=vec((1,)), nonneg=True),
+        LinearProgram(1, leq=rows, nonneg=True),
+    ):
+        with pytest.raises(InputError):
+            solve_with_multipliers(lp)
+
+
 def _canonical(out) -> str:
     """Backend-independent text of an outcome: kind plus every exact value."""
     fields = [getattr(out, name) for name in out.__dataclass_fields__]
@@ -367,10 +417,11 @@ def _polygon_subsets():
         ),
         (
             # the A x B pairs are a `check_ch` sweep (transposed, reusing
-            # the last verified point) and the witness trials are verdicts
+            # the last verified point) and the witness trials are verdicts;
+            # the generator decides its (halfspace, box) pairs with no program
             _two_color_lemmas,
-            309,
-            "f559609c9790d263d747bdc127191b19c45dedbb6b855d1dd6dbe9a941994464",
+            187,
+            "c57aa4491f0c1fd39bcf35233142da03e2cf7bf00d7dd1c5f10d76139a727d12",
         ),
         (
             _polygon_subsets,
